@@ -35,7 +35,7 @@ from .profiler import (
     profile_to_json,
     select_candidates,
 )
-from .project import ProjectError, load_config, load_project, parse_duration, parse_limit
+from .project import ProjectError, load_config, load_project, parse_limit, parse_tau
 from .runner import (
     InvalidPool,
     RunConfig,
@@ -91,7 +91,10 @@ def _build_parser() -> _ArgumentParser:
         )
 
     def tuning(p):
-        p.add_argument("--tau", default=None, help="expensiveness threshold, e.g. 1ms")
+        p.add_argument(
+            "--tau", default=None,
+            help="expensiveness threshold: a duration (1ms) or a step count (1000steps)",
+        )
         p.add_argument("--limit", default=None, help="candidate limit: count or percent, e.g. 20%%")
         p.add_argument("--tau-mode", choices=("mean", "cumulative"), default=None)
         p.add_argument(
@@ -181,10 +184,11 @@ class Settings:
         return str(raw).lower() in ("1", "true", "yes", "on")
 
     def criterion(self) -> ExpensivenessCriterion:
-        tau_ns = parse_duration(self.str_("tau", "1ms"))
+        tau, tau_unit = parse_tau(self.str_("tau", "1ms"))
         limit_value, limit_is_pct = parse_limit(self.str_("limit", "20%"))
         return ExpensivenessCriterion(
-            tau_ns=tau_ns,
+            tau=tau,
+            tau_unit=tau_unit,
             limit_value=limit_value,
             limit_is_pct=limit_is_pct,
             tau_mode=self.str_("tau-mode", "mean"),
@@ -234,8 +238,7 @@ def _cmd_mutate(args, st: Settings) -> int:
     return 0
 
 
-def _build_db(program, profile, st: Settings):
-    bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
+def _build_db(program, profile, bundle, st: Settings):
     criterion = st.criterion()
     candidates = select_candidates(profile, bundle.determinacy, criterion)
     runtime = st.runtime()
@@ -249,13 +252,14 @@ def _build_db(program, profile, st: Settings):
         step_limit_factor=factor, runtime=runtime,
         miss_tolerance=st.int_("miss-tolerance", 0),
     )
-    return final, bundle
+    return final
 
 
 def _cmd_memoize(args, st: Settings) -> int:
     program = load_project(args.project)
     profile = profile_from_json(_read_json(args.profile))
-    final, _ = _build_db(program, profile, st)
+    bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
+    final = _build_db(program, profile, bundle, st)
     save_db(final, args.output)
     if args.dump_json:
         _write_json(db_to_json(final), args.output + ".json")
@@ -309,7 +313,7 @@ def _cmd_pipeline(args, st: Settings) -> int:
     pool = generate_mutants(program)
     _write_json(pool_to_json(pool), str(art / "mutants.json"))
 
-    db, _ = _build_db(program, profile, st)
+    db = _build_db(program, profile, bundle, st)
     save_db(db, art / "memo.db")
 
     base = _run_pool(program, pool, profile, bundle.closure, None, st, memo=False)

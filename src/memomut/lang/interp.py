@@ -1,9 +1,10 @@
-"""Tree-walking interpreter for Mini with step accounting and hooks.
+"""Executions of Mini code with step accounting and hooks.
 
-Every evaluated AST node costs one step; the step counter doubles as the
+Code runs as closures compiled once per function (see `compiler`); every
+evaluated AST node costs one step, and the step counter doubles as the
 deterministic timeout mechanism.  Instrumentation hooks observe function
-entry/exit, builtin invocations, and global reads/writes, and may answer
-an entry event with a Substitute to skip the function body entirely.
+entry/exit and builtin invocations, and may answer an entry event with a
+Substitute to skip the function body entirely.
 """
 
 from __future__ import annotations
@@ -11,43 +12,12 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ast import (
-    ArrayLit,
-    Assert,
-    Assign,
-    Binary,
-    Block,
-    BoolLit,
-    Call,
-    ExprStmt,
-    FnRefLit,
-    FunctionDef,
-    If,
-    Index,
-    IntLit,
-    Let,
-    Name,
-    Program,
-    Return,
-    StrLit,
-    Unary,
-    While,
-)
-from .values import (
-    UNIT,
-    FnRef,
-    Value,
-    contains_array,
-    deep_copy,
-    deep_equal,
-    format_value,
-    trunc_div,
-    trunc_mod,
-    wrap64,
-)
+from .ast import Program
+from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled
+from .values import UNIT, Value, contains_array, deep_copy, format_value, wrap64
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
@@ -80,19 +50,94 @@ class TestOutcome:
     wall_ns: int
 
 
-@dataclass
-class Frame:
-    fn: str
-    scopes: list[dict]
-    call_site: int
-
-
 class ExecState:
-    def __init__(self, program: Program):
+    """The state of one execution, which hooks may read and patch.
+
+    `globals`, `output` and `steps` are the observable state; the other
+    fields are what the compiled code needs at run time: the step limit,
+    the call depth, each function's compiled code, the hooks, and the
+    sources of nondeterminism.  Compiled code makes every call through
+    `invoke` or `call_builtin`.
+    """
+
+    __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "rng", "clock")
+
+    def __init__(
+        self,
+        program: Program,
+        code: dict[str, Code],
+        hooks: Optional[Hooks],
+        limit: int,
+        rng: random.Random,
+        clock: Callable[[], int],
+    ):
         self.globals = {name: deep_copy(val) for name, val in program.globals}
-        self.stack: list[Frame] = []
-        self.steps = 0
         self.output: list[str] = []
+        self.steps = 0
+        self.limit = limit
+        self.depth = 0
+        self.code = code
+        self.hooks = hooks
+        self.rng = rng
+        self.clock = clock
+
+    def invoke(self, name: str, args: list, site: int) -> Value:
+        """Call function `name` from the call node `site` (-1 for the entry call)."""
+        code = self.code[name]
+        if len(args) != code.arity:
+            raise RuntimeErr("type_mismatch", site)
+        if self.depth >= MAX_CALL_DEPTH:
+            raise RuntimeErr("stack_overflow", site)
+        hooks = self.hooks
+        if hooks is not None:
+            sub = hooks.on_call_enter(name, args, self)
+            if sub is not None:
+                if sub.patch is not None:
+                    sub.patch(self)
+                self.steps = n = self.steps + 1
+                if n >= self.limit:
+                    raise StepLimit()
+                return sub.value
+        self.depth += 1
+        # The slots are a new list: hooks keep `args` as the call's arguments.
+        ret = code.body(self, args + code.pad)
+        self.depth -= 1
+        if ret is None:
+            ret = UNIT
+        if hooks is not None:
+            hooks.on_call_exit(name, ret, self)
+        return ret
+
+    def call_builtin(self, name: str, args: list, site: int) -> Value:
+        """Call builtin `name`; errors are reported at the call node `site`."""
+        if self.hooks is not None:
+            self.hooks.on_builtin(name, self)
+        if name == "len":
+            if len(args) != 1 or not isinstance(args[0], (list, str)):
+                raise RuntimeErr("type_mismatch", site)
+            return len(args[0])
+        if name == "push":
+            if len(args) != 2 or not isinstance(args[0], list):
+                raise RuntimeErr("type_mismatch", site)
+            arr, v = args
+            if contains_array(v, arr):
+                raise RuntimeErr("array_cycle", site)
+            arr.append(v)
+            return UNIT
+        if name == "print":
+            if len(args) != 1:
+                raise RuntimeErr("type_mismatch", site)
+            self.output.append(format_value(args[0]))
+            return UNIT
+        if name == "time_now":
+            if args:
+                raise RuntimeErr("type_mismatch", site)
+            return wrap64(self.clock())
+        if name == "rand":
+            if len(args) != 1 or type(args[0]) is not int or args[0] <= 0:
+                raise RuntimeErr("type_mismatch", site)
+            return self.rng.randrange(args[0])
+        raise RuntimeErr("type_mismatch", site)
 
 
 @dataclass
@@ -118,33 +163,6 @@ class Hooks:
 
     def on_builtin(self, name: str, state: ExecState) -> None:
         pass
-
-    def on_global_read(self, name: str, state: ExecState) -> None:
-        pass
-
-    def on_global_write(self, name: str, state: ExecState) -> None:
-        pass
-
-
-# Internal control-flow signals.
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
-class _RuntimeErr(Exception):
-    def __init__(self, kind: str, node_id: int):
-        self.kind = kind
-        self.node_id = node_id
-
-
-class _AssertFail(Exception):
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-
-
-class _StepLimit(Exception):
-    pass
 
 
 class MiniExecutionError(Exception):
@@ -188,6 +206,11 @@ class Runtime:
 
 
 class Interpreter:
+    """One execution of a program: its state plus every function's code.
+
+    All code is compiled here, before any timer in the caller starts.
+    """
+
     def __init__(
         self,
         program: Program,
@@ -197,273 +220,33 @@ class Interpreter:
         clock: Optional[Callable[[], int]] = None,
     ):
         self.program = program
-        self.hooks = hooks or Hooks()
-        self.step_limit = step_limit
-        self.rng = rng if rng is not None else random.Random()
-        self.clock = clock or _real_clock_ms
-        self.state = ExecState(program)
-        # ~10 host frames per Mini frame; keep room above MAX_CALL_DEPTH.
+        code = {name: compiled(fn) for name, fn in program.functions.items()}
+        self.state = ExecState(
+            program,
+            code,
+            hooks,
+            step_limit,
+            rng if rng is not None else random.Random(),
+            clock or _real_clock_ms,
+        )
+        # Each Mini call nests about 8 host frames; keep room above MAX_CALL_DEPTH.
         if sys.getrecursionlimit() < 10_000:
             sys.setrecursionlimit(10_000)
 
-    # -- plumbing -----------------------------------------------------------
-
-    def _tick(self, node) -> None:
-        st = self.state
-        st.steps += 1
-        if st.steps >= self.step_limit:
-            raise _StepLimit()
-
-    def _err(self, kind: str, node) -> _RuntimeErr:
-        return _RuntimeErr(kind, node.node_id)
-
-    # -- calls --------------------------------------------------------------
-
     def call_function(self, name: str, args: list, site: int) -> Value:
-        fn = self.program.functions[name]
-        if len(args) != len(fn.params):
-            raise _RuntimeErr("type_mismatch", site)
-        st = self.state
-        if len(st.stack) >= MAX_CALL_DEPTH:
-            raise _RuntimeErr("stack_overflow", site)
-        sub = self.hooks.on_call_enter(name, args, st)
-        if sub is not None:
-            if sub.patch is not None:
-                sub.patch(st)
-            st.steps += 1
-            if st.steps >= self.step_limit:
-                raise _StepLimit()
-            return sub.value
-        frame = Frame(fn=name, scopes=[dict(zip(fn.params, args))], call_site=site)
-        st.stack.append(frame)
-        try:
-            self._exec_block(fn.body, frame)
-            ret = UNIT
-        except _Return as r:
-            ret = r.value
-        finally:
-            st.stack.pop()
-        self.hooks.on_call_exit(name, ret, st)
-        return ret
-
-    def _call_builtin(self, name: str, args: list, node) -> Value:
-        st = self.state
-        self.hooks.on_builtin(name, st)
-        if name == "len":
-            if len(args) != 1 or not isinstance(args[0], (list, str)):
-                raise self._err("type_mismatch", node)
-            return len(args[0])
-        if name == "push":
-            if len(args) != 2 or not isinstance(args[0], list):
-                raise self._err("type_mismatch", node)
-            arr, v = args
-            if contains_array(v, arr):
-                raise self._err("array_cycle", node)
-            arr.append(v)
-            return UNIT
-        if name == "print":
-            if len(args) != 1:
-                raise self._err("type_mismatch", node)
-            st.output.append(format_value(args[0]))
-            return UNIT
-        if name == "time_now":
-            if args:
-                raise self._err("type_mismatch", node)
-            return wrap64(self.clock())
-        if name == "rand":
-            if len(args) != 1 or type(args[0]) is not int or args[0] <= 0:
-                raise self._err("type_mismatch", node)
-            return self.rng.randrange(args[0])
-        raise self._err("type_mismatch", node)
-
-    # -- statements ---------------------------------------------------------
-
-    def _exec_block(self, block: Block, frame: Frame) -> None:
-        self._tick(block)
-        frame.scopes.append({})
-        try:
-            for st in block.stmts:
-                self._exec_stmt(st, frame)
-        finally:
-            frame.scopes.pop()
-
-    def _exec_stmt(self, s, frame: Frame) -> None:
-        t = type(s)
-        if t is Let:
-            self._tick(s)
-            frame.scopes[-1][s.name] = self._eval(s.value, frame)
-        elif t is Assign:
-            self._tick(s)
-            value = self._eval(s.value, frame)
-            target = s.target
-            if type(target) is Name:
-                self._tick(target)
-                if target.is_global:
-                    self.hooks.on_global_write(target.ident, self.state)
-                    self.state.globals[target.ident] = value
-                else:
-                    for scope in reversed(frame.scopes):
-                        if target.ident in scope:
-                            scope[target.ident] = value
-                            break
-            else:  # Index target
-                self._tick(target)
-                arr = self._eval(target.array, frame)
-                idx = self._eval(target.index, frame)
-                if not isinstance(arr, list) or type(idx) is not int:
-                    raise self._err("type_mismatch", target)
-                if idx < 0 or idx >= len(arr):
-                    raise self._err("index_oob", target)
-                if contains_array(value, arr):
-                    raise self._err("array_cycle", target)
-                arr[idx] = value
-        elif t is If:
-            self._tick(s)
-            cond = self._eval(s.cond, frame)
-            if type(cond) is not bool:
-                raise self._err("type_mismatch", s)
-            if cond:
-                self._exec_block(s.then, frame)
-            elif s.orelse is not None:
-                self._exec_block(s.orelse, frame)
-        elif t is While:
-            self._tick(s)
-            while True:
-                cond = self._eval(s.cond, frame)
-                if type(cond) is not bool:
-                    raise self._err("type_mismatch", s)
-                if not cond:
-                    break
-                self._exec_block(s.body, frame)
-        elif t is Return:
-            self._tick(s)
-            value = UNIT if s.value is None else self._eval(s.value, frame)
-            raise _Return(value)
-        elif t is ExprStmt:
-            self._tick(s)
-            self._eval(s.expr, frame)
-        elif t is Assert:
-            self._tick(s)
-            cond = self._eval(s.cond, frame)
-            if type(cond) is not bool:
-                raise self._err("type_mismatch", s)
-            if not cond:
-                raise _AssertFail(s.node_id)
-        else:
-            raise TypeError(f"unknown statement: {s!r}")
-
-    # -- expressions --------------------------------------------------------
-
-    def _eval(self, e, frame: Frame) -> Value:
-        self._tick(e)
-        t = type(e)
-        if t is IntLit:
-            return e.value
-        if t is BoolLit:
-            return e.value
-        if t is StrLit:
-            return e.value
-        if t is Name:
-            if e.is_global:
-                self.hooks.on_global_read(e.ident, self.state)
-                return self.state.globals[e.ident]
-            for scope in reversed(frame.scopes):
-                if e.ident in scope:
-                    return scope[e.ident]
-            raise self._err("type_mismatch", e)  # unreachable after resolution
-        if t is Binary:
-            return self._eval_binary(e, frame)
-        if t is Call:
-            args = [self._eval(a, frame) for a in e.args]
-            if e.callee is None:
-                if e.is_builtin:
-                    return self._call_builtin(e.name, args, e)
-                return self.call_function(e.name, args, e.node_id)
-            target = self._eval(e.callee, frame)
-            if not isinstance(target, FnRef):
-                raise self._err("type_mismatch", e)
-            if target.name in self.program.functions:
-                return self.call_function(target.name, args, e.node_id)
-            return self._call_builtin(target.name, args, e)
-        if t is Unary:
-            v = self._eval(e.operand, frame)
-            if e.op == "-":
-                if type(v) is not int:
-                    raise self._err("type_mismatch", e)
-                return wrap64(-v)
-            if type(v) is not bool:
-                raise self._err("type_mismatch", e)
-            return not v
-        if t is Index:
-            arr = self._eval(e.array, frame)
-            idx = self._eval(e.index, frame)
-            if not isinstance(arr, list) or type(idx) is not int:
-                raise self._err("type_mismatch", e)
-            if idx < 0 or idx >= len(arr):
-                raise self._err("index_oob", e)
-            return arr[idx]
-        if t is ArrayLit:
-            return [self._eval(x, frame) for x in e.items]
-        if t is FnRefLit:
-            return FnRef(e.name)
-        raise TypeError(f"unknown expression: {e!r}")
-
-    def _eval_binary(self, e, frame: Frame) -> Value:
-        op = e.op
-        if op == "&&" or op == "||":
-            left = self._eval(e.left, frame)
-            if type(left) is not bool:
-                raise self._err("type_mismatch", e)
-            if op == "&&" and not left:
-                return False
-            if op == "||" and left:
-                return True
-            right = self._eval(e.right, frame)
-            if type(right) is not bool:
-                raise self._err("type_mismatch", e)
-            return right
-        left = self._eval(e.left, frame)
-        right = self._eval(e.right, frame)
-        if op == "==":
-            return deep_equal(left, right)
-        if op == "!=":
-            return not deep_equal(left, right)
-        if type(left) is not int or type(right) is not int:
-            raise self._err("type_mismatch", e)
-        if op == "+":
-            return wrap64(left + right)
-        if op == "-":
-            return wrap64(left - right)
-        if op == "*":
-            return wrap64(left * right)
-        if op == "/":
-            if right == 0:
-                raise self._err("div_by_zero", e)
-            return wrap64(trunc_div(left, right))
-        if op == "%":
-            if right == 0:
-                raise self._err("div_by_zero", e)
-            return wrap64(trunc_mod(left, right))
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        raise TypeError(f"unknown operator {op!r}")
+        return self.state.invoke(name, args, site)
 
 
 def _execute(interp: Interpreter, fn: str, args: list) -> tuple[Verdict, Value]:
+    interp.state.depth = 0  # an error leaves the depth of the failing call
     try:
         ret = interp.call_function(fn, args, site=-1)
         return PASS, ret
-    except _AssertFail as a:
+    except AssertFail as a:
         return Verdict("assert_fail", node_id=a.node_id), UNIT
-    except _RuntimeErr as r:
+    except RuntimeErr as r:
         return Verdict("runtime_error", node_id=r.node_id, error=r.kind), UNIT
-    except _StepLimit:
+    except StepLimit:
         return STEP_LIMIT_VERDICT, UNIT
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 INT_MIN = -(1 << 63)
+INT_MAX = (1 << 63) - 1
 _U64 = 1 << 64
 
 

@@ -71,35 +71,46 @@ class LookupHooks(Hooks):
     `blocked` names functions whose bypass is gated off for the current
     execution (mutated or depending on the mutated function); gated
     entries execute normally and are not counted as cache misses.
+    `per_method` counts the decisions for every function that saw one,
+    across all the runs that use these hooks.
     """
 
     def __init__(self, tables: dict[str, MemoTable], blocked: frozenset[str] = frozenset()):
         self.tables = tables
         self.blocked = blocked
-        self.hits = 0
-        self.misses = 0
-        self.gated = 0
-        self.decisions: list[tuple[str, str]] | None = None
+        self.per_method: dict[str, dict[str, int]] = {}
+
+    def _total(self, kind: str) -> int:
+        return sum(counts[kind] for counts in self.per_method.values())
+
+    @property
+    def hits(self) -> int:
+        return self._total("hits")
+
+    @property
+    def misses(self) -> int:
+        return self._total("misses")
+
+    @property
+    def gated(self) -> int:
+        return self._total("gated")
 
     def on_call_enter(self, fn, args, state):
         table = self.tables.get(fn)
         if table is None:
             return None
+        counts = self.per_method.get(fn)
+        if counts is None:
+            counts = self.per_method[fn] = {"hits": 0, "misses": 0, "gated": 0}
         if fn in self.blocked:
-            self.gated += 1
-            if self.decisions is not None:
-                self.decisions.append((fn, "gated"))
+            counts["gated"] += 1
             return None
         key = encode_key(args, [(g, state.globals[g]) for g in table.may_read])
         rec = table.entries.get(key)
         if rec is None:
-            self.misses += 1
-            if self.decisions is not None:
-                self.decisions.append((fn, "miss"))
+            counts["misses"] += 1
             return None
-        self.hits += 1
-        if self.decisions is not None:
-            self.decisions.append((fn, "bypass"))
+        counts["hits"] += 1
         return Substitute(value=deep_copy(rec.ret), patch=_make_patch(rec, args))
 
 
@@ -133,7 +144,8 @@ def record_tables(
     criterion = criterion or ExpensivenessCriterion()
     db = MemoDB(
         fingerprint=program_fingerprint(program),
-        tau_ns=criterion.tau_ns,
+        tau=criterion.tau,
+        tau_unit=criterion.tau_unit,
         limit_value=criterion.limit_value,
         limit_is_pct=criterion.limit_is_pct,
     )
@@ -190,7 +202,8 @@ def provisional_memoization(
     runtime = runtime or Runtime()
     final = MemoDB(
         fingerprint=raw.fingerprint,
-        tau_ns=raw.tau_ns,
+        tau=raw.tau,
+        tau_unit=raw.tau_unit,
         limit_value=raw.limit_value,
         limit_is_pct=raw.limit_is_pct,
         exclusions=dict(raw.exclusions),

@@ -5,7 +5,8 @@ File layout (all integers big-endian):
     magic "MEMU"
     u16  schema version
     u64  program fingerprint
-    u64  tau (nanoseconds)
+    u64  tau
+    u8   tau unit (0 = nanoseconds, 1 = steps)
     u8   limit mode (1 = percent, 0 = absolute count)
     f64  limit value
     u32  table count
@@ -13,8 +14,10 @@ File layout (all integers big-endian):
     per table:  u32 body length, body, u64 FNV-1a checksum of body
     exclusions: u32 body length, body, u64 FNV-1a checksum of body
 
-Checksums make single-byte corruption detectable anywhere in the file;
-version and fingerprint checks run only once the header checksum holds.
+Checksums make single-byte corruption detectable anywhere in the file.
+The version is checked right after the magic, because other schema
+versions lay out the header differently; the fingerprint is checked only
+once the header checksum holds.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .encoding import (
 )
 
 MAGIC = b"MEMU"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class FingerprintMismatch(Exception):
@@ -78,9 +81,10 @@ class Exclusion:
 @dataclass
 class MemoDB:
     fingerprint: int
-    tau_ns: int
+    tau: int
     limit_value: float
     limit_is_pct: bool
+    tau_unit: str = "ns"  # or "steps"
     tables: dict[str, MemoTable] = field(default_factory=dict)
     exclusions: dict[str, Exclusion] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
@@ -93,6 +97,8 @@ _REASON_TAGS = {
     "state_restore_unsupported": 4,
 }
 _TAG_REASONS = {v: k for k, v in _REASON_TAGS.items()}
+_TAU_UNIT_TAGS = {"ns": 0, "steps": 1}
+_TAG_TAU_UNITS = {v: k for k, v in _TAU_UNIT_TAGS.items()}
 
 
 def _pack_str(s: str) -> bytes:
@@ -232,7 +238,8 @@ def db_to_bytes(db: MemoDB) -> bytes:
     header += MAGIC
     header += struct.pack(">H", db.schema_version)
     header += struct.pack(">Q", db.fingerprint)
-    header += struct.pack(">Q", db.tau_ns)
+    header += struct.pack(">Q", db.tau)
+    header += struct.pack(">B", _TAU_UNIT_TAGS[db.tau_unit])
     header += struct.pack(">B", 1 if db.limit_is_pct else 0)
     header += struct.pack(">d", db.limit_value)
     header += struct.pack(">I", len(db.tables))
@@ -263,23 +270,28 @@ def db_from_bytes(data: bytes, expected_fingerprint: Optional[int] = None) -> Me
     if r.take(4) != MAGIC:
         raise CorruptDB(0, "bad magic")
     version = r.u16()
+    if version != SCHEMA_VERSION:
+        raise SchemaVersionMismatch(f"schema version {version}, expected {SCHEMA_VERSION}")
     fingerprint = r.u64()
-    tau_ns = r.u64()
+    tau = r.u64()
+    unit_offset = r.offset
+    tau_unit_tag = r.u8()
     limit_is_pct = r.u8() == 1
     limit_value = r.f64()
     table_count = r.u32()
     header_end = r.offset
     if r.u64() != fnv1a64(data[:header_end]):
         raise CorruptDB(header_end, "header checksum mismatch")
-    if version != SCHEMA_VERSION:
-        raise SchemaVersionMismatch(f"schema version {version}, expected {SCHEMA_VERSION}")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise FingerprintMismatch(
             f"db fingerprint {fingerprint:#x} does not match program {expected_fingerprint:#x}"
         )
+    if tau_unit_tag not in _TAG_TAU_UNITS:
+        raise CorruptDB(unit_offset, "bad tau unit")
     db = MemoDB(
         fingerprint=fingerprint,
-        tau_ns=tau_ns,
+        tau=tau,
+        tau_unit=_TAG_TAU_UNITS[tau_unit_tag],
         limit_value=limit_value,
         limit_is_pct=limit_is_pct,
         schema_version=version,
@@ -330,7 +342,7 @@ def db_to_json(db: MemoDB) -> dict:
     return {
         "fingerprint": db.fingerprint,
         "schema_version": db.schema_version,
-        "tau_ns": db.tau_ns,
+        "tau": {"value": db.tau, "unit": db.tau_unit},
         "limit": {"value": db.limit_value, "is_pct": db.limit_is_pct},
         "tables": {
             fn: {

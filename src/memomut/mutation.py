@@ -182,10 +182,6 @@ def generate_mutants(program: Program) -> MutantPool:
     return MutantPool(mutants=mutants, by_function=by_function, fingerprint=program_fingerprint(program))
 
 
-def mutated_function(m: Mutant) -> str:
-    return m.fn
-
-
 def apply_mutant(program: Program, m: Mutant) -> Program:
     """Program view with the single mutation applied; the input is untouched."""
     fn = program.functions.get(m.fn)

@@ -134,12 +134,31 @@ def profile_suite(
     return base
 
 
+TAU_UNITS = ("ns", "steps")
+
+
 @dataclass
 class ExpensivenessCriterion:
-    tau_ns: int = 1_000_000  # 1 ms
+    """Which functions are expensive enough to memoize.
+
+    tau is a profiled cost in `tau_unit`: wall time ("ns") or executed
+    steps ("steps").  A step threshold picks the same functions on every
+    machine and at every interpreter speed.
+    """
+
+    tau: int = 1_000_000  # 1 ms
+    tau_unit: str = "ns"
     limit_value: float = 20.0
     limit_is_pct: bool = True
     tau_mode: str = "mean"  # or "cumulative"
+
+    def __post_init__(self):
+        if self.tau_unit not in TAU_UNITS:
+            raise ValueError(f"unknown tau unit {self.tau_unit!r}")
+
+    def inclusive(self, st: FunctionStats) -> int:
+        """A function's profiled inclusive cost, summed over its calls, in tau's unit."""
+        return st.inclusive_steps if self.tau_unit == "steps" else st.inclusive_ns
 
     def resolve_limit(self, n_functions: int) -> int:
         if self.limit_is_pct:
@@ -150,7 +169,7 @@ class ExpensivenessCriterion:
 @dataclass
 class Candidate:
     fn: str
-    inclusive_ns: int
+    inclusive: int  # in the criterion's tau unit
     covering_tests: list[str] = field(default_factory=list)
 
 
@@ -161,24 +180,27 @@ def select_candidates(
 ) -> list[Candidate]:
     """Deterministic, expensive, covered-by-a-passing-test functions.
 
-    Ordered by inclusive time descending (name ascending on ties) and
-    truncated to the resolved limit.  Test functions are not candidates
-    (bypassing an oracle is pointless) but do count toward the limit's
-    percentage base denominator of declared non-test functions.
+    Ordered by inclusive cost in tau's unit descending (name ascending on
+    ties) and truncated to the resolved limit.  Test functions are not
+    candidates (bypassing an oracle is pointless) but do count toward the
+    limit's percentage base denominator of declared non-test functions.
     """
     tests = set(profile.tests)
     pool = []
     for fn, st in profile.functions.items():
         if fn in tests or fn in determinacy.nondeterministic:
             continue
-        cost = st.mean_ns if criterion.tau_mode == "mean" else st.inclusive_ns
-        if cost <= criterion.tau_ns:
+        inclusive = criterion.inclusive(st)
+        cost = inclusive
+        if criterion.tau_mode == "mean":
+            cost = inclusive / st.invocations if st.invocations else 0.0
+        if cost <= criterion.tau:
             continue
         covering = profile.covering_passing_tests(fn)
         if not covering:
             continue
-        pool.append(Candidate(fn=fn, inclusive_ns=st.inclusive_ns, covering_tests=covering))
-    pool.sort(key=lambda c: (-c.inclusive_ns, c.fn))
+        pool.append(Candidate(fn=fn, inclusive=inclusive, covering_tests=covering))
+    pool.sort(key=lambda c: (-c.inclusive, c.fn))
     limit = criterion.resolve_limit(len(profile.functions) - len(tests))
     return pool[:limit]
 

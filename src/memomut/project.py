@@ -71,6 +71,23 @@ def parse_duration(text: str) -> int:
     return int(float(m.group(1)) * _DURATION_SCALE[m.group(2)])
 
 
+_STEPS_RE = re.compile(r"^\s*(\d+)\s*steps\s*$")
+
+
+def parse_tau(text: str) -> tuple[int, str]:
+    """Expensiveness threshold as (value, unit): a duration ("1ms") in
+    nanoseconds, or a step count ("1000steps")."""
+    m = _STEPS_RE.match(text)
+    if m:
+        return int(m.group(1)), "steps"
+    try:
+        return parse_duration(text), "ns"
+    except ValueError:
+        raise ValueError(
+            f"bad tau {text!r}; expected a duration (1ms, 250us) or a step count (1000steps)"
+        ) from None
+
+
 def parse_limit(text: str) -> tuple[float, bool]:
     """Candidate limit: "20%" means a share, a bare integer a fixed count."""
     stripped = text.strip()

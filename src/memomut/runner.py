@@ -19,7 +19,7 @@ from .lang.interp import ExecState, Runtime, run_test
 from .memo.builder import LookupHooks
 from .memo.db import FingerprintMismatch, MemoDB, OutputRecord
 from .memo.encoding import encode_key, program_fingerprint
-from .mutation import Mutant, MutantPool, apply_mutant, mutated_function
+from .mutation import Mutant, MutantPool, apply_mutant
 from .profiler import Profile
 
 
@@ -44,7 +44,6 @@ class RunConfig:
     step_limit_factor: int = 10
     all_tests: bool = False
     workers: int = 1
-    log_decisions: bool = False
 
     def __post_init__(self):
         if self.step_limit_factor < 2:
@@ -65,7 +64,8 @@ class MutantResult:
     hits: int = 0
     misses: int = 0
     gated: int = 0
-    decisions: list[tuple[str, str]] = field(default_factory=list)
+    # fn -> {"hits": n, "misses": n, "gated": n} for each memoized function it called
+    per_method: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -74,7 +74,7 @@ class MutationReport:
     memo_enabled: bool
     score: float
     results: list[MutantResult]
-    per_method: dict[str, dict[str, int]]  # fn -> {"hits": n, "misses": n}
+    per_method: dict[str, dict[str, int]]  # fn -> {"hits": n, "misses": n, "gated": n}
     totals: dict[str, int]
     wall_ns: int
 
@@ -129,20 +129,16 @@ def _run_single_mutant(
     cfg: RunConfig,
     runtime: Runtime,
 ) -> MutantResult:
-    target = mutated_function(mutant)
-    tests = _select_tests(profile, target, cfg.all_tests)
+    tests = _select_tests(profile, mutant.fn, cfg.all_tests)
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
     mutated = apply_mutant(program, mutant)
     result = MutantResult(mutant_id=mutant.id, status="survived")
-    blocked = _blocked_functions(db, closure, target) if (cfg.memo and db) else frozenset()
+    hooks = None
+    if cfg.memo and db:
+        hooks = LookupHooks(db.tables, blocked=_blocked_functions(db, closure, mutant.fn))
     t0 = time.perf_counter_ns()
     for test in tests:
-        hooks = None
-        if cfg.memo and db:
-            hooks = LookupHooks(db.tables, blocked=blocked)
-            if cfg.log_decisions:
-                hooks.decisions = []
         limit = profile.tests[test].steps * cfg.step_limit_factor + 1000
         outcome, _ = run_test(
             mutated,
@@ -154,18 +150,15 @@ def _run_single_mutant(
         )
         result.tests_run += 1
         result.steps += outcome.steps
-        if hooks is not None:
-            result.hits += hooks.hits
-            result.misses += hooks.misses
-            result.gated += hooks.gated
-            if hooks.decisions:
-                result.decisions.extend((test, fn, kind) for fn, kind in hooks.decisions)
         if not outcome.verdict.passed:
             result.status = "killed"
             result.killing_test = test
             result.cause = outcome.verdict.kind
             break
     result.wall_ns = time.perf_counter_ns() - t0
+    if hooks is not None:
+        result.hits, result.misses, result.gated = hooks.hits, hooks.misses, hooks.gated
+        result.per_method = hooks.per_method
     return result
 
 
@@ -226,7 +219,11 @@ def run_mutation_analysis(
 
     per_method: dict[str, dict[str, int]] = {}
     if cfg.memo and db is not None:
-        per_method = {fn: {"hits": 0, "misses": 0} for fn in db.tables}
+        per_method = {fn: {"hits": 0, "misses": 0, "gated": 0} for fn in db.tables}
+        for r in results:
+            for fn, counts in r.per_method.items():
+                for kind, n in counts.items():
+                    per_method[fn][kind] += n
     totals = {
         "mutants": len(results),
         "killed": sum(1 for r in results if r.status == "killed"),
@@ -238,14 +235,6 @@ def run_mutation_analysis(
         "misses": sum(r.misses for r in results),
         "gated": sum(r.gated for r in results),
     }
-    if cfg.memo and db is not None and cfg.log_decisions:
-        for r in results:
-            for _, fn, kind in r.decisions:
-                if fn in per_method:
-                    if kind == "bypass":
-                        per_method[fn]["hits"] += 1
-                    elif kind == "miss":
-                        per_method[fn]["misses"] += 1
     return MutationReport(
         fingerprint=fingerprint,
         memo_enabled=cfg.memo,

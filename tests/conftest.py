@@ -44,7 +44,8 @@ class Pipeline:
 
 def build_pipeline(
     name: str,
-    tau_ns: int = SMALL_TAU_NS,
+    tau: int = SMALL_TAU_NS,
+    tau_unit: str = "ns",
     limit_value: float = 20.0,
     time_rand_only: bool = False,
     seed: int = 0,
@@ -54,7 +55,7 @@ def build_pipeline(
     runtime = Runtime(seed=seed, fake_time=True)
     profile = profile_suite(program, runtime=runtime, reps=reps)
     bundle = analyze_program(program, time_rand_only=time_rand_only)
-    criterion = ExpensivenessCriterion(tau_ns=tau_ns, limit_value=limit_value)
+    criterion = ExpensivenessCriterion(tau=tau, tau_unit=tau_unit, limit_value=limit_value)
     candidates = select_candidates(profile, bundle.determinacy, criterion)
     raw = record_tables(program, bundle, candidates, profile, criterion=criterion, runtime=runtime)
     db, _ = provisional_memoization(program, raw, profile, runtime=runtime)

@@ -112,7 +112,7 @@ def _pipeline_for(src, **kw):
     runtime = Runtime(seed=0, fake_time=True)
     profile = profile_suite(program, runtime=runtime)
     bundle = analyze_program(program, time_rand_only=kw.pop("time_rand_only", False))
-    criterion = ExpensivenessCriterion(tau_ns=kw.pop("tau_ns", 0), limit_value=100.0)
+    criterion = ExpensivenessCriterion(tau=kw.pop("tau", 0), limit_value=100.0)
     cands = select_candidates(profile, bundle.determinacy, criterion)
     raw = record_tables(program, bundle, cands, profile, criterion=criterion, runtime=runtime)
     final, stats = provisional_memoization(program, raw, profile, runtime=runtime)
@@ -273,9 +273,10 @@ def test_lookup_gated_runs_normally():
 
 
 def _dbs_structurally_equal(a: MemoDB, b: MemoDB) -> bool:
-    if (a.fingerprint, a.tau_ns, a.limit_value, a.limit_is_pct) != (
+    if (a.fingerprint, a.tau, a.tau_unit, a.limit_value, a.limit_is_pct) != (
         b.fingerprint,
-        b.tau_ns,
+        b.tau,
+        b.tau_unit,
         b.limit_value,
         b.limit_is_pct,
     ):
@@ -312,7 +313,7 @@ def test_db_round_trip_all_corpus(corpus_pipelines, tmp_path):
 
 
 def test_round_trip_preserves_exclusions(tmp_path):
-    db = MemoDB(fingerprint=7, tau_ns=5, limit_value=2, limit_is_pct=False)
+    db = MemoDB(fingerprint=7, tau=5, limit_value=2, limit_is_pct=False)
     db.exclusions["f"] = Exclusion(reason="conflicted")
     db.exclusions["g"] = Exclusion(reason="new_test_failure", detail="test_x")
     back = db_from_bytes(db_to_bytes(db))
@@ -353,7 +354,7 @@ def test_fingerprint_mismatch_raised(sample_pipeline):
 def test_schema_version_mismatch(sample_pipeline):
     db = MemoDB(
         fingerprint=1,
-        tau_ns=1,
+        tau=1,
         limit_value=1,
         limit_is_pct=False,
         schema_version=SCHEMA_VERSION + 1,
@@ -362,13 +363,35 @@ def test_schema_version_mismatch(sample_pipeline):
         db_from_bytes(db_to_bytes(db))
 
 
+def test_older_schema_reported_as_version_mismatch(sample_pipeline):
+    # A schema-1 header is one byte shorter, so its checksum cannot hold
+    # under this layout; the version must still be what gets reported.
+    blob = bytearray(db_to_bytes(sample_pipeline.db))
+    blob[4:6] = (1).to_bytes(2, "big")
+    with pytest.raises(SchemaVersionMismatch):
+        db_from_bytes(bytes(blob))
+
+
+def test_tau_unit_round_trip_and_bad_unit_rejected():
+    db = MemoDB(fingerprint=3, tau=1000, tau_unit="steps", limit_value=20, limit_is_pct=True)
+    blob = bytearray(db_to_bytes(db))
+    assert db_from_bytes(bytes(blob)).tau_unit == "steps"
+    # The unit byte follows magic, version, fingerprint and tau; re-seal
+    # the header checksum so only the unknown unit is wrong.
+    unit_at, header_end = 4 + 2 + 8 + 8, 4 + 2 + 8 + 8 + 1 + 1 + 8 + 4
+    blob[unit_at] = 9
+    blob[header_end : header_end + 8] = fnv1a64(bytes(blob[:header_end])).to_bytes(8, "big")
+    with pytest.raises(CorruptDB, match="bad tau unit"):
+        db_from_bytes(bytes(blob))
+
+
 def test_db_to_json_shape(sample_pipeline):
     doc = db_to_json(sample_pipeline.db)
     assert doc["schema_version"] == SCHEMA_VERSION
     assert set(doc) == {
         "fingerprint",
         "schema_version",
-        "tau_ns",
+        "tau",
         "limit",
         "tables",
         "exclusions",

@@ -118,6 +118,17 @@ def test_ror_variants_semantics():
     assert run_function(negation, "f", [0])[0] is False
 
 
+def test_each_mutant_runs_its_own_code():
+    # Code is compiled once per FunctionDef and cached beside the AST: a
+    # mutant's deep copy must not inherit its parent's code, and a dropped
+    # mutant's code must not outlive it.
+    p = parse("fn f(x){ return x + 1; } fn test_a(){ f(1); }")
+    assert run_function(p, "f", [3])[0] == 4
+    got = {m.op: run_function(apply_mutant(p, m), "f", [3])[0] for m in generate_mutants(p).mutants}
+    assert got == {Operator.AOR: 2, Operator.CRP: 5, Operator.RVM: 0}
+    assert run_function(p, "f", [3])[0] == 4
+
+
 def test_crp_wraps_at_int_max():
     big = (1 << 63) - 1
     p = parse(f"fn f(){{ return {big}; }} fn test_a(){{ f(); }}")

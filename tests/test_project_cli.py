@@ -9,12 +9,14 @@ import pytest
 
 from memomut import corpus_path
 from memomut.cli import main
+from memomut.memo.db import load_db
 from memomut.project import (
     ProjectError,
     load_config,
     load_project,
     parse_duration,
     parse_limit,
+    parse_tau,
     project_sources,
 )
 
@@ -87,6 +89,16 @@ def test_parse_duration():
     for bad in ("1", "ms", "1 hour", "-1ms"):
         with pytest.raises(ValueError):
             parse_duration(bad)
+
+
+def test_parse_tau():
+    assert parse_tau("1ms") == (1_000_000, "ns")
+    assert parse_tau("250us") == (250_000, "ns")
+    assert parse_tau("1000steps") == (1000, "steps")
+    assert parse_tau(" 7 steps ") == (7, "steps")
+    for bad in ("1", "1.5steps", "steps", "-1steps", "1 step", "1ms steps"):
+        with pytest.raises(ValueError):
+            parse_tau(bad)
 
 
 def test_parse_limit():
@@ -190,6 +202,24 @@ def test_cli_pipeline_writes_artifacts(tmp_path, capsys):
         assert (art / name).exists(), name
 
 
+def test_cli_pipeline_step_tau_and_per_method_counts(tmp_path, capsys):
+    proj = tmp_path / "proj"
+    shutil.copytree(corpus_path("bench_expensive"), proj)
+    art = tmp_path / "artifacts"
+    argv = ["pipeline", str(proj), "--fake-time", "--tau", "1000steps", "--artifact-dir", str(art)]
+    assert main(argv) == 0
+    db = load_db(art / "memo.db")
+    assert (db.tau, db.tau_unit) == (1000, "steps")
+    assert sorted(db.tables) == ["cube_mix", "poly_sum", "weighted_sum"]
+    memo = json.loads((art / "memo.json").read_text())
+    comparison = json.loads((art / "comparison.json").read_text())
+    assert comparison["per_method"] == memo["per_method"]
+    for kind in ("hits", "misses", "gated"):
+        per_method = sum(counts[kind] for counts in memo["per_method"].values())
+        assert per_method == memo["totals"][kind]
+    assert memo["totals"]["hits"] > 0 and memo["totals"]["gated"] > 0
+
+
 def test_cli_reinvocation_stable_modulo_wall(tmp_path):
     proj = _sample_project(tmp_path)
     pool = tmp_path / "mutants.json"
@@ -229,7 +259,7 @@ def _cli(*argv, cwd=None):
 def test_cli_version():
     r = _cli("--version")
     assert r.returncode == 0
-    assert "schema 1" in r.stdout
+    assert "schema 2" in r.stdout
 
 
 def test_cli_usage_errors_exit_64():

@@ -98,7 +98,7 @@ def test_memo_never_increases_steps():
 
 
 def _tiny_db():
-    db = MemoDB(fingerprint=0, tau_ns=0, limit_value=1, limit_is_pct=False)
+    db = MemoDB(fingerprint=0, tau=0, limit_value=1, limit_is_pct=False)
     table = MemoTable(fn="f", may_read=["G"], may_write=[], mut_args=[])
     table.entries[encode_key([1], [("G", 0)])] = OutputRecord(
         ret=2, written_globals={}, post_args={}, output_steps=5
@@ -146,12 +146,12 @@ def test_intercept_miss_counts():
 
 def test_no_bypass_inside_dependency_closure_of_mutant():
     pipe = cached_pipeline("fib")
-    memo = run(pipe, memo=True, log_decisions=True)
+    memo = run(pipe, memo=True)
     closure = pipe.bundle.closure
     for r in memo.results:
         mutant_fn = pipe.pool.mutants[r.mutant_id].fn
-        for _test, fn, kind in r.decisions:
-            if kind == "bypass":
+        for fn, counts in r.per_method.items():
+            if counts["hits"]:  # this mutant's runs bypassed fn
                 assert fn != mutant_fn
                 assert mutant_fn not in closure[fn]
 
@@ -310,7 +310,7 @@ def test_parallel_run_matches_serial():
 
 def test_report_json_round_trip():
     pipe = cached_pipeline("sample")
-    report = run(pipe, memo=True, log_decisions=True)
+    report = run(pipe, memo=True)
     doc = report_to_json(report)
     back = report_from_json(doc)
     assert report_to_json(back) == doc
