@@ -279,20 +279,19 @@ def analyze_determinacy(
     program: Program,
     cg: CallGraph,
     effects: SideEffectSummary,
-    taint_rule: bool = True,
-    print_axiom: bool = True,
+    time_rand_only: bool = False,
 ) -> DeterminacyReport:
     """Least fixpoint of the nondeterminism rules.
 
-    (i) calling time_now/rand (and print, unless the axiom is disabled)
-    taints a function directly; (ii) calling a tainted function taints
-    the caller; (iii) reading a global that a tainted function may write
-    taints the reader.  Rules for print and global taint are the
-    conservative extensions and can be switched off for fidelity runs.
+    (i) calling time_now/rand (and print) taints a function directly;
+    (ii) calling a tainted function taints the caller; (iii) reading a
+    global that a tainted function may write taints the reader.  The
+    print axiom and rule (iii) are the conservative extensions;
+    `time_rand_only` switches both off for fidelity runs.
     """
     reasons: dict[str, str] = {}
     for b, why in NONDET_BUILTINS.items():
-        if b == "print" and not print_axiom:
+        if b == "print" and time_rand_only:
             continue
         reasons[b] = why
 
@@ -314,7 +313,7 @@ def analyze_determinacy(
                     if g in reasons and g in program.functions:
                         reason = f"transitive_via:{g}"
                         break
-            if reason is None and taint_rule:
+            if reason is None and not time_rand_only:
                 for g in sorted(effects.reads.get(f, ())):
                     if any(h in reasons and g in effects.writes.get(h, ()) for h in cg.nodes):
                         reason = f"tainted_global:{g}"
@@ -339,8 +338,7 @@ def analyze_program(program: Program, time_rand_only: bool = False) -> AnalysisB
         program,
         cg,
         effects,
-        taint_rule=not time_rand_only,
-        print_axiom=not time_rand_only,
+        time_rand_only=time_rand_only,
     )
     return AnalysisBundle(call_graph=cg, closure=closure, effects=effects, determinacy=det)
 

@@ -28,8 +28,10 @@ from .memo.db import (
 )
 from .mutation import MutantPool, generate_mutants, pool_from_json, pool_to_json
 from .profiler import (
+    DEFAULT_STEP_LIMIT_FACTOR,
     ExpensivenessCriterion,
     SuiteEmpty,
+    check_step_limit_factor,
     profile_from_json,
     profile_suite,
     profile_to_json,
@@ -124,7 +126,6 @@ def _build_parser() -> _ArgumentParser:
     tuning(p)
     p.add_argument("--profile", required=True, help="profile.json from the profile stage")
     p.add_argument("--step-limit-factor", type=int, default=None)
-    p.add_argument("--miss-tolerance", type=int, default=None)
     p.add_argument("--dump-json", action="store_true", help="also write a JSON mirror of the db")
     p.add_argument("-o", "--output", required=True)
 
@@ -147,7 +148,6 @@ def _build_parser() -> _ArgumentParser:
     tuning(p)
     p.add_argument("--profile-reps", type=int, default=None)
     p.add_argument("--step-limit-factor", type=int, default=None)
-    p.add_argument("--miss-tolerance", type=int, default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--all-tests", action="store_true", default=None)
     p.add_argument("--artifact-dir", default=None)
@@ -197,6 +197,9 @@ class Settings:
     def runtime(self) -> Runtime:
         return Runtime(seed=self.int_("seed", 0), fake_time=self.bool_("fake-time"))
 
+    def step_limit_factor(self) -> int:
+        return check_step_limit_factor(self.int_("step-limit-factor", DEFAULT_STEP_LIMIT_FACTOR))
+
 
 def _comparison_table(block: dict) -> str:
     rows = [
@@ -238,11 +241,10 @@ def _cmd_mutate(args, st: Settings) -> int:
     return 0
 
 
-def _build_db(program, profile, bundle, st: Settings):
+def _build_db(program, profile, bundle, st: Settings, factor: int):
     criterion = st.criterion()
     candidates = select_candidates(profile, bundle.determinacy, criterion)
     runtime = st.runtime()
-    factor = st.int_("step-limit-factor", 10)
     raw = record_tables(
         program, bundle, candidates, profile,
         criterion=criterion, step_limit_factor=factor, runtime=runtime,
@@ -250,26 +252,26 @@ def _build_db(program, profile, bundle, st: Settings):
     final, _ = provisional_memoization(
         program, raw, profile,
         step_limit_factor=factor, runtime=runtime,
-        miss_tolerance=st.int_("miss-tolerance", 0),
     )
     return final
 
 
 def _cmd_memoize(args, st: Settings) -> int:
+    factor = st.step_limit_factor()
     program = load_project(args.project)
     profile = profile_from_json(_read_json(args.profile))
     bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
-    final = _build_db(program, profile, bundle, st)
+    final = _build_db(program, profile, bundle, st, factor)
     save_db(final, args.output)
     if args.dump_json:
         _write_json(db_to_json(final), args.output + ".json")
     return 0
 
 
-def _run_pool(program, pool: MutantPool, profile, closure, db, st: Settings, memo: bool):
+def _run_pool(program, pool: MutantPool, profile, closure, db, st: Settings, factor: int, memo: bool):
     cfg = RunConfig(
         memo=memo,
-        step_limit_factor=st.int_("step-limit-factor", 10),
+        step_limit_factor=factor,
         all_tests=st.bool_("all-tests"),
         workers=st.int_("workers", 1),
     )
@@ -279,12 +281,13 @@ def _run_pool(program, pool: MutantPool, profile, closure, db, st: Settings, mem
 
 
 def _cmd_run(args, st: Settings) -> int:
+    factor = st.step_limit_factor()
     program = load_project(args.project)
     pool = pool_from_json(_read_json(args.mutants))
     profile = profile_suite(program, runtime=st.runtime())
     bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
     db = load_db(args.memo, program) if args.memo else None
-    report = _run_pool(program, pool, profile, bundle.closure, db, st, memo=db is not None)
+    report = _run_pool(program, pool, profile, bundle.closure, db, st, factor, memo=db is not None)
     _write_json(report_to_json(report), args.output)
     return 0
 
@@ -300,6 +303,7 @@ def _cmd_report(args, st: Settings) -> int:
 
 
 def _cmd_pipeline(args, st: Settings) -> int:
+    factor = st.step_limit_factor()
     program = load_project(args.project)
     art = Path(st.str_("artifact-dir", str(Path(args.project) / ".memomut")))
     art.mkdir(parents=True, exist_ok=True)
@@ -313,12 +317,12 @@ def _cmd_pipeline(args, st: Settings) -> int:
     pool = generate_mutants(program)
     _write_json(pool_to_json(pool), str(art / "mutants.json"))
 
-    db = _build_db(program, profile, bundle, st)
+    db = _build_db(program, profile, bundle, st, factor)
     save_db(db, art / "memo.db")
 
-    base = _run_pool(program, pool, profile, bundle.closure, None, st, memo=False)
+    base = _run_pool(program, pool, profile, bundle.closure, None, st, factor, memo=False)
     _write_json(report_to_json(base), str(art / "base.json"))
-    memo = _run_pool(program, pool, profile, bundle.closure, db, st, memo=True)
+    memo = _run_pool(program, pool, profile, bundle.closure, db, st, factor, memo=True)
     _write_json(report_to_json(memo), str(art / "memo.json"))
 
     block = compare_runs(base, memo)

@@ -16,7 +16,7 @@ from ..analysis import AnalysisBundle
 from ..lang.ast import Program
 from ..lang.interp import ExecState, Hooks, Runtime, Substitute, run_test
 from ..lang.values import deep_copy, deep_equal
-from ..profiler import Candidate, ExpensivenessCriterion, Profile
+from ..profiler import DEFAULT_STEP_LIMIT_FACTOR, Candidate, ExpensivenessCriterion, Profile
 from .db import Exclusion, FingerprintMismatch, MemoDB, MemoTable, OutputRecord
 from .encoding import encode_key, program_fingerprint
 
@@ -126,17 +126,13 @@ def _make_patch(rec: OutputRecord, args: list):
     return patch
 
 
-def _test_limit(profile: Profile, test: str, factor: int) -> int:
-    return profile.tests[test].steps * factor + 1000
-
-
 def record_tables(
     program: Program,
     bundle: AnalysisBundle,
     candidates: list[Candidate],
     profile: Profile,
     criterion: ExpensivenessCriterion | None = None,
-    step_limit_factor: int = 10,
+    step_limit_factor: int = DEFAULT_STEP_LIMIT_FACTOR,
     runtime: Runtime | None = None,
 ) -> MemoDB:
     """Raw memo-tables database recorded from the unmutated program."""
@@ -165,7 +161,7 @@ def record_tables(
                 program,
                 test,
                 hooks,
-                step_limit=_test_limit(profile, test, step_limit_factor),
+                step_limit=profile.step_budget(test, step_limit_factor),
                 rng=runtime.rng_for(f"record:{fn}:{test}"),
                 clock=runtime.clock_for(f"record:{fn}:{test}"),
             )
@@ -187,15 +183,14 @@ def provisional_memoization(
     program: Program,
     raw: MemoDB,
     profile: Profile,
-    step_limit_factor: int = 10,
+    step_limit_factor: int = DEFAULT_STEP_LIMIT_FACTOR,
     runtime: Runtime | None = None,
-    miss_tolerance: int = 0,
 ) -> tuple[MemoDB, ProvisionalStats]:
     """Filter the raw database down to safely memoizable functions.
 
     A function is dropped if look-up-enabled re-runs of its covering
     tests regress any previously-passing test (verdict or printed
-    output) or incur more than `miss_tolerance` cache misses.
+    output) or incur any cache miss.
     """
     if raw.fingerprint != program_fingerprint(program):
         raise FingerprintMismatch("raw database was recorded from a different program")
@@ -219,7 +214,7 @@ def provisional_memoization(
                 program,
                 test,
                 hooks,
-                step_limit=_test_limit(profile, test, step_limit_factor),
+                step_limit=profile.step_budget(test, step_limit_factor),
                 rng=runtime.rng_for(f"provisional:{fn}:{test}"),
                 clock=runtime.clock_for(f"provisional:{fn}:{test}"),
             )
@@ -230,7 +225,7 @@ def provisional_memoization(
         stats.misses[fn] = hooks.misses
         if failed_test is not None:
             final.exclusions[fn] = Exclusion(reason="new_test_failure", detail=failed_test)
-        elif hooks.misses > miss_tolerance:
+        elif hooks.misses:
             final.exclusions[fn] = Exclusion(
                 reason="cache_miss_on_covering_test", detail=str(hooks.misses)
             )

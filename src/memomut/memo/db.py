@@ -74,7 +74,7 @@ class MemoTable:
 
 @dataclass
 class Exclusion:
-    reason: str  # new_test_failure | cache_miss_on_covering_test | conflicted | state_restore_unsupported
+    reason: str  # new_test_failure | cache_miss_on_covering_test | conflicted
     detail: Optional[str] = None
 
 
@@ -87,14 +87,12 @@ class MemoDB:
     tau_unit: str = "ns"  # or "steps"
     tables: dict[str, MemoTable] = field(default_factory=dict)
     exclusions: dict[str, Exclusion] = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
 
 _REASON_TAGS = {
     "new_test_failure": 1,
     "cache_miss_on_covering_test": 2,
     "conflicted": 3,
-    "state_restore_unsupported": 4,
 }
 _TAG_REASONS = {v: k for k, v in _REASON_TAGS.items()}
 _TAU_UNIT_TAGS = {"ns": 0, "steps": 1}
@@ -236,7 +234,7 @@ def _parse_table(data: bytes) -> MemoTable:
 def db_to_bytes(db: MemoDB) -> bytes:
     header = bytearray()
     header += MAGIC
-    header += struct.pack(">H", db.schema_version)
+    header += struct.pack(">H", SCHEMA_VERSION)
     header += struct.pack(">Q", db.fingerprint)
     header += struct.pack(">Q", db.tau)
     header += struct.pack(">B", _TAU_UNIT_TAGS[db.tau_unit])
@@ -294,7 +292,6 @@ def db_from_bytes(data: bytes, expected_fingerprint: Optional[int] = None) -> Me
         tau_unit=_TAG_TAU_UNITS[tau_unit_tag],
         limit_value=limit_value,
         limit_is_pct=limit_is_pct,
-        schema_version=version,
     )
     for _ in range(table_count):
         body_start = r.offset + 4
@@ -341,7 +338,7 @@ def db_to_json(db: MemoDB) -> dict:
 
     return {
         "fingerprint": db.fingerprint,
-        "schema_version": db.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "tau": {"value": db.tau, "unit": db.tau_unit},
         "limit": {"value": db.limit_value, "is_pct": db.limit_is_pct},
         "tables": {

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 from .analysis import DeterminacyReport
 from .lang.ast import Program
-from .lang.interp import DEFAULT_STEP_LIMIT, Hooks, Runtime, Verdict, run_test
+from .lang.interp import Hooks, Runtime, Verdict, run_test
+
+DEFAULT_STEP_LIMIT_FACTOR = 10
 
 
 class SuiteEmpty(Exception):
@@ -46,7 +48,6 @@ class TestRecord:
 class Profile:
     functions: dict[str, FunctionStats]
     tests: dict[str, TestRecord]
-    step_limit: int = DEFAULT_STEP_LIMIT
 
     def passing_tests(self) -> list[str]:
         return [t for t, rec in self.tests.items() if rec.verdict.passed]
@@ -58,6 +59,15 @@ class Profile:
 
     def total_test_ns(self) -> int:
         return sum(self.functions[t].inclusive_ns for t in self.tests)
+
+    def step_budget(self, test: str, factor: int) -> int:
+        return self.tests[test].steps * factor + 1000
+
+
+def check_step_limit_factor(factor: int) -> int:
+    if factor < 2:
+        raise ValueError("step_limit_factor must be >= 2")
+    return factor
 
 
 class ProfileHooks(Hooks):
@@ -88,7 +98,6 @@ class ProfileHooks(Hooks):
 
 def profile_suite(
     program: Program,
-    step_limit: int = DEFAULT_STEP_LIMIT,
     runtime: Runtime | None = None,
     reps: int = 1,
 ) -> Profile:
@@ -112,7 +121,6 @@ def profile_suite(
                 program,
                 test,
                 hooks,
-                step_limit,
                 rng=runtime.rng_for(f"profile:{rep}:{test}"),
                 clock=runtime.clock_for(f"profile:{rep}:{test}"),
             )
@@ -123,7 +131,7 @@ def profile_suite(
                 steps=outcome.steps,
                 output=list(state.output),
             )
-        runs.append(Profile(functions=functions, tests=tests, step_limit=step_limit))
+        runs.append(Profile(functions=functions, tests=tests))
 
     base = runs[0]
     if len(runs) > 1:
@@ -226,7 +234,6 @@ def cost_breakdown(profile: Profile, top_fraction: float) -> tuple[int, int, flo
 
 def profile_to_json(profile: Profile) -> dict:
     return {
-        "step_limit": profile.step_limit,
         "functions": {
             f: {
                 "invocations": st.invocations,
@@ -276,4 +283,4 @@ def profile_from_json(doc: dict) -> Profile:
         )
         for t, d in doc["tests"].items()
     }
-    return Profile(functions=functions, tests=tests, step_limit=doc.get("step_limit", DEFAULT_STEP_LIMIT))
+    return Profile(functions=functions, tests=tests)

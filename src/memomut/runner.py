@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .lang.ast import Program
-from .lang.interp import ExecState, Runtime, run_test
+from .lang.interp import Runtime, run_test
 from .memo.builder import LookupHooks
-from .memo.db import FingerprintMismatch, MemoDB, OutputRecord
-from .memo.encoding import encode_key, program_fingerprint
+from .memo.db import FingerprintMismatch, MemoDB
+from .memo.encoding import program_fingerprint
 from .mutation import Mutant, MutantPool, apply_mutant
-from .profiler import Profile
+from .profiler import DEFAULT_STEP_LIMIT_FACTOR, Profile, check_step_limit_factor
 
 
 class ScoreMismatch(Exception):
@@ -41,13 +41,12 @@ class InvalidPool(Exception):
 @dataclass
 class RunConfig:
     memo: bool = False
-    step_limit_factor: int = 10
+    step_limit_factor: int = DEFAULT_STEP_LIMIT_FACTOR
     all_tests: bool = False
     workers: int = 1
 
     def __post_init__(self):
-        if self.step_limit_factor < 2:
-            raise ValueError("step_limit_factor must be >= 2")
+        check_step_limit_factor(self.step_limit_factor)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -79,35 +78,6 @@ class MutationReport:
     wall_ns: int
 
 
-@dataclass(frozen=True)
-class InterceptDecision:
-    kind: str  # "execute" | "bypass"
-    record: Optional[OutputRecord] = None
-    counted_miss: bool = False
-    gated: bool = False
-
-
-def intercept(
-    fn: str,
-    args: list,
-    state: ExecState,
-    mutated_fn: str,
-    db: MemoDB,
-    closure: dict[str, set[str]],
-) -> InterceptDecision:
-    """Decide whether a call to `fn` may be answered from the memo-table."""
-    table = db.tables.get(fn)
-    if table is None:
-        return InterceptDecision(kind="execute")
-    if fn == mutated_fn or mutated_fn in closure.get(fn, ()):
-        return InterceptDecision(kind="execute", gated=True)
-    key = encode_key(args, [(g, state.globals[g]) for g in table.may_read])
-    rec = table.entries.get(key)
-    if rec is None:
-        return InterceptDecision(kind="execute", counted_miss=True)
-    return InterceptDecision(kind="bypass", record=rec)
-
-
 def _blocked_functions(db: MemoDB, closure: dict[str, set[str]], mutated_fn: str) -> frozenset[str]:
     return frozenset(
         fn for fn in db.tables if fn == mutated_fn or mutated_fn in closure.get(fn, ())
@@ -135,16 +105,15 @@ def _run_single_mutant(
     mutated = apply_mutant(program, mutant)
     result = MutantResult(mutant_id=mutant.id, status="survived")
     hooks = None
-    if cfg.memo and db:
+    if cfg.memo and db is not None and db.tables:
         hooks = LookupHooks(db.tables, blocked=_blocked_functions(db, closure, mutant.fn))
     t0 = time.perf_counter_ns()
     for test in tests:
-        limit = profile.tests[test].steps * cfg.step_limit_factor + 1000
         outcome, _ = run_test(
             mutated,
             test,
             hooks,
-            step_limit=limit,
+            step_limit=profile.step_budget(test, cfg.step_limit_factor),
             rng=runtime.rng_for(f"mutant:{mutant.id}:{test}"),
             clock=runtime.clock_for(f"mutant:{mutant.id}:{test}"),
         )

@@ -351,24 +351,29 @@ def test_fingerprint_mismatch_raised(sample_pipeline):
         db_from_bytes(blob, program_fingerprint(other))
 
 
-def test_schema_version_mismatch(sample_pipeline):
-    db = MemoDB(
-        fingerprint=1,
-        tau=1,
-        limit_value=1,
-        limit_is_pct=False,
-        schema_version=SCHEMA_VERSION + 1,
-    )
-    with pytest.raises(SchemaVersionMismatch):
-        db_from_bytes(db_to_bytes(db))
-
-
 def test_older_schema_reported_as_version_mismatch(sample_pipeline):
     # A schema-1 header is one byte shorter, so its checksum cannot hold
-    # under this layout; the version must still be what gets reported.
-    blob = bytearray(db_to_bytes(sample_pipeline.db))
-    blob[4:6] = (1).to_bytes(2, "big")
-    with pytest.raises(SchemaVersionMismatch):
+    # under this layout; the version must still be what gets reported,
+    # for an older schema as for a newer one.
+    for version in (1, SCHEMA_VERSION + 1):
+        blob = bytearray(db_to_bytes(sample_pipeline.db))
+        blob[4:6] = version.to_bytes(2, "big")
+        with pytest.raises(SchemaVersionMismatch):
+            db_from_bytes(bytes(blob))
+
+
+def test_unknown_exclusion_reason_rejected():
+    db = MemoDB(fingerprint=3, tau=1, limit_value=1, limit_is_pct=False)
+    db.exclusions["f"] = Exclusion(reason="conflicted")
+    blob = bytearray(db_to_bytes(db))
+    # The exclusions block ends the file: u32 count, "f", u8 tag, an
+    # empty detail string, then its u64 checksum.  Set the tag to 4 and
+    # re-seal the checksum so only the reason is wrong.
+    body_start, tag_at = len(blob) - 8 - 14, len(blob) - 8 - 4 - 1
+    assert blob[tag_at] == 3
+    blob[tag_at] = 4
+    blob[-8:] = fnv1a64(bytes(blob[body_start:-8])).to_bytes(8, "big")
+    with pytest.raises(CorruptDB, match="bad exclusion reason"):
         db_from_bytes(bytes(blob))
 
 

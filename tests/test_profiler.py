@@ -182,6 +182,8 @@ def test_profile_json_round_trip(sample_pipeline):
     back = profile_from_json(doc)
     assert profile_to_json(back) == doc
     assert back.covering_passing_tests("sum") == sample_pipeline.profile.covering_passing_tests("sum")
+    # Profile files that carry the old step_limit key still load.
+    assert profile_to_json(profile_from_json({**doc, "step_limit": 5_000_000})) == doc
 
 
 def test_profile_deterministic_counts():

@@ -220,6 +220,25 @@ def test_cli_pipeline_step_tau_and_per_method_counts(tmp_path, capsys):
     assert memo["totals"]["hits"] > 0 and memo["totals"]["gated"] > 0
 
 
+def test_cli_bad_step_limit_factor_rejected_before_any_stage(tmp_path, capsys):
+    proj = tmp_path / "proj"
+    shutil.copytree(corpus_path("bench_expensive"), proj)
+    prof = tmp_path / "profile.json"
+    assert main(["profile", str(proj), "--fake-time", "-o", str(prof)]) == 0
+    db = tmp_path / "memo.db"
+    argv = [
+        "memoize", str(proj), "--fake-time", "--tau", "1000steps",
+        "--profile", str(prof), "--step-limit-factor", "0", "-o", str(db),
+    ]
+    assert main(argv) == 1
+    assert not db.exists()
+    art = tmp_path / "artifacts"
+    argv = ["pipeline", str(proj), "--step-limit-factor", "1", "--artifact-dir", str(art)]
+    assert main(argv) == 1
+    assert not art.exists()
+    assert "step_limit_factor must be >= 2" in capsys.readouterr().err
+
+
 def test_cli_reinvocation_stable_modulo_wall(tmp_path):
     proj = _sample_project(tmp_path)
     pool = tmp_path / "mutants.json"

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from memomut.lang.interp import Substitute
+from memomut.memo.builder import LookupHooks
 from memomut.memo.db import FingerprintMismatch, MemoDB, MemoTable, OutputRecord
 from memomut.memo.encoding import encode_key
 from memomut.runner import (
@@ -12,9 +14,9 @@ from memomut.runner import (
     MutantResult,
     RunConfig,
     ScoreMismatch,
+    _blocked_functions,
     compare_runs,
     compute_score,
-    intercept,
     report_from_json,
     report_to_json,
     run_mutation_analysis,
@@ -108,40 +110,78 @@ def _tiny_db():
 
 
 def _state(globals_):
-    # intercept only touches state.globals; a bare namespace suffices.
+    # on_call_enter only touches state.globals; a bare namespace suffices.
     return SimpleNamespace(globals=globals_)
 
 
 CLOSURE = {"f": {"f", "helper"}, "g": {"g"}}
 
 
+def _hooks(mutated_fn):
+    db = _tiny_db()
+    return LookupHooks(db.tables, blocked=_blocked_functions(db, CLOSURE, mutated_fn))
+
+
 def test_intercept_no_table_executes():
-    d = intercept("g", [1], _state({"G": 0}), "x", _tiny_db(), CLOSURE)
-    assert d.kind == "execute" and not d.gated and not d.counted_miss
+    hooks = _hooks("x")
+    assert hooks.on_call_enter("g", [1], _state({"G": 0})) is None
+    assert hooks.per_method == {}
 
 
 def test_intercept_gated_when_mutated_self():
-    d = intercept("f", [1], _state({"G": 0}), "f", _tiny_db(), CLOSURE)
-    assert d.kind == "execute" and d.gated and not d.counted_miss
+    hooks = _hooks("f")
+    assert hooks.on_call_enter("f", [1], _state({"G": 0})) is None
+    assert hooks.per_method == {"f": {"hits": 0, "misses": 0, "gated": 1}}
 
 
 def test_intercept_gated_when_mutant_in_closure():
-    d = intercept("f", [1], _state({"G": 0}), "helper", _tiny_db(), CLOSURE)
-    assert d.kind == "execute" and d.gated
+    hooks = _hooks("helper")
+    assert hooks.on_call_enter("f", [1], _state({"G": 0})) is None
+    assert hooks.per_method == {"f": {"hits": 0, "misses": 0, "gated": 1}}
 
 
 def test_intercept_hit_bypasses():
-    d = intercept("f", [1], _state({"G": 0}), "unrelated", _tiny_db(), CLOSURE)
-    assert d.kind == "bypass"
-    assert d.record.ret == 2
+    hooks = _hooks("unrelated")
+    sub = hooks.on_call_enter("f", [1], _state({"G": 0}))
+    assert isinstance(sub, Substitute) and sub.value == 2
+    assert hooks.per_method == {"f": {"hits": 1, "misses": 0, "gated": 0}}
 
 
 def test_intercept_miss_counts():
-    d = intercept("f", [9], _state({"G": 0}), "unrelated", _tiny_db(), CLOSURE)
-    assert d.kind == "execute" and d.counted_miss and not d.gated
+    hooks = _hooks("unrelated")
+    assert hooks.on_call_enter("f", [9], _state({"G": 0})) is None
+    assert hooks.per_method == {"f": {"hits": 0, "misses": 1, "gated": 0}}
     # A differing tracked global also misses.
-    d = intercept("f", [1], _state({"G": 7}), "unrelated", _tiny_db(), CLOSURE)
-    assert d.counted_miss
+    hooks = _hooks("unrelated")
+    assert hooks.on_call_enter("f", [1], _state({"G": 7})) is None
+    assert hooks.per_method == {"f": {"hits": 0, "misses": 1, "gated": 0}}
+
+
+def test_no_lookup_without_tables(monkeypatch):
+    calls = []
+    enter = LookupHooks.on_call_enter
+
+    def counted(self, fn, args, state):
+        calls.append(fn)
+        return enter(self, fn, args, state)
+
+    monkeypatch.setattr(LookupHooks, "on_call_enter", counted)
+
+    def strip(report):
+        doc = report_to_json(report)
+        del doc["memo_enabled"], doc["wall_ns"]
+        for m in doc["mutants"]:
+            del m["wall_ns"]
+        return doc
+
+    for name in ("randarg", "nondet"):
+        pipe = cached_pipeline(name)
+        assert not pipe.db.tables, name
+        base = run(pipe)
+        calls.clear()  # provisional filtering looked its raw tables up
+        memo = run(pipe, memo=True)
+        assert calls == [], name
+        assert strip(memo) == strip(base), name
 
 
 def test_no_bypass_inside_dependency_closure_of_mutant():
