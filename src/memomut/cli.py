@@ -26,11 +26,13 @@ from .memo.db import (
     load_db,
     save_db,
 )
-from .mutation import MutantPool, generate_mutants, pool_from_json, pool_to_json
+from .mutation import generate_mutants, pool_from_json, pool_to_json
 from .profiler import (
     DEFAULT_STEP_LIMIT_FACTOR,
+    TAU_MODES,
     ExpensivenessCriterion,
     SuiteEmpty,
+    check_profile_reps,
     check_step_limit_factor,
     profile_from_json,
     profile_suite,
@@ -98,7 +100,7 @@ def _build_parser() -> _ArgumentParser:
             help="expensiveness threshold: a duration (1ms) or a step count (1000steps)",
         )
         p.add_argument("--limit", default=None, help="candidate limit: count or percent, e.g. 20%%")
-        p.add_argument("--tau-mode", choices=("mean", "cumulative"), default=None)
+        p.add_argument("--tau-mode", choices=TAU_MODES, default=None)
         p.add_argument(
             "--time-rand-only",
             action="store_true",
@@ -200,6 +202,17 @@ class Settings:
     def step_limit_factor(self) -> int:
         return check_step_limit_factor(self.int_("step-limit-factor", DEFAULT_STEP_LIMIT_FACTOR))
 
+    def profile_reps(self) -> int:
+        return check_profile_reps(self.int_("profile-reps", 1))
+
+    def run_config(self, memo: bool) -> RunConfig:
+        return RunConfig(
+            memo=memo,
+            step_limit_factor=self.step_limit_factor(),
+            all_tests=self.bool_("all-tests"),
+            workers=self.int_("workers", 1),
+        )
+
 
 def _comparison_table(block: dict) -> str:
     rows = [
@@ -226,10 +239,9 @@ def _cmd_analyze(args, st: Settings) -> int:
 
 
 def _cmd_profile(args, st: Settings) -> int:
+    runtime, reps = st.runtime(), st.profile_reps()
     program = load_project(args.project)
-    profile = profile_suite(
-        program, runtime=st.runtime(), reps=st.int_("profile-reps", 1)
-    )
+    profile = profile_suite(program, runtime=runtime, reps=reps)
     _write_json(profile_to_json(profile), args.output)
     return 0
 
@@ -241,10 +253,8 @@ def _cmd_mutate(args, st: Settings) -> int:
     return 0
 
 
-def _build_db(program, profile, bundle, st: Settings, factor: int):
-    criterion = st.criterion()
+def _build_db(program, profile, bundle, criterion: ExpensivenessCriterion, runtime: Runtime, factor: int):
     candidates = select_candidates(profile, bundle.determinacy, criterion)
-    runtime = st.runtime()
     raw = record_tables(
         program, bundle, candidates, profile,
         criterion=criterion, step_limit_factor=factor, runtime=runtime,
@@ -257,37 +267,25 @@ def _build_db(program, profile, bundle, st: Settings, factor: int):
 
 
 def _cmd_memoize(args, st: Settings) -> int:
-    factor = st.step_limit_factor()
+    criterion, runtime, factor = st.criterion(), st.runtime(), st.step_limit_factor()
     program = load_project(args.project)
     profile = profile_from_json(_read_json(args.profile))
     bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
-    final = _build_db(program, profile, bundle, st, factor)
+    final = _build_db(program, profile, bundle, criterion, runtime, factor)
     save_db(final, args.output)
     if args.dump_json:
         _write_json(db_to_json(final), args.output + ".json")
     return 0
 
 
-def _run_pool(program, pool: MutantPool, profile, closure, db, st: Settings, factor: int, memo: bool):
-    cfg = RunConfig(
-        memo=memo,
-        step_limit_factor=factor,
-        all_tests=st.bool_("all-tests"),
-        workers=st.int_("workers", 1),
-    )
-    return run_mutation_analysis(
-        program, pool, profile, closure, db=db, cfg=cfg, runtime=st.runtime()
-    )
-
-
 def _cmd_run(args, st: Settings) -> int:
-    factor = st.step_limit_factor()
+    cfg, runtime = st.run_config(memo=args.memo is not None), st.runtime()
     program = load_project(args.project)
     pool = pool_from_json(_read_json(args.mutants))
-    profile = profile_suite(program, runtime=st.runtime())
+    profile = profile_suite(program, runtime=runtime)
     bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
     db = load_db(args.memo, program) if args.memo else None
-    report = _run_pool(program, pool, profile, bundle.closure, db, st, factor, memo=db is not None)
+    report = run_mutation_analysis(program, pool, profile, bundle.closure, db=db, cfg=cfg, runtime=runtime)
     _write_json(report_to_json(report), args.output)
     return 0
 
@@ -303,7 +301,8 @@ def _cmd_report(args, st: Settings) -> int:
 
 
 def _cmd_pipeline(args, st: Settings) -> int:
-    factor = st.step_limit_factor()
+    criterion, runtime, reps = st.criterion(), st.runtime(), st.profile_reps()
+    base_cfg, memo_cfg = st.run_config(memo=False), st.run_config(memo=True)
     program = load_project(args.project)
     art = Path(st.str_("artifact-dir", str(Path(args.project) / ".memomut")))
     art.mkdir(parents=True, exist_ok=True)
@@ -311,18 +310,18 @@ def _cmd_pipeline(args, st: Settings) -> int:
     bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
     _write_json(bundle_to_json(bundle), str(art / "analysis.json"))
 
-    profile = profile_suite(program, runtime=st.runtime(), reps=st.int_("profile-reps", 1))
+    profile = profile_suite(program, runtime=runtime, reps=reps)
     _write_json(profile_to_json(profile), str(art / "profile.json"))
 
     pool = generate_mutants(program)
     _write_json(pool_to_json(pool), str(art / "mutants.json"))
 
-    db = _build_db(program, profile, bundle, st, factor)
+    db = _build_db(program, profile, bundle, criterion, runtime, base_cfg.step_limit_factor)
     save_db(db, art / "memo.db")
 
-    base = _run_pool(program, pool, profile, bundle.closure, None, st, factor, memo=False)
+    base = run_mutation_analysis(program, pool, profile, bundle.closure, db=None, cfg=base_cfg, runtime=runtime)
     _write_json(report_to_json(base), str(art / "base.json"))
-    memo = _run_pool(program, pool, profile, bundle.closure, db, st, factor, memo=True)
+    memo = run_mutation_analysis(program, pool, profile, bundle.closure, db=db, cfg=memo_cfg, runtime=runtime)
     _write_json(report_to_json(memo), str(art / "memo.json"))
 
     block = compare_runs(base, memo)

@@ -47,6 +47,7 @@ class ArrayLit(Expr):
 class Name(Expr):
     ident: str
     is_global: bool = False  # set by the resolver
+    slot: int = field(default=-1, init=False)  # a local's frame slot, set by the resolver
 
 
 @dataclass
@@ -92,6 +93,7 @@ class Block(Stmt):
 class Let(Stmt):
     name: str
     value: Expr
+    slot: int = field(default=-1, init=False)  # set by the resolver
 
 
 @dataclass
@@ -134,6 +136,7 @@ class FunctionDef:
     params: list[str]
     body: Block
     max_node_id: int = -1
+    nslots: int = field(default=0, init=False)  # params plus lets, set by the resolver
 
 
 @dataclass

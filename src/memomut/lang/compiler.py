@@ -2,8 +2,9 @@
 
 Each FunctionDef is compiled once into nested Python closures (Feeley &
 Lapalme, "Using closures for code generation", 1987) that run over a
-flat list of local slots per call; the parser's lexical scoping rules
-map every local name to a slot at compile time.
+flat list of local slots per call.  Scope is not decided here: the
+parser's resolver has already given every parameter, `let` and local
+name its slot, and the compiler reads those slots from the AST.
 
 Every evaluated AST node costs one step, charged by the node's closure
 at the point and in the order a tree walk over the AST would charge it,
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import operator
 import weakref
-from typing import Optional
 
 from .ast import (
     ArrayLit,
@@ -93,22 +93,10 @@ class Code:
 
 
 class _Compiler:
-    def __init__(self, params: list[str]):
-        self.scopes: list[dict[str, int]] = [{p: i for i, p in enumerate(params)}]
-        self.nslots = len(params)
-
-    def _slot(self, ident: str) -> Optional[int]:
-        for scope in reversed(self.scopes):
-            if ident in scope:
-                return scope[ident]
-        return None
-
     # -- statements -----------------------------------------------------
 
     def block(self, b: Block):
-        self.scopes.append({})
         stmts = tuple(self.stmt(s) for s in b.stmts)
-        self.scopes.pop()
 
         def run(st, fr):
             st.steps = n = st.steps + 1
@@ -142,11 +130,7 @@ class _Compiler:
 
     def _let(self, s: Let):
         value = self.expr(s.value)
-        scope = self.scopes[-1]
-        if s.name not in scope:
-            scope[s.name] = self.nslots
-            self.nslots += 1
-        slot = scope[s.name]
+        slot = s.slot
 
         def let(st, fr):
             st.steps = n = st.steps + 1
@@ -160,8 +144,8 @@ class _Compiler:
         value = self.expr(s.value)
         target = s.target
         if type(target) is Name:
-            ident = target.ident
             if target.is_global:
+                ident = target.ident
 
                 def assign(st, fr):
                     st.steps = n = st.steps + 1
@@ -174,10 +158,7 @@ class _Compiler:
                     st.globals[ident] = v
 
                 return assign
-            slot = self._slot(ident)
-            if slot is None:  # undeclared local: the store is a no-op
-                slot = self.nslots
-                self.nslots += 1
+            slot = target.slot
 
             def assign(st, fr):
                 st.steps = n = st.steps + 1
@@ -315,8 +296,8 @@ class _Compiler:
         raise TypeError(f"unknown expression: {e!r}")
 
     def _name(self, e: Name):
-        ident, nid = e.ident, e.node_id
         if e.is_global:
+            ident = e.ident
 
             def load_global(st, fr):
                 st.steps = n = st.steps + 1
@@ -325,16 +306,7 @@ class _Compiler:
                 return st.globals[ident]
 
             return load_global
-        slot = self._slot(ident)
-        if slot is None:  # unreachable after resolution
-
-            def undeclared(st, fr):
-                st.steps = n = st.steps + 1
-                if n >= st.limit:
-                    raise StepLimit()
-                raise RuntimeErr("type_mismatch", nid)
-
-            return undeclared
+        slot = e.slot
 
         def load(st, fr):
             st.steps = n = st.steps + 1
@@ -575,9 +547,8 @@ def compiled(fn: FunctionDef) -> Code:
     key = id(fn)
     code = _COMPILED.get(key)
     if code is None:
-        compiler = _Compiler(fn.params)
-        body = compiler.block(fn.body)
-        code = Code(len(fn.params), [None] * (compiler.nslots - len(fn.params)), body)
+        body = _Compiler().block(fn.body)
+        code = Code(len(fn.params), [None] * (fn.nslots - len(fn.params)), body)
         _COMPILED[key] = code
         weakref.finalize(fn, _COMPILED.pop, key, None)
     return code

@@ -4,7 +4,8 @@ Code runs as closures compiled once per function (see `compiler`); every
 evaluated AST node costs one step, and the step counter doubles as the
 deterministic timeout mechanism.  Instrumentation hooks observe function
 entry/exit and builtin invocations, and may answer an entry event with a
-Substitute to skip the function body entirely.
+Substitute to skip the function body entirely.  Every execution runs on
+a fresh ExecState.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ast import Program
-from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled
+from .compiler import AssertFail, RuntimeErr, StepLimit, compiled
 from .values import UNIT, Value, contains_array, deep_copy, format_value, wrap64
 
 DEFAULT_STEP_LIMIT = 10_000_000
@@ -25,6 +26,10 @@ DEFAULT_STEP_LIMIT = 10_000_000
 # "stack_overflow"), so runaway-recursion mutants die identically on
 # every run instead of exhausting the host stack.
 MAX_CALL_DEPTH = 200
+
+# Each Mini call nests about 8 host frames; keep room above MAX_CALL_DEPTH.
+if sys.getrecursionlimit() < 10_000:
+    sys.setrecursionlimit(10_000)
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,14 @@ class TestOutcome:
 
 
 class ExecState:
-    """The state of one execution, which hooks may read and patch.
+    """The state of one execution, which hooks may read and write.
 
     `globals`, `output` and `steps` are the observable state; the other
     fields are what the compiled code needs at run time: the step limit,
     the call depth, each function's compiled code, the hooks, and the
-    sources of nondeterminism.  Compiled code makes every call through
-    `invoke` or `call_builtin`.
+    sources of nondeterminism.  Every function is compiled here, before
+    any timer in the caller starts.  Compiled code makes every call
+    through `invoke` or `call_builtin`.
     """
 
     __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "rng", "clock")
@@ -65,21 +71,20 @@ class ExecState:
     def __init__(
         self,
         program: Program,
-        code: dict[str, Code],
         hooks: Optional[Hooks],
         limit: int,
-        rng: random.Random,
-        clock: Callable[[], int],
+        rng: Optional[random.Random] = None,
+        clock: Optional[Callable[[], int]] = None,
     ):
         self.globals = {name: deep_copy(val) for name, val in program.globals}
         self.output: list[str] = []
         self.steps = 0
         self.limit = limit
         self.depth = 0
-        self.code = code
+        self.code = {name: compiled(fn) for name, fn in program.functions.items()}
         self.hooks = hooks
-        self.rng = rng
-        self.clock = clock
+        self.rng = rng if rng is not None else random.Random()
+        self.clock = clock or _real_clock_ms
 
     def invoke(self, name: str, args: list, site: int) -> Value:
         """Call function `name` from the call node `site` (-1 for the entry call)."""
@@ -92,8 +97,6 @@ class ExecState:
         if hooks is not None:
             sub = hooks.on_call_enter(name, args, self)
             if sub is not None:
-                if sub.patch is not None:
-                    sub.patch(self)
                 self.steps = n = self.steps + 1
                 if n >= self.limit:
                     raise StepLimit()
@@ -144,12 +147,12 @@ class ExecState:
 class Substitute:
     """Hook answer that skips a function body.
 
-    `patch` is applied to the state before the value is returned; the
-    interpreter charges a single step for the bypassed call.
+    The hook has already made the body's effects on the state and the
+    arguments itself; the bypassed call is charged a single step and
+    returns `value`.
     """
 
     value: Value
-    patch: Optional[Callable[[ExecState], None]] = None
 
 
 class Hooks:
@@ -205,42 +208,9 @@ class Runtime:
         return clock
 
 
-class Interpreter:
-    """One execution of a program: its state plus every function's code.
-
-    All code is compiled here, before any timer in the caller starts.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        hooks: Optional[Hooks] = None,
-        step_limit: int = DEFAULT_STEP_LIMIT,
-        rng: Optional[random.Random] = None,
-        clock: Optional[Callable[[], int]] = None,
-    ):
-        self.program = program
-        code = {name: compiled(fn) for name, fn in program.functions.items()}
-        self.state = ExecState(
-            program,
-            code,
-            hooks,
-            step_limit,
-            rng if rng is not None else random.Random(),
-            clock or _real_clock_ms,
-        )
-        # Each Mini call nests about 8 host frames; keep room above MAX_CALL_DEPTH.
-        if sys.getrecursionlimit() < 10_000:
-            sys.setrecursionlimit(10_000)
-
-    def call_function(self, name: str, args: list, site: int) -> Value:
-        return self.state.invoke(name, args, site)
-
-
-def _execute(interp: Interpreter, fn: str, args: list) -> tuple[Verdict, Value]:
-    interp.state.depth = 0  # an error leaves the depth of the failing call
+def _execute(state: ExecState, fn: str, args: list) -> tuple[Verdict, Value]:
     try:
-        ret = interp.call_function(fn, args, site=-1)
+        ret = state.invoke(fn, args, -1)
         return PASS, ret
     except AssertFail as a:
         return Verdict("assert_fail", node_id=a.node_id), UNIT
@@ -263,12 +233,12 @@ def run_test(
         raise ValueError(f"not a test: {test!r}")
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
-    interp = Interpreter(program, hooks, step_limit, rng, clock)
+    state = ExecState(program, hooks, step_limit, rng, clock)
     t0 = time.perf_counter_ns()
-    verdict, _ = _execute(interp, test, [])
+    verdict, _ = _execute(state, test, [])
     wall = time.perf_counter_ns() - t0
-    outcome = TestOutcome(test=test, verdict=verdict, steps=interp.state.steps, wall_ns=wall)
-    return outcome, interp.state
+    outcome = TestOutcome(test=test, verdict=verdict, steps=state.steps, wall_ns=wall)
+    return outcome, state
 
 
 def run_function(
@@ -281,8 +251,8 @@ def run_function(
     clock: Optional[Callable[[], int]] = None,
 ) -> tuple[Value, ExecState]:
     """Call a single function from a fresh state; errors raise."""
-    interp = Interpreter(program, hooks, step_limit, rng, clock)
-    verdict, ret = _execute(interp, fn, args)
+    state = ExecState(program, hooks, step_limit, rng, clock)
+    verdict, ret = _execute(state, fn, args)
     if not verdict.passed:
         raise MiniExecutionError(verdict)
-    return ret, interp.state
+    return ret, state

@@ -406,22 +406,33 @@ class _Parser:
 
 
 class _Resolver:
-    """Binds names: marks globals, resolves call targets, checks declarations."""
+    """Binds names: marks globals, resolves call targets, checks declarations.
+
+    It is the one owner of lexical scope: each parameter and `let` gets
+    the next slot of its function's frame, and each local `Name` records
+    the slot of the declaration it refers to.
+    """
 
     def __init__(self, program: Program):
         self.program = program
         self.global_names = {g for g, _ in program.globals}
+        self.nslots = 0
 
     def run(self) -> None:
         for fn in self.program.functions.values():
-            scopes: list[set[str]] = [set(fn.params)]
+            scopes: list[dict[str, int]] = [{p: i for i, p in enumerate(fn.params)}]
+            self.nslots = len(fn.params)
             self.resolve_block(fn.body, scopes)
+            fn.nslots = self.nslots
 
-    def _is_local(self, name: str, scopes) -> bool:
-        return any(name in s for s in scopes)
+    def _slot(self, name: str, scopes) -> int | None:
+        for scope in reversed(scopes):
+            if name in scope:
+                return scope[name]
+        return None
 
     def resolve_block(self, block: Block, scopes) -> None:
-        scopes.append(set())
+        scopes.append({})
         for st in block.stmts:
             self.resolve_stmt(st, scopes)
         scopes.pop()
@@ -432,7 +443,8 @@ class _Resolver:
             self.resolve_expr(st.value, scopes)
             if st.name in scopes[-1]:
                 raise ResolutionError(st.name, "duplicate let in the same scope")
-            scopes[-1].add(st.name)
+            st.slot = scopes[-1][st.name] = self.nslots
+            self.nslots += 1
         elif t is Assign:
             self.resolve_expr(st.value, scopes)
             self.resolve_expr(st.target, scopes)
@@ -457,8 +469,9 @@ class _Resolver:
     def resolve_expr(self, e: Expr, scopes) -> None:
         t = type(e)
         if t is Name:
-            if self._is_local(e.ident, scopes):
-                e.is_global = False
+            slot = self._slot(e.ident, scopes)
+            if slot is not None:
+                e.is_global, e.slot = False, slot
             elif e.ident in self.global_names:
                 e.is_global = True
             else:
@@ -468,7 +481,7 @@ class _Resolver:
                 raise ResolutionError(e.name)
         elif t is Call:
             callee = e.callee
-            if isinstance(callee, Name) and not self._is_local(callee.ident, scopes) and callee.ident not in self.global_names:
+            if isinstance(callee, Name) and self._slot(callee.ident, scopes) is None and callee.ident not in self.global_names:
                 # Syntactically direct call: the target must be declared.
                 name = callee.ident
                 if name in self.program.functions:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..analysis import AnalysisBundle
 from ..lang.ast import Program
-from ..lang.interp import ExecState, Hooks, Runtime, Substitute, run_test
+from ..lang.interp import Hooks, Runtime, Substitute, run_test
 from ..lang.values import deep_copy, deep_equal
 from ..profiler import DEFAULT_STEP_LIMIT_FACTOR, Candidate, ExpensivenessCriterion, Profile
 from .db import Exclusion, FingerprintMismatch, MemoDB, MemoTable, OutputRecord
@@ -68,6 +68,10 @@ class RecordHooks(Hooks):
 class LookupHooks(Hooks):
     """Bypasses table-holding functions on cache hits.
 
+    A hit is decided and applied here: the recorded globals and mutated
+    array arguments are written back into the state and the arguments
+    before the recorded return value is handed back.
+
     `blocked` names functions whose bypass is gated off for the current
     execution (mutated or depending on the mutated function); gated
     entries execute normally and are not counted as cache misses.
@@ -111,19 +115,13 @@ class LookupHooks(Hooks):
             counts["misses"] += 1
             return None
         counts["hits"] += 1
-        return Substitute(value=deep_copy(rec.ret), patch=_make_patch(rec, args))
-
-
-def _make_patch(rec: OutputRecord, args: list):
-    def patch(state: ExecState) -> None:
         for g, v in rec.written_globals.items():
             state.globals[g] = deep_copy(v)
         for p, v in rec.post_args.items():
             target = args[p]
             if isinstance(target, list):
                 target[:] = deep_copy(v)
-
-    return patch
+        return Substitute(value=deep_copy(rec.ret))
 
 
 def record_tables(

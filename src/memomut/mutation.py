@@ -73,7 +73,6 @@ class Mutant:
 @dataclass
 class MutantPool:
     mutants: list[Mutant]
-    by_function: dict[str, list[int]]
     fingerprint: int
 
 
@@ -163,7 +162,6 @@ def generate_mutants(program: Program) -> MutantPool:
     """
     tests = set(program.tests)
     mutants: list[Mutant] = []
-    by_function: dict[str, list[int]] = {}
     for fn_name in sorted(program.functions):
         if fn_name in tests:
             continue
@@ -178,8 +176,7 @@ def generate_mutants(program: Program) -> MutantPool:
             mutants.append(
                 Mutant(id=mid, op=op, fn=fn_name, node_id=node_id, variant=variant, before=before, after=after)
             )
-            by_function.setdefault(fn_name, []).append(mid)
-    return MutantPool(mutants=mutants, by_function=by_function, fingerprint=program_fingerprint(program))
+    return MutantPool(mutants=mutants, fingerprint=program_fingerprint(program))
 
 
 def apply_mutant(program: Program, m: Mutant) -> Program:
@@ -279,7 +276,4 @@ def pool_from_json(doc: dict) -> MutantPool:
         )
         for d in doc["mutants"]
     ]
-    by_function: dict[str, list[int]] = {}
-    for m in mutants:
-        by_function.setdefault(m.fn, []).append(m.id)
-    return MutantPool(mutants=mutants, by_function=by_function, fingerprint=doc["fingerprint"])
+    return MutantPool(mutants=mutants, fingerprint=doc["fingerprint"])

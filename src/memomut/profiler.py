@@ -70,17 +70,19 @@ def check_step_limit_factor(factor: int) -> int:
     return factor
 
 
+def check_profile_reps(reps: int) -> int:
+    if reps < 1:
+        raise ValueError("profile reps must be >= 1")
+    return reps
+
+
 class ProfileHooks(Hooks):
     """Times every user-function call and records per-test coverage."""
 
-    def __init__(self):
-        self.stats: dict[str, FunctionStats] = {}
+    def __init__(self, stats: dict[str, FunctionStats]):
+        self.stats = stats
         self.covered: set[str] = set()
         self._open: list[tuple[str, int, int]] = []
-
-    def begin_test(self) -> None:
-        self.covered = set()
-        self._open = []
 
     def on_call_enter(self, fn, args, state):
         st = self.stats.setdefault(fn, FunctionStats())
@@ -110,13 +112,11 @@ def profile_suite(
         raise SuiteEmpty("program declares no tests")
     runtime = runtime or Runtime()
     runs: list[Profile] = []
-    for rep in range(max(1, reps)):
+    for rep in range(check_profile_reps(reps)):
         functions = {f: FunctionStats() for f in program.functions}
         tests: dict[str, TestRecord] = {}
         for test in program.tests:
-            hooks = ProfileHooks()
-            hooks.stats = {f: functions[f] for f in functions}
-            hooks.begin_test()
+            hooks = ProfileHooks(functions)
             outcome, state = run_test(
                 program,
                 test,
@@ -143,6 +143,7 @@ def profile_suite(
 
 
 TAU_UNITS = ("ns", "steps")
+TAU_MODES = ("mean", "cumulative")
 
 
 @dataclass
@@ -163,6 +164,8 @@ class ExpensivenessCriterion:
     def __post_init__(self):
         if self.tau_unit not in TAU_UNITS:
             raise ValueError(f"unknown tau unit {self.tau_unit!r}")
+        if self.tau_mode not in TAU_MODES:
+            raise ValueError(f"unknown tau mode {self.tau_mode!r}")
 
     def inclusive(self, st: FunctionStats) -> int:
         """A function's profiled inclusive cost, summed over its calls, in tau's unit."""

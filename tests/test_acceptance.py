@@ -8,7 +8,7 @@ import random
 import statistics
 import struct
 
-from memomut.lang.interp import Hooks, Interpreter, Runtime, _execute, run_test
+from memomut.lang.interp import ExecState, Hooks, Runtime, _execute, run_test
 from memomut.lang.parser import parse
 from memomut.lang.values import deep_copy, deep_equal
 from memomut.memo.builder import LookupHooks
@@ -274,10 +274,10 @@ def _decode_key(key):
 
 
 def _call(program, fn, args, globals_override, hooks):
-    interp = Interpreter(program, hooks, 10_000_000, None, None)
-    interp.state.globals.update(deep_copy(dict(globals_override)))
-    verdict, ret = _execute(interp, fn, args)
-    return verdict, ret, interp.state
+    state = ExecState(program, hooks, 10_000_000)
+    state.globals.update(deep_copy(dict(globals_override)))
+    verdict, ret = _execute(state, fn, args)
+    return verdict, ret, state
 
 
 def test_criterion_09_transparency_fuzz():

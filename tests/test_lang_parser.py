@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memomut import corpus_names, corpus_path
-from memomut.lang.ast import Call, Name, print_program, walk
+from memomut.lang.ast import Call, Let, Name, print_program, walk
 from memomut.lang.parser import MiniSyntaxError, ResolutionError, parse, tokenize
 from memomut.project import load_project
 
@@ -34,6 +34,36 @@ def test_duplicate_let_rejected():
 
 def test_shadowing_across_scopes_allowed():
     parse("fn f(){ let a = 1; if (true) { let a = 2; } }")
+
+
+def test_resolver_gives_each_local_its_declarations_slot():
+    src = """
+global g = 0;
+fn f(a, b) {
+    let x = a;
+    if (true) {
+        let x = b;
+        let y = x;
+        while (false) {
+            let a = y;
+            x = a;
+        }
+        a = x;
+    }
+    return x + a + g;
+}
+"""
+    fn = parse(src).functions["f"]
+    lets = [(n.name, n.slot) for n in walk(fn.body) if type(n) is Let]
+    names = [(n.ident, n.slot) for n in walk(fn.body) if type(n) is Name and not n.is_global]
+    # Parameters take slots 0 and 1; each let, shadowing or not, takes a
+    # new slot, and after a block the outer declaration's slot is used again.
+    assert lets == [("x", 2), ("x", 3), ("y", 4), ("a", 5)]
+    assert names == [
+        ("a", 0), ("b", 1), ("x", 3), ("y", 4), ("x", 3), ("a", 5),
+        ("a", 0), ("x", 3), ("x", 2), ("a", 0),
+    ]
+    assert fn.nslots == len(fn.params) + len(lets)
 
 
 def test_duplicate_function_rejected():

@@ -184,6 +184,5 @@ def test_pool_json_round_trip(sample_pipeline):
     back = pool_from_json(doc)
     assert back.mutants == sample_pipeline.pool.mutants
     assert back.fingerprint == sample_pipeline.pool.fingerprint
-    assert back.by_function == sample_pipeline.pool.by_function
     for entry in doc["mutants"]:
         assert set(entry) == {"id", "op", "fn", "node", "variant", "before", "after"}

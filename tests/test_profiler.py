@@ -133,6 +133,9 @@ def test_select_candidates_cumulative_mode():
     crit_cum = ExpensivenessCriterion(tau=1_000, limit_value=100.0, tau_mode="cumulative")
     got = select_candidates(prof, _NO_NONDET, crit_cum)
     assert {c.fn for c in got} == {"many_cheap", "one_pricey"}
+    # Any other mode is refused, not read as cumulative.
+    with pytest.raises(ValueError, match="unknown tau mode 'men'"):
+        ExpensivenessCriterion(tau_mode="men")
 
 
 def test_resolve_limit_examples():
@@ -200,3 +203,5 @@ def test_reps_median_keeps_first_run_verdicts():
     prof = profile_suite(parse(src), runtime=Runtime(seed=0, fake_time=True), reps=3)
     assert prof.tests["test_a"].verdict.passed
     assert prof.functions["f"].invocations == 1  # counts from the first rep only
+    with pytest.raises(ValueError, match="profile reps must be >= 1"):
+        profile_suite(parse(src), reps=0)

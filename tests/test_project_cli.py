@@ -232,11 +232,22 @@ def test_cli_bad_step_limit_factor_rejected_before_any_stage(tmp_path, capsys):
     ]
     assert main(argv) == 1
     assert not db.exists()
-    art = tmp_path / "artifacts"
-    argv = ["pipeline", str(proj), "--step-limit-factor", "1", "--artifact-dir", str(art)]
-    assert main(argv) == 1
-    assert not art.exists()
     assert "step_limit_factor must be >= 2" in capsys.readouterr().err
+    art = tmp_path / "artifacts"
+    cases = [
+        (["--step-limit-factor", "1"], "step_limit_factor must be >= 2"),
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--tau", "bogus"], "bad tau 'bogus'"),
+        (["--limit", "0%"], "percent limit out of range"),
+        (["--profile-reps", "-3"], "profile reps must be >= 1"),
+        ([], "unknown tau mode 'men'"),  # from memomut.toml, which bypasses argparse
+    ]
+    for flags, message in cases:
+        if not flags:
+            (proj / "memomut.toml").write_text("tau_mode = men\n")
+        assert main(["pipeline", str(proj), *flags, "--artifact-dir", str(art)]) == 1, flags
+        assert not art.exists(), flags
+        assert message in capsys.readouterr().err, flags
 
 
 def test_cli_reinvocation_stable_modulo_wall(tmp_path):

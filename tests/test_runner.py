@@ -100,10 +100,11 @@ def test_memo_never_increases_steps():
 
 
 def _tiny_db():
+    # f(n, arr) reads G, writes H and overwrites its array argument.
     db = MemoDB(fingerprint=0, tau=0, limit_value=1, limit_is_pct=False)
-    table = MemoTable(fn="f", may_read=["G"], may_write=[], mut_args=[])
-    table.entries[encode_key([1], [("G", 0)])] = OutputRecord(
-        ret=2, written_globals={}, post_args={}, output_steps=5
+    table = MemoTable(fn="f", may_read=["G"], may_write=["H"], mut_args=[1])
+    table.entries[encode_key([1, [0, 0]], [("G", 0)])] = OutputRecord(
+        ret=2, written_globals={"H": 3}, post_args={1: [7, 8]}, output_steps=5
     )
     db.tables["f"] = table
     return db
@@ -130,30 +131,36 @@ def test_intercept_no_table_executes():
 
 def test_intercept_gated_when_mutated_self():
     hooks = _hooks("f")
-    assert hooks.on_call_enter("f", [1], _state({"G": 0})) is None
+    assert hooks.on_call_enter("f", [1, [0, 0]], _state({"G": 0})) is None
     assert hooks.per_method == {"f": {"hits": 0, "misses": 0, "gated": 1}}
 
 
 def test_intercept_gated_when_mutant_in_closure():
     hooks = _hooks("helper")
-    assert hooks.on_call_enter("f", [1], _state({"G": 0})) is None
+    assert hooks.on_call_enter("f", [1, [0, 0]], _state({"G": 0})) is None
     assert hooks.per_method == {"f": {"hits": 0, "misses": 0, "gated": 1}}
 
 
 def test_intercept_hit_bypasses():
     hooks = _hooks("unrelated")
-    sub = hooks.on_call_enter("f", [1], _state({"G": 0}))
+    arr = [0, 0]
+    args, state = [1, arr], _state({"G": 0, "H": 0})
+    sub = hooks.on_call_enter("f", args, state)
     assert isinstance(sub, Substitute) and sub.value == 2
+    # The hook made the body's effects itself: the recorded global and
+    # the argument array, overwritten in place.
+    assert state.globals == {"G": 0, "H": 3}
+    assert args == [1, [7, 8]] and args[1] is arr
     assert hooks.per_method == {"f": {"hits": 1, "misses": 0, "gated": 0}}
 
 
 def test_intercept_miss_counts():
     hooks = _hooks("unrelated")
-    assert hooks.on_call_enter("f", [9], _state({"G": 0})) is None
+    assert hooks.on_call_enter("f", [9, [0, 0]], _state({"G": 0})) is None
     assert hooks.per_method == {"f": {"hits": 0, "misses": 1, "gated": 0}}
     # A differing tracked global also misses.
     hooks = _hooks("unrelated")
-    assert hooks.on_call_enter("f", [1], _state({"G": 7})) is None
+    assert hooks.on_call_enter("f", [1, [0, 0]], _state({"G": 7})) is None
     assert hooks.per_method == {"f": {"hits": 0, "misses": 1, "gated": 0}}
 
 
