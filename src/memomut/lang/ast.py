@@ -177,13 +177,6 @@ def number_nodes(fn: FunctionDef) -> None:
     fn.max_node_id = next_id - 1
 
 
-def find_node(fn: FunctionDef, node_id: int) -> Optional[Node]:
-    for n in walk(fn.body):
-        if n.node_id == node_id:
-            return n
-    return None
-
-
 def replace_child(parent: Node, old: Node, new: Node) -> bool:
     """Swap `old` for `new` among parent's direct children."""
     for f in dataclasses.fields(parent):
@@ -197,14 +190,6 @@ def replace_child(parent: Node, old: Node, new: Node) -> bool:
                     v[i] = new
                     return True
     return False
-
-
-def find_parent(root: Node, target: Node) -> Optional[Node]:
-    for n in walk(root):
-        for c in children(n):
-            if c is target:
-                return n
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,23 @@ flat list of local slots per call.  Scope is not decided here: the
 parser's resolver has already given every parameter, `let` and local
 name its slot, and the compiler reads those slots from the AST.
 
-Every evaluated AST node costs one step, charged by the node's closure
-at the point and in the order a tree walk over the AST would charge it,
-so step counts, error nodes and the step limit do not depend on how the
-code was compiled.  `interp` builds executions on top of this module.
+Every evaluated AST node costs one step, charged at the point and in
+the order a tree walk over the AST would charge it, so step counts,
+error nodes and the step limit do not depend on how the code was
+compiled.  A leaf operand (a local name or a literal) read by an
+arithmetic, comparison or equality operator, an index, a `let`, a local
+assignment, a `return` or an array store, or one of the arguments of a
+call or the items of an array literal that are all leaves, has no
+closure of its own: its parent reads it from the frame, where literals
+sit after the locals, and charges its step.
+
+Steps are charged together only where no observable event (a call, a
+hook, a builtin, an error or a store) can fall between them: a node's
+own step with the leaf operands that lead it, and a leaf that follows a
+non-leaf operand only after that operand has returned.  A merged charge
+that reaches the limit leaves the step count at the limit, as charging
+one step at a time would.  `interp` builds executions on top of this
+module.
 """
 
 from __future__ import annotations
@@ -70,8 +83,9 @@ class StepLimit(Exception):
 
 
 class Code:
-    """A compiled function: its arity, the unset slots past the
-    parameters, and the closure of its body block."""
+    """A compiled function: its arity, the frame past the parameters (the
+    unset local slots, then the function's literals), and the closure of
+    its body block."""
 
     __slots__ = ("arity", "pad", "body")
 
@@ -90,9 +104,36 @@ class Code:
 #     st.steps = n = st.steps + 1
 #     if n >= st.limit:
 #         raise StepLimit()
+#
+# A closure that charges k > 1 steps at once raises `_limit(st)` instead.
+
+
+def _limit(st) -> StepLimit:
+    """The StepLimit of a merged charge, with the steps left at the limit."""
+    st.steps = st.limit
+    return StepLimit()
 
 
 class _Compiler:
+    def __init__(self, nslots: int):
+        self.nslots = nslots
+        self.consts: dict[tuple, int] = {}  # (node type, value) -> frame slot
+
+    def _leaf(self, e):
+        """The frame slot of a leaf operand, or None for any other node."""
+        if not _is_leaf(e):
+            return None
+        t = type(e)
+        if t is Name:
+            return e.slot
+        value = FnRef(e.name) if t is FnRefLit else e.value
+        return self.consts.setdefault((t, value), self.nslots + len(self.consts))
+
+    def _operand(self, e):
+        """The frame slot of a leaf operand, or the closure of any other."""
+        slot = self._leaf(e)
+        return self.expr(e) if slot is None else slot
+
     # -- statements -----------------------------------------------------
 
     def block(self, b: Block):
@@ -129,8 +170,10 @@ class _Compiler:
         raise TypeError(f"unknown statement: {s!r}")
 
     def _let(self, s: Let):
+        slot, k = s.slot, self._leaf(s.value)
+        if k is not None:
+            return _copy_slot(k, slot, 2)
         value = self.expr(s.value)
-        slot = s.slot
 
         def let(st, fr):
             st.steps = n = st.steps + 1
@@ -141,8 +184,11 @@ class _Compiler:
         return let
 
     def _assign(self, s: Assign):
-        value = self.expr(s.value)
         target = s.target
+        k = self._leaf(s.value) if type(target) is Name and not target.is_global else None
+        if k is not None:
+            return _copy_slot(k, target.slot, 3)  # the statement, the leaf, the store
+        value = self.expr(s.value)
         if type(target) is Name:
             if target.is_global:
                 ident = target.ident
@@ -172,7 +218,30 @@ class _Compiler:
 
             return assign
 
-        array, index, nid = self.expr(target.array), self.expr(target.index), target.node_id
+        nid = target.node_id
+        if _is_leaf(target.array) and _is_leaf(target.index):
+            ak, ik = self._leaf(target.array), self._leaf(target.index)
+
+            def store_leaves(st, fr):
+                st.steps = n = st.steps + 1
+                if n >= st.limit:
+                    raise StepLimit()
+                v = value(st, fr)
+                st.steps = n = st.steps + 3  # the store, the array, the index
+                if n >= st.limit:
+                    raise _limit(st)
+                arr = fr[ak]
+                idx = fr[ik]
+                if type(arr) is not list or type(idx) is not int:
+                    raise RuntimeErr("type_mismatch", nid)
+                if idx < 0 or idx >= len(arr):
+                    raise RuntimeErr("index_oob", nid)
+                if type(v) is list and contains_array(v, arr):
+                    raise RuntimeErr("array_cycle", nid)
+                arr[idx] = v
+
+            return store_leaves
+        array, index = self.expr(target.array), self.expr(target.index)
 
         def store(st, fr):
             st.steps = n = st.steps + 1
@@ -236,6 +305,16 @@ class _Compiler:
     def _return(self, s: Return):
         if s.value is None:
             return _const(UNIT)  # one step, then return unit
+        k = self._leaf(s.value)
+        if k is not None:
+
+            def return_leaf(st, fr):
+                st.steps = n = st.steps + 2
+                if n >= st.limit:
+                    raise _limit(st)
+                return fr[k]
+
+            return return_leaf
         value = self.expr(s.value)
 
         def return_(st, fr):
@@ -345,42 +424,28 @@ class _Compiler:
         return not_
 
     def _index(self, e: Index):
-        array, index, nid = self.expr(e.array), self.expr(e.index), e.node_id
-
-        def load_item(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            arr = array(st, fr)
-            idx = index(st, fr)
-            if type(arr) is not list or type(idx) is not int:
-                raise RuntimeErr("type_mismatch", nid)
-            if idx < 0 or idx >= len(arr):
-                raise RuntimeErr("index_oob", nid)
-            return arr[idx]
-
-        return load_item
+        return _pick(_LOAD_ITEM, self._operand(e.array), self._operand(e.index), e.node_id)
 
     def _array(self, e: ArrayLit):
-        items = tuple(self.expr(x) for x in e.items)
+        items, k = self._args(e.items)
 
         def array(st, fr):
-            st.steps = n = st.steps + 1
+            st.steps = n = st.steps + k
             if n >= st.limit:
-                raise StepLimit()
-            return [item(st, fr) for item in items]
+                raise _limit(st)
+            return items(st, fr)
 
         return array
 
     def _call(self, e: Call):
-        argv, nid = self._args(e.args), e.node_id
+        (argv, k), nid = self._args(e.args), e.node_id
         if e.callee is not None:
             callee = self.expr(e.callee)
 
             def call_indirect(st, fr):
-                st.steps = n = st.steps + 1
+                st.steps = n = st.steps + k
                 if n >= st.limit:
-                    raise StepLimit()
+                    raise _limit(st)
                 args = argv(st, fr)
                 target = callee(st, fr)
                 if type(target) is not FnRef:
@@ -394,30 +459,41 @@ class _Compiler:
         if e.is_builtin:
 
             def call_builtin(st, fr):
-                st.steps = n = st.steps + 1
+                st.steps = n = st.steps + k
                 if n >= st.limit:
-                    raise StepLimit()
+                    raise _limit(st)
                 return st.call_builtin(name, argv(st, fr), nid)
 
             return call_builtin
 
         def call(st, fr):
-            st.steps = n = st.steps + 1
+            st.steps = n = st.steps + k
             if n >= st.limit:
-                raise StepLimit()
+                raise _limit(st)
             return st.invoke(name, argv(st, fr), nid)
 
         return call
 
     def _args(self, exprs):
-        """A closure evaluating the arguments, left to right, into a new list."""
-        args = tuple(self.expr(a) for a in exprs)
-        return lambda st, fr: [a(st, fr) for a in args]
+        """A closure building a new list of the values of `exprs`, left to
+        right, and the steps its caller charges with its own: all of them
+        when every one is a leaf, read from the frame, and otherwise one."""
+        if not all(map(_is_leaf, exprs)):
+            args = tuple(self.expr(a) for a in exprs)
+            return (lambda st, fr: [a(st, fr) for a in args]), 1
+        slots = [self._leaf(a) for a in exprs]
+        if len(slots) > 1:
+            get = operator.itemgetter(*slots)
+            return (lambda st, fr: list(get(fr))), 1 + len(slots)
+        if slots:
+            k = slots[0]
+            return (lambda st, fr: [fr[k]]), 2
+        return (lambda st, fr: []), 1
 
     def _binary(self, e: Binary):
         op, nid = e.op, e.node_id
-        left, right = self.expr(e.left), self.expr(e.right)
         if op == "&&" or op == "||":
+            left, right = self.expr(e.left), self.expr(e.right)
             decisive = op == "||"  # the left value that decides the result
 
             def logic(st, fr):
@@ -435,24 +511,13 @@ class _Compiler:
                 raise RuntimeErr("type_mismatch", nid)
 
             return logic
-        if op == "==" or op == "!=":
-            negate = op == "!="
+        return _pick(_OPERATORS[op], self._operand(e.left), self._operand(e.right), nid)
 
-            def equal(st, fr):
-                st.steps = n = st.steps + 1
-                if n >= st.limit:
-                    raise StepLimit()
-                a = left(st, fr)
-                b = right(st, fr)
-                ta = type(a)
-                if ta is not type(b):
-                    return negate
-                if ta is list:
-                    return deep_equal(a, b) is not negate
-                return (a == b) is not negate
 
-            return equal
-        return _INT_OPS[op](left, right, nid)
+def _is_leaf(e) -> bool:
+    """A local name or a literal."""
+    t = type(e)
+    return (t is Name and not e.is_global) or t is IntLit or t is BoolLit or t is StrLit or t is FnRefLit
 
 
 def _const(value):
@@ -465,73 +530,202 @@ def _const(value):
     return const
 
 
-# Integer operators: both operands must be ints; results wrap to 64 bits.
+def _copy_slot(k, slot, steps):
+    """A `let` or local assignment of a leaf: `steps` charged, then the store."""
+
+    def copy_slot(st, fr):
+        st.steps = n = st.steps + steps
+        if n >= st.limit:
+            raise _limit(st)
+        fr[slot] = fr[k]
+
+    return copy_slot
 
 
-def _arith(fn):
-    def make(left, right, nid):
-        def arith(st, fr):
+# Nodes with two operands (binary operators and index loads) come in four
+# variants: both operands leaves, the left only, the right only, neither.
+
+
+def _pick(variants, left, right, nid):
+    """The variant for two operands, each a frame slot or a closure."""
+    return variants[2 * callable(left) + callable(right)](left, right, nid)
+
+
+def _operator(fn, exact, mixed):
+    """A binary operator on two ints: a ZeroDivisionError from `/` or `%`
+    is the node's div_by_zero, and results wrap to 64 bits unless they are
+    `exact`.  `mixed(a, b, nid)` answers for operands not both ints."""
+
+    def both(lk, rk, nid):
+        def op(st, fr):
+            st.steps = n = st.steps + 3
+            if n >= st.limit:
+                raise _limit(st)
+            a = fr[lk]
+            b = fr[rk]
+            if type(a) is not int or type(b) is not int:
+                return mixed(a, b, nid)
+            try:
+                v = fn(a, b)
+            except ZeroDivisionError:
+                raise RuntimeErr("div_by_zero", nid) from None
+            return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
+
+        return op
+
+    def left_leaf(lk, right, nid):
+        def op(st, fr):
+            st.steps = n = st.steps + 2
+            if n >= st.limit:
+                raise _limit(st)
+            a = fr[lk]
+            b = right(st, fr)
+            if type(a) is not int or type(b) is not int:
+                return mixed(a, b, nid)
+            try:
+                v = fn(a, b)
+            except ZeroDivisionError:
+                raise RuntimeErr("div_by_zero", nid) from None
+            return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
+
+        return op
+
+    def right_leaf(left, rk, nid):
+        def op(st, fr):
+            st.steps = n = st.steps + 1
+            if n >= st.limit:
+                raise StepLimit()
+            a = left(st, fr)
+            st.steps = n = st.steps + 1
+            if n >= st.limit:
+                raise StepLimit()
+            b = fr[rk]
+            if type(a) is not int or type(b) is not int:
+                return mixed(a, b, nid)
+            try:
+                v = fn(a, b)
+            except ZeroDivisionError:
+                raise RuntimeErr("div_by_zero", nid) from None
+            return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
+
+        return op
+
+    def neither(left, right, nid):
+        def op(st, fr):
             st.steps = n = st.steps + 1
             if n >= st.limit:
                 raise StepLimit()
             a = left(st, fr)
             b = right(st, fr)
             if type(a) is not int or type(b) is not int:
+                return mixed(a, b, nid)
+            try:
+                v = fn(a, b)
+            except ZeroDivisionError:
+                raise RuntimeErr("div_by_zero", nid) from None
+            return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
+
+        return op
+
+    return both, left_leaf, right_leaf, neither
+
+
+def _type_mismatch(a, b, nid):
+    raise RuntimeErr("type_mismatch", nid)
+
+
+def _equal(a, b, nid):
+    return deep_equal(a, b)  # values of different types are unequal
+
+
+def _unequal(a, b, nid):
+    return not deep_equal(a, b)
+
+
+def _load_item():
+    """An index load: an int index within the bounds of an array."""
+
+    def both(ak, ik, nid):
+        def load_item(st, fr):
+            st.steps = n = st.steps + 3
+            if n >= st.limit:
+                raise _limit(st)
+            arr = fr[ak]
+            idx = fr[ik]
+            if type(arr) is not list or type(idx) is not int:
                 raise RuntimeErr("type_mismatch", nid)
-            v = fn(a, b)
-            return v if INT_MIN <= v <= INT_MAX else wrap64(v)
+            if idx < 0 or idx >= len(arr):
+                raise RuntimeErr("index_oob", nid)
+            return arr[idx]
 
-        return arith
+        return load_item
 
-    return make
+    def left_leaf(ak, index, nid):
+        def load_item(st, fr):
+            st.steps = n = st.steps + 2
+            if n >= st.limit:
+                raise _limit(st)
+            arr = fr[ak]
+            idx = index(st, fr)
+            if type(arr) is not list or type(idx) is not int:
+                raise RuntimeErr("type_mismatch", nid)
+            if idx < 0 or idx >= len(arr):
+                raise RuntimeErr("index_oob", nid)
+            return arr[idx]
 
+        return load_item
 
-def _divide(fn):
-    def make(left, right, nid):
-        def divide(st, fr):
+    def right_leaf(array, ik, nid):
+        def load_item(st, fr):
             st.steps = n = st.steps + 1
             if n >= st.limit:
                 raise StepLimit()
-            a = left(st, fr)
-            b = right(st, fr)
-            if type(a) is not int or type(b) is not int:
-                raise RuntimeErr("type_mismatch", nid)
-            if b == 0:
-                raise RuntimeErr("div_by_zero", nid)
-            return wrap64(fn(a, b))
-
-        return divide
-
-    return make
-
-
-def _compare(fn):
-    def make(left, right, nid):
-        def compare(st, fr):
+            arr = array(st, fr)
             st.steps = n = st.steps + 1
             if n >= st.limit:
                 raise StepLimit()
-            a = left(st, fr)
-            b = right(st, fr)
-            if type(a) is not int or type(b) is not int:
+            idx = fr[ik]
+            if type(arr) is not list or type(idx) is not int:
                 raise RuntimeErr("type_mismatch", nid)
-            return fn(a, b)
+            if idx < 0 or idx >= len(arr):
+                raise RuntimeErr("index_oob", nid)
+            return arr[idx]
 
-        return compare
+        return load_item
 
-    return make
+    def neither(array, index, nid):
+        def load_item(st, fr):
+            st.steps = n = st.steps + 1
+            if n >= st.limit:
+                raise StepLimit()
+            arr = array(st, fr)
+            idx = index(st, fr)
+            if type(arr) is not list or type(idx) is not int:
+                raise RuntimeErr("type_mismatch", nid)
+            if idx < 0 or idx >= len(arr):
+                raise RuntimeErr("index_oob", nid)
+            return arr[idx]
+
+        return load_item
+
+    return both, left_leaf, right_leaf, neither
 
 
-_INT_OPS = {
-    "+": _arith(operator.add),
-    "-": _arith(operator.sub),
-    "*": _arith(operator.mul),
-    "/": _divide(trunc_div),
-    "%": _divide(trunc_mod),
-    "<": _compare(operator.lt),
-    "<=": _compare(operator.le),
-    ">": _compare(operator.gt),
-    ">=": _compare(operator.ge),
+_LOAD_ITEM = _load_item()
+
+# `==` and `!=` compare ints directly and any other values by structure.
+_OPERATORS = {
+    "+": _operator(operator.add, False, _type_mismatch),
+    "-": _operator(operator.sub, False, _type_mismatch),
+    "*": _operator(operator.mul, False, _type_mismatch),
+    "/": _operator(trunc_div, False, _type_mismatch),
+    "%": _operator(trunc_mod, False, _type_mismatch),
+    "<": _operator(operator.lt, True, _type_mismatch),
+    "<=": _operator(operator.le, True, _type_mismatch),
+    ">": _operator(operator.gt, True, _type_mismatch),
+    ">=": _operator(operator.ge, True, _type_mismatch),
+    "==": _operator(operator.eq, True, _equal),
+    "!=": _operator(operator.ne, True, _unequal),
 }
 
 
@@ -547,8 +741,10 @@ def compiled(fn: FunctionDef) -> Code:
     key = id(fn)
     code = _COMPILED.get(key)
     if code is None:
-        body = _Compiler().block(fn.body)
-        code = Code(len(fn.params), [None] * (fn.nslots - len(fn.params)), body)
+        compiler = _Compiler(fn.nslots)
+        body = compiler.block(fn.body)
+        consts = [value for _, value in compiler.consts]
+        code = Code(len(fn.params), [None] * (fn.nslots - len(fn.params)) + consts, body)
         _COMPILED[key] = code
         weakref.finalize(fn, _COMPILED.pop, key, None)
     return code

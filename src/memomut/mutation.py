@@ -2,8 +2,9 @@
 
 Eight operators over the AST; exactly one mutant per applicable
 (operator, node, variant) opportunity in every non-test function.  The
-shared Program stays immutable: applying a mutant builds a private copy
-of the one affected function.
+shared Program stays immutable: applying a mutant copies only the nodes
+on the path from its function's body down to the mutated node, and
+shares every other node with the program.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from .lang.ast import (
     StrLit,
     Unary,
     While,
+    children,
     expr_str,
-    find_node,
-    find_parent,
     replace_child,
     stmt_str,
     walk,
@@ -184,12 +184,13 @@ def apply_mutant(program: Program, m: Mutant) -> Program:
     fn = program.functions.get(m.fn)
     if fn is None:
         raise StaleMutant(f"function {m.fn!r} not in program")
-    new_fn = copy.deepcopy(fn)
-    node = find_node(new_fn, m.node_id)
-    if node is None:
+    path = _copy_path(fn.body, m.node_id)
+    if path is None:
         raise StaleMutant(f"node {m.node_id} not in {m.fn!r}")
+    new_fn = copy.copy(fn)
+    new_fn.body = path[0]
     try:
-        _transform(new_fn, node, m)
+        _transform(new_fn, path, m)
     except (AssertionError, KeyError, AttributeError) as exc:
         raise StaleMutant(str(exc)) from exc
     return Program(
@@ -199,8 +200,35 @@ def apply_mutant(program: Program, m: Mutant) -> Program:
     )
 
 
-def _transform(fn: FunctionDef, node, m: Mutant) -> None:
-    op = m.op
+def _copy_path(body, node_id: int) -> Optional[list]:
+    """Copies of the nodes from `body` down to node `node_id`, outermost
+    first, each linked into the copy of its parent; None if there is no
+    such node.  Node ids are preorder, so the target lies under the last
+    child whose id is not past it."""
+    node = _copy_node(body)
+    path = [node]
+    while node.node_id != node_id:
+        below = [c for c in children(node) if c.node_id <= node_id]
+        if not below:
+            return None
+        child = _copy_node(below[-1])
+        replace_child(node, below[-1], child)
+        node = child
+        path.append(node)
+    return path
+
+
+def _copy_node(node):
+    """A shallow copy of `node` with lists of its own (`stmts`, `args`, `items`)."""
+    new = copy.copy(node)
+    for name, value in vars(new).items():
+        if type(value) is list:
+            setattr(new, name, list(value))
+    return new
+
+
+def _transform(fn: FunctionDef, path: list, m: Mutant) -> None:
+    node, op = path[-1], m.op
     if op is Operator.AOR:
         assert type(node) is Binary and node.op in AOR_MAP, "operator/node mismatch"
         node.op = AOR_MAP[node.op]
@@ -230,14 +258,12 @@ def _transform(fn: FunctionDef, node, m: Mutant) -> None:
         node.value = wrap64(node.value + 1)
     elif op is Operator.AOD:
         assert type(node) is Unary and node.op == "-", "operator/node mismatch"
-        parent = find_parent(fn.body, node)
-        assert parent is not None, "node has no parent"
-        replace_child(parent, node, node.operand)
+        assert len(path) > 1, "node has no parent"
+        replace_child(path[-2], node, node.operand)
     elif op is Operator.SVR:
         assert type(node) is Assign, "operator/node mismatch"
-        parent = find_parent(fn.body, node)
-        assert parent is not None and hasattr(parent, "stmts"), "node has no parent block"
-        parent.stmts.remove(node)
+        assert len(path) > 1 and hasattr(path[-2], "stmts"), "node has no parent block"
+        path[-2].stmts.remove(node)
     else:
         raise StaleMutant(f"unknown operator {op}")
 

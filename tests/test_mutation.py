@@ -1,14 +1,17 @@
 """Mutant generation and application."""
 
+import copy
+
 import pytest
 
-from memomut.lang.ast import print_program, walk
+from memomut.lang.ast import Program, children, print_program, walk
 from memomut.lang.interp import run_function
 from memomut.lang.parser import parse
 from memomut.mutation import (
     Mutant,
     Operator,
     StaleMutant,
+    _transform,
     apply_mutant,
     generate_mutants,
     pool_from_json,
@@ -72,13 +75,34 @@ def test_uniqueness_invariant(corpus_pipelines):
         assert len(keys) == len(set(keys))
 
 
-def test_apply_leaves_original_untouched(sample_pipeline):
-    p = sample_pipeline.program
-    baseline = print_program(p)
-    for m in sample_pipeline.pool.mutants:
-        mutated = apply_mutant(p, m)
-        assert print_program(p) == baseline
-        assert print_program(mutated) != baseline
+def _reference_apply(program, m):
+    """A mutant built the slow way: deep-copy the whole function, then find
+    the path to the node by searching every node."""
+    fn = copy.deepcopy(program.functions[m.fn])
+    path = []
+
+    def search(node):
+        path.append(node)
+        if node.node_id == m.node_id or any(search(c) for c in children(node)):
+            return True
+        path.pop()
+        return False
+
+    assert search(fn.body)
+    _transform(fn, path, m)
+    return Program(globals=program.globals, functions={**program.functions, m.fn: fn}, tests=program.tests)
+
+
+def test_apply_leaves_original_untouched(corpus_pipelines):
+    for name, pipe in corpus_pipelines.items():
+        p = pipe.program
+        baseline = print_program(p)
+        for m in pipe.pool.mutants:
+            mutated = apply_mutant(p, m)
+            assert print_program(p) == baseline, f"{name}#{m.id}"
+            text = print_program(mutated)
+            assert text != baseline, f"{name}#{m.id}"
+            assert text == print_program(_reference_apply(p, m)), f"{name}#{m.id}"
 
 
 def test_mutants_stay_parseable(corpus_pipelines):
