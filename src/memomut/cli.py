@@ -97,7 +97,7 @@ def _build_parser() -> _ArgumentParser:
     def tuning(p):
         p.add_argument(
             "--tau", default=None,
-            help="expensiveness threshold: a duration (1ms) or a step count (1000steps)",
+            help="expensiveness threshold: a step count (default 1000steps) or a duration (1ms)",
         )
         p.add_argument("--limit", default=None, help="candidate limit: count or percent, e.g. 20%%")
         p.add_argument("--tau-mode", choices=TAU_MODES, default=None)
@@ -186,15 +186,15 @@ class Settings:
         return str(raw).lower() in ("1", "true", "yes", "on")
 
     def criterion(self) -> ExpensivenessCriterion:
-        tau, tau_unit = parse_tau(self.str_("tau", "1ms"))
-        limit_value, limit_is_pct = parse_limit(self.str_("limit", "20%"))
-        return ExpensivenessCriterion(
-            tau=tau,
-            tau_unit=tau_unit,
-            limit_value=limit_value,
-            limit_is_pct=limit_is_pct,
-            tau_mode=self.str_("tau-mode", "mean"),
-        )
+        """The criterion's own defaults fill in every setting not given."""
+        fields = {}
+        if (tau := self._raw("tau")) is not None:
+            fields["tau"], fields["tau_unit"] = parse_tau(str(tau))
+        if (limit := self._raw("limit")) is not None:
+            fields["limit_value"], fields["limit_is_pct"] = parse_limit(str(limit))
+        if (tau_mode := self._raw("tau-mode")) is not None:
+            fields["tau_mode"] = str(tau_mode)
+        return ExpensivenessCriterion(**fields)
 
     def runtime(self) -> Runtime:
         return Runtime(seed=self.int_("seed", 0), fake_time=self.bool_("fake-time"))

@@ -13,11 +13,12 @@ from __future__ import annotations
 import random
 import sys
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ast import Program
-from .compiler import AssertFail, RuntimeErr, StepLimit, compiled
+from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled
 from .values import UNIT, Value, contains_array, deep_copy, format_value, wrap64
 
 DEFAULT_STEP_LIMIT = 10_000_000
@@ -81,7 +82,7 @@ class ExecState:
         self.steps = 0
         self.limit = limit
         self.depth = 0
-        self.code = {name: compiled(fn) for name, fn in program.functions.items()}
+        self.code = _code_map(program)
         self.hooks = hooks
         self.rng = rng if rng is not None else random.Random()
         self.clock = clock or _real_clock_ms
@@ -141,6 +142,23 @@ class ExecState:
                 raise RuntimeErr("type_mismatch", site)
             return self.rng.randrange(args[0])
         raise RuntimeErr("type_mismatch", site)
+
+
+# Each program's name -> compiled code map, shared by all its executions
+# and dropped with the Program object, as `compiler._COMPILED` keeps code
+# per FunctionDef.  A Program's `functions` never change after parsing
+# or `apply_mutant`; a mutant is a new Program.
+_CODE_MAPS: dict[int, dict[str, Code]] = {}
+
+
+def _code_map(program: Program) -> dict[str, Code]:
+    key = id(program)
+    code = _CODE_MAPS.get(key)
+    if code is None:
+        code = {name: compiled(fn) for name, fn in program.functions.items()}
+        _CODE_MAPS[key] = code
+        weakref.finalize(program, _CODE_MAPS.pop, key, None)
+    return code
 
 
 @dataclass

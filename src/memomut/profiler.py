@@ -155,8 +155,8 @@ class ExpensivenessCriterion:
     machine and at every interpreter speed.
     """
 
-    tau: int = 1_000_000  # 1 ms
-    tau_unit: str = "ns"
+    tau: int = 1000
+    tau_unit: str = "steps"
     limit_value: float = 20.0
     limit_is_pct: bool = True
     tau_mode: str = "mean"  # or "cumulative"

@@ -9,10 +9,11 @@ mutated function, always executes its body.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .lang.ast import Program
 from .lang.interp import Runtime, run_test
@@ -23,11 +24,29 @@ from .mutation import Mutant, MutantPool, apply_mutant
 from .profiler import DEFAULT_STEP_LIMIT_FACTOR, Profile, check_step_limit_factor
 
 
+# Mutant ids a ScoreMismatch message names before it says "and N more".
+_SHOWN_IDS = 10
+
+
 class ScoreMismatch(Exception):
-    def __init__(self, base_score: float, memo_score: float):
-        super().__init__(f"mutation score changed: {base_score:.6f} -> {memo_score:.6f}")
+    """The memo run's verdicts differ from the base run's.
+
+    `mutant_ids` names every mutant whose (status, killing test, cause)
+    changed; the scores may still be equal when flips cancel out.
+    """
+
+    def __init__(self, base_score: float, memo_score: float, mutant_ids: Sequence[int] = ()):
+        msg = f"mutation score changed: {base_score:.6f} -> {memo_score:.6f}"
+        if base_score == memo_score:
+            msg = f"mutation score unchanged at {base_score:.6f}"
+        if mutant_ids:
+            msg += ", but verdicts differ for mutants " + ", ".join(map(str, mutant_ids[:_SHOWN_IDS]))
+            if len(mutant_ids) > _SHOWN_IDS:
+                msg += f" and {len(mutant_ids) - _SHOWN_IDS} more"
+        super().__init__(msg)
         self.base_score = base_score
         self.memo_score = memo_score
+        self.mutant_ids = list(mutant_ids)
 
 
 class EmptyPool(Exception):
@@ -174,10 +193,14 @@ def run_mutation_analysis(
     t0 = time.perf_counter_ns()
     if cfg.workers > 1 and len(pool.mutants) > 1:
         ctx = (program, pool, profile, closure, db, cfg, runtime)
+        ids = [m.id for m in pool.mutants]
+        # About 8 tasks per worker: few enough that the per-task IPC stays
+        # small next to the mutant runs, enough to even out slow mutants.
+        chunksize = math.ceil(len(ids) / (8 * cfg.workers))
         with ProcessPoolExecutor(
             max_workers=cfg.workers, initializer=_init_worker, initargs=(ctx,)
         ) as ex:
-            results = list(ex.map(_worker_run, [m.id for m in pool.mutants]))
+            results = list(ex.map(_worker_run, ids, chunksize=chunksize))
     else:
         results = [
             _run_single_mutant(program, m, profile, closure, db, cfg, runtime)
@@ -215,12 +238,27 @@ def run_mutation_analysis(
     )
 
 
+def _verdict(r: MutantResult) -> tuple:
+    return r.status, r.killing_test, r.cause
+
+
 def compare_runs(base: MutationReport, memo: MutationReport) -> dict:
-    """Comparison block; raises ScoreMismatch if the lossless guarantee broke."""
+    """Comparison block; raises ScoreMismatch if the lossless guarantee broke.
+
+    The guarantee is per mutant: each one must keep its status, killing
+    test and cause, so flips that cancel out in the score still fail.
+    """
     if base.fingerprint != memo.fingerprint:
         raise FingerprintMismatch("reports cover different programs")
-    if base.score != memo.score:
-        raise ScoreMismatch(base.score, memo.score)
+    base_verdicts = {r.mutant_id: _verdict(r) for r in base.results}
+    memo_verdicts = {r.mutant_id: _verdict(r) for r in memo.results}
+    differing = sorted(
+        mid
+        for mid in base_verdicts.keys() | memo_verdicts.keys()
+        if base_verdicts.get(mid) != memo_verdicts.get(mid)
+    )
+    if base.score != memo.score or differing:
+        raise ScoreMismatch(base.score, memo.score, differing)
     speedup = (base.wall_ns - memo.wall_ns) / base.wall_ns if base.wall_ns else 0.0
     step_saving = (
         (base.totals["steps"] - memo.totals["steps"]) / base.totals["steps"]

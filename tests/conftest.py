@@ -84,6 +84,38 @@ def cached_pipeline(name: str, **kw) -> Pipeline:
     return _CACHE[key]
 
 
+def cancelling_flip_docs() -> tuple[dict, dict]:
+    """Base and memo report JSON with equal scores whose verdicts differ:
+    mutant 0 flips killed -> survived and mutant 1 survived -> killed."""
+
+    def doc(memo, statuses):
+        mutants = [
+            {
+                "id": i,
+                "status": status,
+                "killing_test": "test_a" if status == "killed" else None,
+                "cause": "assert_fail" if status == "killed" else None,
+                "tests_run": 1,
+                "steps": 5,
+                "wall_ns": 5,
+                "hits": 0,
+                "misses": 0,
+                "gated": 0,
+            }
+            for i, status in enumerate(statuses)
+        ]
+        return {
+            "fingerprint": 1,
+            "memo_enabled": memo,
+            "score": 0.5,
+            "wall_ns": 10,
+            "totals": {"steps": 10},
+            "mutants": mutants,
+        }
+
+    return doc(False, ["killed", "survived"]), doc(True, ["survived", "killed"])
+
+
 @pytest.fixture(scope="session")
 def all_corpus_names() -> list[str]:
     return corpus_names()

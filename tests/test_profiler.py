@@ -93,20 +93,20 @@ _NO_NONDET = DeterminacyReport(nondeterministic=set(), reasons={})
 def test_select_candidates_mean_threshold():
     # Means 5 ms, 0.5 ms, 2 ms; tau = 1 ms keeps the first and third.
     prof = _mk_profile({"first": 5e6, "second": 5e5, "third": 2e6})
-    crit = ExpensivenessCriterion(tau=1_000_000, limit_value=100.0)
+    crit = ExpensivenessCriterion(tau=1_000_000, tau_unit="ns", limit_value=100.0)
     got = select_candidates(prof, _NO_NONDET, crit)
     assert [c.fn for c in got] == ["first", "third"]
 
 
 def test_select_candidates_strict_inequality():
     prof = _mk_profile({"at_tau": 1_000_000, "above": 1_000_001})
-    crit = ExpensivenessCriterion(tau=1_000_000, limit_value=100.0)
+    crit = ExpensivenessCriterion(tau=1_000_000, tau_unit="ns", limit_value=100.0)
     assert [c.fn for c in select_candidates(prof, _NO_NONDET, crit)] == ["above"]
 
 
 def test_select_candidates_limit_ceil():
     prof = _mk_profile({f"f{i}": 1e7 + i for i in range(5)})
-    crit = ExpensivenessCriterion(tau=1_000, limit_value=20.0)
+    crit = ExpensivenessCriterion(tau=1_000, tau_unit="ns", limit_value=20.0)
     got = select_candidates(prof, _NO_NONDET, crit)
     assert len(got) == 1  # ceil(20% of 5)
     assert got[0].fn == "f4"  # highest inclusive time wins
@@ -114,23 +114,23 @@ def test_select_candidates_limit_ceil():
 
 def test_select_candidates_absolute_limit_and_tie_order():
     prof = _mk_profile({"b": 5e6, "a": 5e6, "c": 9e6})
-    crit = ExpensivenessCriterion(tau=1_000, limit_value=2, limit_is_pct=False)
+    crit = ExpensivenessCriterion(tau=1_000, tau_unit="ns", limit_value=2, limit_is_pct=False)
     assert [c.fn for c in select_candidates(prof, _NO_NONDET, crit)] == ["c", "a"]
 
 
 def test_select_candidates_skips_nondet_and_tests():
     prof = _mk_profile({"noisy": 9e6, "quiet": 8e6})
     det = DeterminacyReport(nondeterministic={"noisy"}, reasons={"noisy": "calls_rand"})
-    got = select_candidates(prof, det, ExpensivenessCriterion(tau=1_000, limit_value=100.0))
+    got = select_candidates(prof, det, ExpensivenessCriterion(tau=1_000, tau_unit="ns", limit_value=100.0))
     assert [c.fn for c in got] == ["quiet"]
     assert got[0].covering_tests == ["test_a"]
 
 
 def test_select_candidates_cumulative_mode():
     prof = _mk_profile({"many_cheap": 600, "one_pricey": 2000}, invocations=1000)
-    crit = ExpensivenessCriterion(tau=1_000, limit_value=100.0, tau_mode="mean")
+    crit = ExpensivenessCriterion(tau=1_000, tau_unit="ns", limit_value=100.0, tau_mode="mean")
     assert [c.fn for c in select_candidates(prof, _NO_NONDET, crit)] == ["one_pricey"]
-    crit_cum = ExpensivenessCriterion(tau=1_000, limit_value=100.0, tau_mode="cumulative")
+    crit_cum = ExpensivenessCriterion(tau=1_000, tau_unit="ns", limit_value=100.0, tau_mode="cumulative")
     got = select_candidates(prof, _NO_NONDET, crit_cum)
     assert {c.fn for c in got} == {"many_cheap", "one_pricey"}
     # Any other mode is refused, not read as cumulative.

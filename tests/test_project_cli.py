@@ -20,6 +20,8 @@ from memomut.project import (
     project_sources,
 )
 
+from conftest import cancelling_flip_docs
+
 # -- project loading --------------------------------------------------------
 
 
@@ -218,6 +220,25 @@ def test_cli_pipeline_step_tau_and_per_method_counts(tmp_path, capsys):
         per_method = sum(counts[kind] for counts in memo["per_method"].values())
         assert per_method == memo["totals"][kind]
     assert memo["totals"]["hits"] > 0 and memo["totals"]["gated"] > 0
+
+
+def test_cli_default_tau_is_a_step_count(tmp_path, capsys):
+    proj = tmp_path / "proj"
+    shutil.copytree(corpus_path("bench_expensive"), proj)
+    art = tmp_path / "artifacts"
+    assert main(["pipeline", str(proj), "--fake-time", "--artifact-dir", str(art)]) == 0
+    db = load_db(art / "memo.db")
+    assert (db.tau, db.tau_unit) == (1000, "steps")
+    assert sorted(db.tables) == ["cube_mix", "poly_sum", "weighted_sum"]
+
+
+def test_cli_report_exits_3_on_cancelling_flips(tmp_path, capsys):
+    base, memo = tmp_path / "base.json", tmp_path / "memo.json"
+    base_doc, memo_doc = cancelling_flip_docs()
+    base.write_text(json.dumps(base_doc))
+    memo.write_text(json.dumps(memo_doc))
+    assert main(["report", str(base), str(memo)]) == 3
+    assert "verdicts differ for mutants 0, 1" in capsys.readouterr().err
 
 
 def test_cli_bad_step_limit_factor_rejected_before_any_stage(tmp_path, capsys):

@@ -22,7 +22,7 @@ from memomut.runner import (
     run_mutation_analysis,
 )
 
-from conftest import cached_pipeline
+from conftest import cached_pipeline, cancelling_flip_docs
 from oracles import exhaustive_killed
 
 SMALL_CORPUS = ["sample", "fib", "strings", "globals", "indirect"]
@@ -340,6 +340,30 @@ def test_compare_runs_raises_on_score_change():
         compare_runs(a, b)
 
 
+def test_compare_runs_raises_on_cancelling_flips():
+    base, memo = (report_from_json(d) for d in cancelling_flip_docs())
+    assert base.score == memo.score
+    with pytest.raises(ScoreMismatch, match="verdicts differ for mutants 0, 1") as exc:
+        compare_runs(base, memo)
+    assert exc.value.mutant_ids == [0, 1]
+
+
+def test_compare_runs_checks_killing_test_and_cause():
+    pipe = cached_pipeline("sample")
+    base = run(pipe)
+    memo = run(pipe, memo=True)
+    killed = next(r for r in memo.results if r.status == "killed")
+    killed.cause = "step_limit"
+    with pytest.raises(ScoreMismatch) as exc:
+        compare_runs(base, memo)
+    assert exc.value.mutant_ids == [killed.mutant_id]
+    killed.cause = next(r for r in base.results if r.mutant_id == killed.mutant_id).cause
+    killed.killing_test = "test_elsewhere"
+    with pytest.raises(ScoreMismatch) as exc:
+        compare_runs(base, memo)
+    assert exc.value.mutant_ids == [killed.mutant_id]
+
+
 # -- workers and serialization ----------------------------------------------
 
 
@@ -353,6 +377,25 @@ def test_parallel_run_matches_serial():
     ]
     assert vec(serial) == vec(parallel)
     assert serial.score == parallel.score
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_memo_run_matches_serial(workers):
+    # 103 mutants split into chunks that do not divide them evenly.
+    pipe = cached_pipeline("bench_expensive", tau=1000, tau_unit="steps")
+    assert len(pipe.db.tables) == 3 and len(pipe.pool.mutants) == 103
+
+    def strip(report):
+        doc = report_to_json(report)
+        del doc["wall_ns"]
+        for m in doc["mutants"]:
+            del m["wall_ns"]
+        return doc
+
+    serial = run(pipe, memo=True)
+    parallel = run(pipe, memo=True, workers=workers)
+    assert strip(parallel) == strip(serial)
+    assert serial.totals["hits"] > 0 and serial.totals["gated"] > 0
 
 
 def test_report_json_round_trip():
