@@ -16,6 +16,13 @@ call or the items of an array literal that are all leaves, has no
 closure of its own: its parent reads it from the frame, where literals
 sit after the locals, and charges its step.
 
+Argument lists and array items are built into a new list on every
+evaluation, left to right.  When all of them are leaves, it is read
+from their frame slots at once.  Otherwise each gets its closure, and a
+list display of their calls builds a list of up to three values (in
+CPython 3.11 a list comprehension is a call of its own) and a loop that
+appends builds a longer one.
+
 Steps are charged together only where no observable event (a call, a
 hook, a builtin, an error or a store) can fall between them: a node's
 own step with the leaf operands that lead it, and a leaf that follows a
@@ -477,10 +484,31 @@ class _Compiler:
     def _args(self, exprs):
         """A closure building a new list of the values of `exprs`, left to
         right, and the steps its caller charges with its own: all of them
-        when every one is a leaf, read from the frame, and otherwise one."""
+        when every one is a leaf, read from the frame, and otherwise one.
+
+        With a non-leaf among them, every expression gets its closure, and
+        the list is a display of their calls for up to three and a loop
+        that appends for more: no comprehension, which would be a function
+        call of its own on every evaluation."""
         if not all(map(_is_leaf, exprs)):
             args = tuple(self.expr(a) for a in exprs)
-            return (lambda st, fr: [a(st, fr) for a in args]), 1
+            if len(args) == 1:
+                (a0,) = args
+                return (lambda st, fr: [a0(st, fr)]), 1
+            if len(args) == 2:
+                a0, a1 = args
+                return (lambda st, fr: [a0(st, fr), a1(st, fr)]), 1
+            if len(args) == 3:
+                a0, a1, a2 = args
+                return (lambda st, fr: [a0(st, fr), a1(st, fr), a2(st, fr)]), 1
+
+            def build(st, fr):
+                values = []
+                for a in args:
+                    values.append(a(st, fr))
+                return values
+
+            return build, 1
         slots = [self._leaf(a) for a in exprs]
         if len(slots) > 1:
             get = operator.itemgetter(*slots)

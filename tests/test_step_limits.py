@@ -9,7 +9,8 @@ A limit of L ends the run at the L-th charged step, so any change in
 where or in what order steps are charged, relative to calls, builtins,
 errors and stores, shows up here.  `limits.mini` puts a call that
 returns and one that raises beside literal and local-name operands in
-every operand position.
+every operand position, and in argument lists and array literals of
+every length the compiler builds differently.
 
 To re-record against another checkout:
     PYTHONPATH=<checkout>/src:tests python tests/test_step_limits.py
@@ -33,7 +34,9 @@ LIMITS = Path(__file__).with_name("limits.mini")
 SMALL_CORPUS = ("globals", "indirect", "matrix", "nondet", "printcase", "randarg", "sample", "strings")
 
 # name -> (runs, sha256 of the runs); recorded with the evaluator that
-# charged one step per closure, before leaf operands were fused.
+# charged one step per closure, before leaf operands were fused.  `limits`
+# was recorded again when its argument-list tests were added, with the
+# evaluator that built every non-leaf argument list by a comprehension.
 EXPECTED = {
     'globals': (107, '171d754055946e4cc334becc4d5bd0d48313953fecc5d49a446cb0711d387cf2'),
     'indirect': (473, 'a8d6d3cb46804025dc90e6d1fcd02059db1617e0000e76b01478c01fb1915b95'),
@@ -44,7 +47,7 @@ EXPECTED = {
     'sample': (263, '41c73882b0fa9ea3c14a892de8932bd09de011868d2db8e1f740e105e0a735fb'),
     'strings': (393, 'd139b561060e1a82a17808cb2fdc26272a7ffe81969bf80dcffb6e20a91de2f5'),
     'edges': (3852, '3ee7b867889574340dae64fb7fdb170420d96a5de7c4de0379fa5418debfe45f'),
-    'limits': (939, 'dd4fef8e552448f96af5d16e210ec9e2b4189acad83e6f5a684d1200144f2d16'),
+    'limits': (1752, '07d2a09d2c1471899540d4c40963ea35060b6880e282c3d36eef66816549a948'),
 }
 
 
