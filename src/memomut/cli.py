@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import analyze_program, bundle_to_json
+from .analysis import analyze_program, build_call_graph, bundle_to_json, dependency_closure
 from .lang.interp import Runtime
 from .lang.parser import MiniSyntaxError, ResolutionError
 from .memo.builder import provisional_memoization, record_tables
@@ -115,7 +115,6 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("profile", help="run the suite and time every function")
     common(p)
-    tuning(p)
     p.add_argument("--profile-reps", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
 
@@ -283,9 +282,9 @@ def _cmd_run(args, st: Settings) -> int:
     program = load_project(args.project)
     pool = pool_from_json(_read_json(args.mutants))
     profile = profile_suite(program, runtime=runtime)
-    bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
+    closure = dependency_closure(build_call_graph(program))
     db = load_db(args.memo, program) if args.memo else None
-    report = run_mutation_analysis(program, pool, profile, bundle.closure, db=db, cfg=cfg, runtime=runtime)
+    report = run_mutation_analysis(program, pool, profile, closure, db=db, cfg=cfg, runtime=runtime)
     _write_json(report_to_json(report), args.output)
     return 0
 

@@ -16,6 +16,12 @@ call or the items of an array literal that are all leaves, has no
 closure of its own: its parent reads it from the frame, where literals
 sit after the locals, and charges its step.
 
+So a binary operator, an index load and an array store, each with two
+operands, come in four operand shapes: both leaves, the left only, the
+right only, neither.  Each of these operations is written once, as a
+body that fills in one source template holding the four shapes, and is
+compiled once, at import, into one code object per operand shape.
+
 Argument lists and array items are built into a new list on every
 evaluation, left to right.  When all of them are leaves, it is read
 from their frame slots at once.  Otherwise each gets its closure, and a
@@ -35,6 +41,7 @@ module.
 from __future__ import annotations
 
 import operator
+import textwrap
 import weakref
 
 from .ast import (
@@ -196,22 +203,11 @@ class _Compiler:
         if k is not None:
             return _copy_slot(k, target.slot, 3)  # the statement, the leaf, the store
         value = self.expr(s.value)
-        if type(target) is Name:
-            if target.is_global:
-                ident = target.ident
-
-                def assign(st, fr):
-                    st.steps = n = st.steps + 1
-                    if n >= st.limit:
-                        raise StepLimit()
-                    v = value(st, fr)
-                    st.steps = n = st.steps + 1
-                    if n >= st.limit:
-                        raise StepLimit()
-                    st.globals[ident] = v
-
-                return assign
-            slot = target.slot
+        if type(target) is Index:
+            array, index = self._operand(target.array), self._operand(target.index)
+            return _pick(_STORE, array, index, target.node_id, value)
+        if target.is_global:
+            ident = target.ident
 
             def assign(st, fr):
                 st.steps = n = st.steps + 1
@@ -221,36 +217,12 @@ class _Compiler:
                 st.steps = n = st.steps + 1
                 if n >= st.limit:
                     raise StepLimit()
-                fr[slot] = v
+                st.globals[ident] = v
 
             return assign
+        slot = target.slot
 
-        nid = target.node_id
-        if _is_leaf(target.array) and _is_leaf(target.index):
-            ak, ik = self._leaf(target.array), self._leaf(target.index)
-
-            def store_leaves(st, fr):
-                st.steps = n = st.steps + 1
-                if n >= st.limit:
-                    raise StepLimit()
-                v = value(st, fr)
-                st.steps = n = st.steps + 3  # the store, the array, the index
-                if n >= st.limit:
-                    raise _limit(st)
-                arr = fr[ak]
-                idx = fr[ik]
-                if type(arr) is not list or type(idx) is not int:
-                    raise RuntimeErr("type_mismatch", nid)
-                if idx < 0 or idx >= len(arr):
-                    raise RuntimeErr("index_oob", nid)
-                if type(v) is list and contains_array(v, arr):
-                    raise RuntimeErr("array_cycle", nid)
-                arr[idx] = v
-
-            return store_leaves
-        array, index = self.expr(target.array), self.expr(target.index)
-
-        def store(st, fr):
+        def assign(st, fr):
             st.steps = n = st.steps + 1
             if n >= st.limit:
                 raise StepLimit()
@@ -258,17 +230,9 @@ class _Compiler:
             st.steps = n = st.steps + 1
             if n >= st.limit:
                 raise StepLimit()
-            arr = array(st, fr)
-            idx = index(st, fr)
-            if type(arr) is not list or type(idx) is not int:
-                raise RuntimeErr("type_mismatch", nid)
-            if idx < 0 or idx >= len(arr):
-                raise RuntimeErr("index_oob", nid)
-            if type(v) is list and contains_array(v, arr):
-                raise RuntimeErr("array_cycle", nid)
-            arr[idx] = v
+            fr[slot] = v
 
-        return store
+        return assign
 
     def _if(self, s: If):
         cond, then, nid = self.expr(s.cond), self.block(s.then), s.node_id
@@ -570,56 +534,40 @@ def _copy_slot(k, slot, steps):
     return copy_slot
 
 
-# Nodes with two operands (binary operators and index loads) come in four
-# variants: both operands leaves, the left only, the right only, neither.
+# -- two-operand operations ------------------------------------------------
+#
+# An operation fills the template in with its body, what it does with the
+# operand values `a` and `b`, and its head, what it does before its node's
+# own step.  `_shapes` compiles it with `exec`, as `dataclasses` and
+# `namedtuple` do; its values, the node's operands and id are closure cells.
 
-
-def _pick(variants, left, right, nid):
-    """The variant for two operands, each a frame slot or a closure."""
-    return variants[2 * callable(left) + callable(right)](left, right, nid)
-
-
-def _operator(fn, exact, mixed):
-    """A binary operator on two ints: a ZeroDivisionError from `/` or `%`
-    is the node's div_by_zero, and results wrap to 64 bits unless they are
-    `exact`.  `mixed(a, b, nid)` answers for operands not both ints."""
-
-    def both(lk, rk, nid):
-        def op(st, fr):
+_TEMPLATE = """\
+def shapes({values}):
+    def both(lk, rk, {node}):
+        def {name}(st, fr):
+{head}
             st.steps = n = st.steps + 3
             if n >= st.limit:
                 raise _limit(st)
             a = fr[lk]
             b = fr[rk]
-            if type(a) is not int or type(b) is not int:
-                return mixed(a, b, nid)
-            try:
-                v = fn(a, b)
-            except ZeroDivisionError:
-                raise RuntimeErr("div_by_zero", nid) from None
-            return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
+{body}
+        return {name}
 
-        return op
-
-    def left_leaf(lk, right, nid):
-        def op(st, fr):
+    def left_leaf(lk, right, {node}):
+        def {name}(st, fr):
+{head}
             st.steps = n = st.steps + 2
             if n >= st.limit:
                 raise _limit(st)
             a = fr[lk]
             b = right(st, fr)
-            if type(a) is not int or type(b) is not int:
-                return mixed(a, b, nid)
-            try:
-                v = fn(a, b)
-            except ZeroDivisionError:
-                raise RuntimeErr("div_by_zero", nid) from None
-            return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
+{body}
+        return {name}
 
-        return op
-
-    def right_leaf(left, rk, nid):
-        def op(st, fr):
+    def right_leaf(left, rk, {node}):
+        def {name}(st, fr):
+{head}
             st.steps = n = st.steps + 1
             if n >= st.limit:
                 raise StepLimit()
@@ -628,34 +576,76 @@ def _operator(fn, exact, mixed):
             if n >= st.limit:
                 raise StepLimit()
             b = fr[rk]
-            if type(a) is not int or type(b) is not int:
-                return mixed(a, b, nid)
-            try:
-                v = fn(a, b)
-            except ZeroDivisionError:
-                raise RuntimeErr("div_by_zero", nid) from None
-            return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
+{body}
+        return {name}
 
-        return op
-
-    def neither(left, right, nid):
-        def op(st, fr):
+    def neither(left, right, {node}):
+        def {name}(st, fr):
+{head}
             st.steps = n = st.steps + 1
             if n >= st.limit:
                 raise StepLimit()
             a = left(st, fr)
             b = right(st, fr)
-            if type(a) is not int or type(b) is not int:
-                return mixed(a, b, nid)
-            try:
-                v = fn(a, b)
-            except ZeroDivisionError:
-                raise RuntimeErr("div_by_zero", nid) from None
-            return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
-
-        return op
+{body}
+        return {name}
 
     return both, left_leaf, right_leaf, neither
+"""
+
+
+def _shapes(name, body, head="", values="", node="nid"):
+    """The factory of an operation's four shapes: `shapes(*values)` gives
+    the makers (both leaves, the left only, the right only, neither) of
+    closures named `name`, each taking the operands and then `node`."""
+    src = _TEMPLATE.format(
+        name=name, values=values, node=node,
+        head=textwrap.indent(head, " " * 12), body=textwrap.indent(body, " " * 12),
+    )
+    ns = {}
+    exec(compile(src, f"<{name} shapes>", "exec"), globals(), ns)
+    return ns["shapes"]
+
+
+def _pick(shapes, left, right, *node):
+    """The shape for two operands, each a frame slot or a closure."""
+    return shapes[2 * callable(left) + callable(right)](left, right, *node)
+
+
+# A binary operator on two ints: a ZeroDivisionError from `/` or `%` is
+# the node's div_by_zero, and results wrap to 64 bits unless they are
+# `exact`.  `mixed(a, b, nid)` answers for operands not both ints.
+_operator = _shapes("op", values="fn, exact, mixed", body="""\
+if type(a) is not int or type(b) is not int:
+    return mixed(a, b, nid)
+try:
+    v = fn(a, b)
+except ZeroDivisionError:
+    raise RuntimeErr("div_by_zero", nid) from None
+return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
+""")
+
+# An index load or store needs an array `a` and an int index `b` within it.
+_INDEX_CHECK = """\
+if type(a) is not list or type(b) is not int:
+    raise RuntimeErr("type_mismatch", nid)
+if b < 0 or b >= len(a):
+    raise RuntimeErr("index_oob", nid)
+"""
+
+_LOAD_ITEM = _shapes("load_item", body=_INDEX_CHECK + "return a[b]\n")()
+
+# An array store evaluates its value first, under the statement's own step.
+_STORE = _shapes("store", node="nid, value", head="""\
+st.steps = n = st.steps + 1
+if n >= st.limit:
+    raise StepLimit()
+v = value(st, fr)
+""", body=_INDEX_CHECK + """\
+if type(v) is list and contains_array(v, a):
+    raise RuntimeErr("array_cycle", nid)
+a[b] = v
+""")()
 
 
 def _type_mismatch(a, b, nid):
@@ -669,77 +659,6 @@ def _equal(a, b, nid):
 def _unequal(a, b, nid):
     return not deep_equal(a, b)
 
-
-def _load_item():
-    """An index load: an int index within the bounds of an array."""
-
-    def both(ak, ik, nid):
-        def load_item(st, fr):
-            st.steps = n = st.steps + 3
-            if n >= st.limit:
-                raise _limit(st)
-            arr = fr[ak]
-            idx = fr[ik]
-            if type(arr) is not list or type(idx) is not int:
-                raise RuntimeErr("type_mismatch", nid)
-            if idx < 0 or idx >= len(arr):
-                raise RuntimeErr("index_oob", nid)
-            return arr[idx]
-
-        return load_item
-
-    def left_leaf(ak, index, nid):
-        def load_item(st, fr):
-            st.steps = n = st.steps + 2
-            if n >= st.limit:
-                raise _limit(st)
-            arr = fr[ak]
-            idx = index(st, fr)
-            if type(arr) is not list or type(idx) is not int:
-                raise RuntimeErr("type_mismatch", nid)
-            if idx < 0 or idx >= len(arr):
-                raise RuntimeErr("index_oob", nid)
-            return arr[idx]
-
-        return load_item
-
-    def right_leaf(array, ik, nid):
-        def load_item(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            arr = array(st, fr)
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            idx = fr[ik]
-            if type(arr) is not list or type(idx) is not int:
-                raise RuntimeErr("type_mismatch", nid)
-            if idx < 0 or idx >= len(arr):
-                raise RuntimeErr("index_oob", nid)
-            return arr[idx]
-
-        return load_item
-
-    def neither(array, index, nid):
-        def load_item(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            arr = array(st, fr)
-            idx = index(st, fr)
-            if type(arr) is not list or type(idx) is not int:
-                raise RuntimeErr("type_mismatch", nid)
-            if idx < 0 or idx >= len(arr):
-                raise RuntimeErr("index_oob", nid)
-            return arr[idx]
-
-        return load_item
-
-    return both, left_leaf, right_leaf, neither
-
-
-_LOAD_ITEM = _load_item()
 
 # `==` and `!=` compare ints directly and any other values by structure.
 _OPERATORS = {

@@ -93,7 +93,7 @@ def parse_limit(text: str) -> tuple[float, bool]:
     stripped = text.strip()
     if stripped.endswith("%"):
         value = float(stripped[:-1])
-        if value <= 0 or value > 100:
+        if not 0 < value <= 100:  # false for NaN too
             raise ValueError(f"percent limit out of range: {text!r}")
         return value, True
     value = int(stripped)

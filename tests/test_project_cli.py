@@ -1,12 +1,15 @@
 """Project loading, config parsing, and the command-line interface."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import memomut
 from memomut import corpus_path
 from memomut.cli import main
 from memomut.memo.db import load_db
@@ -107,7 +110,7 @@ def test_parse_limit():
     assert parse_limit("20%") == (20.0, True)
     assert parse_limit("3") == (3.0, False)
     assert parse_limit(" 100% ") == (100.0, True)
-    for bad in ("0%", "150%", "0", "-2", "x"):
+    for bad in ("0%", "150%", "nan%", "0", "-2", "x"):
         with pytest.raises(ValueError):
             parse_limit(bad)
 
@@ -260,6 +263,7 @@ def test_cli_bad_step_limit_factor_rejected_before_any_stage(tmp_path, capsys):
         (["--workers", "0"], "workers must be >= 1"),
         (["--tau", "bogus"], "bad tau 'bogus'"),
         (["--limit", "0%"], "percent limit out of range"),
+        (["--limit", "nan%"], "percent limit out of range"),
         (["--profile-reps", "-3"], "profile reps must be >= 1"),
         ([], "unknown tau mode 'men'"),  # from memomut.toml, which bypasses argparse
     ]
@@ -295,15 +299,27 @@ def test_cli_config_file_overridden_by_flags(tmp_path, capsys):
     assert main(["profile", str(proj), "--seed", "2", "-o", str(prof)]) == 0
 
 
+def test_cli_profile_rejects_selection_flags(tmp_path):
+    proj = _sample_project(tmp_path)
+    for flags in (["--tau", "1ms"], ["--limit", "20%"], ["--tau-mode", "mean"], ["--time-rand-only"]):
+        assert main(["profile", str(proj), *flags]) == 64, flags
+
+
 # -- CLI exit codes (subprocess, to observe real process behavior) ----------
 
 
+# The child imports the same memomut as this process, installed or not.
+_SRC = str(Path(memomut.__file__).resolve().parents[1])
+
+
 def _cli(*argv, cwd=None):
+    path = os.environ.get("PYTHONPATH")
     return subprocess.run(
         [sys.executable, "-m", "memomut.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": _SRC + os.pathsep + path if path else _SRC},
     )
 
 
