@@ -39,7 +39,7 @@ from .profiler import (
     profile_to_json,
     select_candidates,
 )
-from .project import ProjectError, load_config, load_project, parse_limit, parse_tau
+from .project import CONFIG_NAME, ProjectError, load_config, load_project, parse_limit, parse_tau
 from .runner import (
     InvalidPool,
     RunConfig,
@@ -64,11 +64,18 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _write_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Streams `doc` out: with an indent, `json.dumps` would first hold
+    every piece of the text in one list."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        _dump(doc, sys.stdout)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            _dump(doc, fh)
+
+
+def _dump(doc: dict, fh) -> None:
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _read_json(path: str) -> dict:
@@ -155,18 +162,33 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+# The settings a `memomut.toml` may hold: those some subcommand reads.
+_CONFIG_KEYS = frozenset({
+    "all_tests", "artifact_dir", "fake_time", "limit", "profile_reps", "seed",
+    "step_limit_factor", "tau", "tau_mode", "time_rand_only", "workers",
+})
+
+_BOOLS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 class Settings:
     """Flag values with config-file fallback and hard defaults."""
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
         self._args = args
-        self._config = config
+        self._config = {key.replace("-", "_"): value for key, value in config.items()}
+        unknown = sorted(self._config.keys() - _CONFIG_KEYS)
+        if unknown:
+            raise ProjectError(f"unknown setting in {CONFIG_NAME}: {', '.join(unknown)}")
 
     def _raw(self, name: str):
-        flag = getattr(self._args, name.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        return self._config.get(name.replace("-", "_"), self._config.get(name))
+        key = name.replace("-", "_")
+        assert key in _CONFIG_KEYS, key
+        flag = getattr(self._args, key, None)
+        return self._config.get(key) if flag is None else flag
 
     def str_(self, name: str, default: str) -> str:
         raw = self._raw(name)
@@ -182,7 +204,10 @@ class Settings:
             return default
         if isinstance(raw, bool):
             return raw
-        return str(raw).lower() in ("1", "true", "yes", "on")
+        value = _BOOLS.get(raw.lower())
+        if value is None:
+            raise ValueError(f"bad {name} {raw!r}; expected true/false, yes/no, on/off or 1/0")
+        return value
 
     def criterion(self) -> ExpensivenessCriterion:
         """The criterion's own defaults fill in every setting not given."""
@@ -301,12 +326,13 @@ def _cmd_report(args, st: Settings) -> int:
 
 def _cmd_pipeline(args, st: Settings) -> int:
     criterion, runtime, reps = st.criterion(), st.runtime(), st.profile_reps()
+    time_rand_only = st.bool_("time-rand-only")
     base_cfg, memo_cfg = st.run_config(memo=False), st.run_config(memo=True)
     program = load_project(args.project)
     art = Path(st.str_("artifact-dir", str(Path(args.project) / ".memomut")))
     art.mkdir(parents=True, exist_ok=True)
 
-    bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
+    bundle = analyze_program(program, time_rand_only=time_rand_only)
     _write_json(bundle_to_json(bundle), str(art / "analysis.json"))
 
     profile = profile_suite(program, runtime=runtime, reps=reps)
@@ -346,10 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    config = load_config(args.project) if hasattr(args, "project") else {}
-    st = Settings(args, config)
     try:
-        return _COMMANDS[args.command](args, st)
+        config = load_config(args.project) if hasattr(args, "project") else {}
+        return _COMMANDS[args.command](args, Settings(args, config))
     except (FingerprintMismatch, InvalidPool) as exc:
         print(f"memomut: {exc}", file=sys.stderr)
         return 2

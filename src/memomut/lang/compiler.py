@@ -9,39 +9,39 @@ name its slot, and the compiler reads those slots from the AST.
 Every evaluated AST node costs one step, charged at the point and in
 the order a tree walk over the AST would charge it, so step counts,
 error nodes and the step limit do not depend on how the code was
-compiled.  A leaf operand (a local name or a literal) read by an
-arithmetic, comparison or equality operator, an index, a `let`, a local
-assignment, a `return` or an array store, or one of the arguments of a
-call or the items of an array literal that are all leaves, has no
-closure of its own: its parent reads it from the frame, where literals
-sit after the locals, and charges its step.
+compiled.  Steps are charged together only where no observable event (a
+call, a hook, a builtin, an error or a store) can fall between them, and
+a merged charge that reaches the limit leaves the step count at the
+limit, as charging one step at a time would.
 
-So a binary operator, an index load and an array store, each with two
-operands, come in four operand shapes: both leaves, the left only, the
-right only, neither.  Each of these operations is written once, as a
-body that fills in one source template holding the four shapes, and is
-compiled once, at import, into one code object per operand shape.
+Every operation with fixed operands (the operators but `&&` and `||`,
+index loads, array stores, `let`, assignments, `return`, expression
+statements, `assert`, unary `-` and `!`, name loads and literals) is
+written once, as a spec and a body.  The spec lists the node's own
+steps (`+`) and its operands in evaluation order: "+ a b" for an
+operator, "+ v + a b" for an array store (the statement, its value, the
+target, the array, the index).  A leaf operand (a local name or a
+literal) has no closure of its own (Proebsting's superoperators): its
+parent reads it from the frame, where literals sit after the locals.
+So an operation with n operands comes in 2^n shapes, and one rule
+writes them all: steps build up across the node's own steps and its
+leaf reads, and are charged just before a non-leaf operand's closure is
+called and before the body.  Each shape is compiled once, at import.
 
-Argument lists and array items are built into a new list on every
-evaluation, left to right.  When all of them are leaves, it is read
-from their frame slots at once.  Otherwise each gets its closure, and a
-list display of their calls builds a list of up to three values (in
-CPython 3.11 a list comprehension is a call of its own) and a loop that
-appends builds a longer one.
-
-Steps are charged together only where no observable event (a call, a
-hook, a builtin, an error or a store) can fall between them: a node's
-own step with the leaf operands that lead it, and a leaf that follows a
-non-leaf operand only after that operand has returned.  A merged charge
-that reaches the limit leaves the step count at the limit, as charging
-one step at a time would.  `interp` builds executions on top of this
-module.
+Blocks, `if`, `while`, `&&`, `||`, calls and array literals are written
+by hand.  Their argument lists and items are built into a new list on
+every evaluation, left to right.  When all of them are leaves, it is
+read from their frame slots at once and their steps are charged with
+the call's own.  Otherwise each gets its closure, and a list display of
+their calls builds a list of up to three values (in CPython 3.11 a list
+comprehension is a call of its own) and a loop that appends builds a
+longer one.  `interp` builds executions on top of this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-import textwrap
 import weakref
 
 from .ast import (
@@ -112,14 +112,16 @@ class Code:
 # -- the compiler -----------------------------------------------------------
 #
 # Every closure takes (st, fr): the ExecState, through whose `invoke` and
-# `call_builtin` it makes calls, and the current call's slot list.  Each
-# one opens with the same step charge:
+# `call_builtin` it makes calls, and the current call's slot list.  Every
+# step charge is the same block:
 #
 #     st.steps = n = st.steps + 1
 #     if n >= st.limit:
 #         raise StepLimit()
 #
-# A closure that charges k > 1 steps at once raises `_limit(st)` instead.
+# A charge of k > 1 steps at once raises `_limit(st)` instead.  `_shapes`
+# writes it for every operation with fixed operands; the closures of the
+# control flow and of calls, here in `_Compiler`, write it by hand.
 
 
 def _limit(st) -> StepLimit:
@@ -168,7 +170,7 @@ class _Compiler:
     def stmt(self, s):
         t = type(s)
         if t is Let:
-            return self._let(s)
+            return _LET(self._operand(s.value), s.slot)
         if t is Assign:
             return self._assign(s)
         if t is If:
@@ -176,63 +178,23 @@ class _Compiler:
         if t is While:
             return self._while(s)
         if t is Return:
-            return self._return(s)
+            if s.value is None:
+                return _CONST(UNIT)  # one step, then return unit
+            return _RETURN(self._operand(s.value))
         if t is ExprStmt:
-            return self._expr_stmt(s)
+            return _EXPR_STMT(self._operand(s.expr))
         if t is Assert:
-            return self._assert(s)
+            return _ASSERT(self._operand(s.cond), s.node_id)
         raise TypeError(f"unknown statement: {s!r}")
 
-    def _let(self, s: Let):
-        slot, k = s.slot, self._leaf(s.value)
-        if k is not None:
-            return _copy_slot(k, slot, 2)
-        value = self.expr(s.value)
-
-        def let(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            fr[slot] = value(st, fr)
-
-        return let
-
     def _assign(self, s: Assign):
-        target = s.target
-        k = self._leaf(s.value) if type(target) is Name and not target.is_global else None
-        if k is not None:
-            return _copy_slot(k, target.slot, 3)  # the statement, the leaf, the store
-        value = self.expr(s.value)
+        target, value = s.target, self._operand(s.value)
         if type(target) is Index:
             array, index = self._operand(target.array), self._operand(target.index)
-            return _pick(_STORE, array, index, target.node_id, value)
+            return _STORE(value, array, index, target.node_id)
         if target.is_global:
-            ident = target.ident
-
-            def assign(st, fr):
-                st.steps = n = st.steps + 1
-                if n >= st.limit:
-                    raise StepLimit()
-                v = value(st, fr)
-                st.steps = n = st.steps + 1
-                if n >= st.limit:
-                    raise StepLimit()
-                st.globals[ident] = v
-
-            return assign
-        slot = target.slot
-
-        def assign(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            v = value(st, fr)
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            fr[slot] = v
-
-        return assign
+            return _ASSIGN_GLOBAL(value, target.ident)
+        return _ASSIGN(value, target.slot)
 
     def _if(self, s: If):
         cond, then, nid = self.expr(s.cond), self.block(s.then), s.node_id
@@ -273,129 +235,29 @@ class _Compiler:
 
         return while_
 
-    def _return(self, s: Return):
-        if s.value is None:
-            return _const(UNIT)  # one step, then return unit
-        k = self._leaf(s.value)
-        if k is not None:
-
-            def return_leaf(st, fr):
-                st.steps = n = st.steps + 2
-                if n >= st.limit:
-                    raise _limit(st)
-                return fr[k]
-
-            return return_leaf
-        value = self.expr(s.value)
-
-        def return_(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            return value(st, fr)
-
-        return return_
-
-    def _expr_stmt(self, s: ExprStmt):
-        expr = self.expr(s.expr)
-
-        def expr_stmt(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            expr(st, fr)
-
-        return expr_stmt
-
-    def _assert(self, s: Assert):
-        cond, nid = self.expr(s.cond), s.node_id
-
-        def assert_(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            c = cond(st, fr)
-            if c is True:
-                return None
-            if c is False:
-                raise AssertFail(nid)
-            raise RuntimeErr("type_mismatch", nid)
-
-        return assert_
-
     # -- expressions ----------------------------------------------------
 
     def expr(self, e):
         t = type(e)
         if t is IntLit or t is BoolLit or t is StrLit:
-            return _const(e.value)
+            return _CONST(e.value)
         if t is FnRefLit:
-            return _const(FnRef(e.name))
+            return _CONST(FnRef(e.name))
         if t is Name:
-            return self._name(e)
+            if e.is_global:
+                return _LOAD_GLOBAL(e.ident)
+            return _LOAD(e.slot)
         if t is Binary:
             return self._binary(e)
         if t is Call:
             return self._call(e)
         if t is Unary:
-            return self._unary(e)
+            return (_NEG if e.op == "-" else _NOT)(self._operand(e.operand), e.node_id)
         if t is Index:
-            return self._index(e)
+            return _LOAD_ITEM(self._operand(e.array), self._operand(e.index), e.node_id)
         if t is ArrayLit:
             return self._array(e)
         raise TypeError(f"unknown expression: {e!r}")
-
-    def _name(self, e: Name):
-        if e.is_global:
-            ident = e.ident
-
-            def load_global(st, fr):
-                st.steps = n = st.steps + 1
-                if n >= st.limit:
-                    raise StepLimit()
-                return st.globals[ident]
-
-            return load_global
-        slot = e.slot
-
-        def load(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            return fr[slot]
-
-        return load
-
-    def _unary(self, e: Unary):
-        operand, nid = self.expr(e.operand), e.node_id
-        if e.op == "-":
-
-            def neg(st, fr):
-                st.steps = n = st.steps + 1
-                if n >= st.limit:
-                    raise StepLimit()
-                v = operand(st, fr)
-                if type(v) is not int:
-                    raise RuntimeErr("type_mismatch", nid)
-                return v if v == INT_MIN else -v
-
-            return neg
-
-        def not_(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            v = operand(st, fr)
-            if v is True:
-                return False
-            if v is False:
-                return True
-            raise RuntimeErr("type_mismatch", nid)
-
-        return not_
-
-    def _index(self, e: Index):
-        return _pick(_LOAD_ITEM, self._operand(e.array), self._operand(e.index), e.node_id)
 
     def _array(self, e: ArrayLit):
         items, k = self._args(e.items)
@@ -503,7 +365,7 @@ class _Compiler:
                 raise RuntimeErr("type_mismatch", nid)
 
             return logic
-        return _pick(_OPERATORS[op], self._operand(e.left), self._operand(e.right), nid)
+        return _OPERATORS[op](self._operand(e.left), self._operand(e.right), nid)
 
 
 def _is_leaf(e) -> bool:
@@ -512,110 +374,74 @@ def _is_leaf(e) -> bool:
     return (t is Name and not e.is_global) or t is IntLit or t is BoolLit or t is StrLit or t is FnRefLit
 
 
-def _const(value):
-    def const(st, fr):
-        st.steps = n = st.steps + 1
-        if n >= st.limit:
-            raise StepLimit()
-        return value
-
-    return const
-
-
-def _copy_slot(k, slot, steps):
-    """A `let` or local assignment of a leaf: `steps` charged, then the store."""
-
-    def copy_slot(st, fr):
-        st.steps = n = st.steps + steps
-        if n >= st.limit:
-            raise _limit(st)
-        fr[slot] = fr[k]
-
-    return copy_slot
-
-
-# -- two-operand operations ------------------------------------------------
+# -- operations with fixed operands ----------------------------------------
 #
-# An operation fills the template in with its body, what it does with the
-# operand values `a` and `b`, and its head, what it does before its node's
-# own step.  `_shapes` compiles it with `exec`, as `dataclasses` and
-# `namedtuple` do; its values, the node's operands and id are closure cells.
-
-_TEMPLATE = """\
-def shapes({values}):
-    def both(lk, rk, {node}):
-        def {name}(st, fr):
-{head}
-            st.steps = n = st.steps + 3
-            if n >= st.limit:
-                raise _limit(st)
-            a = fr[lk]
-            b = fr[rk]
-{body}
-        return {name}
-
-    def left_leaf(lk, right, {node}):
-        def {name}(st, fr):
-{head}
-            st.steps = n = st.steps + 2
-            if n >= st.limit:
-                raise _limit(st)
-            a = fr[lk]
-            b = right(st, fr)
-{body}
-        return {name}
-
-    def right_leaf(left, rk, {node}):
-        def {name}(st, fr):
-{head}
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            a = left(st, fr)
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            b = fr[rk]
-{body}
-        return {name}
-
-    def neither(left, right, {node}):
-        def {name}(st, fr):
-{head}
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            a = left(st, fr)
-            b = right(st, fr)
-{body}
-        return {name}
-
-    return both, left_leaf, right_leaf, neither
-"""
+# An operation is a spec and a body, which uses the operand values by
+# their names in the spec.  `_shapes` writes the source of every shape,
+# each operand a frame slot `<x>k` or a closure `<x>_`, by the one charge
+# rule of the module docstring, and compiles it with `exec`, as
+# `dataclasses` and `namedtuple` do; the operation's values, the node's
+# operands and its own values are closure cells.
 
 
-def _shapes(name, body, head="", values="", node="nid"):
-    """The factory of an operation's four shapes: `shapes(*values)` gives
-    the makers (both leaves, the left only, the right only, neither) of
-    closures named `name`, each taking the operands and then `node`."""
-    src = _TEMPLATE.format(
-        name=name, values=values, node=node,
-        head=textwrap.indent(head, " " * 12), body=textwrap.indent(body, " " * 12),
-    )
+def _charge(k: int) -> list[str]:
+    """The source lines that charge `k` steps: none for 0."""
+    if not k:
+        return []
+    raise_ = "raise StepLimit()" if k == 1 else "raise _limit(st)"
+    return [f"st.steps = n = st.steps + {k}", "if n >= st.limit:", f"    {raise_}"]
+
+
+def _shapes(name, spec, body, values="", node=""):
+    """The factory of an operation: `shapes(*values)` gives the function
+    that takes a node's operands of `spec`, each a frame slot or a
+    closure, then its `node` values, and makes the node's closure, named
+    `name`, in the shape its operands take."""
+    tokens = spec.split()
+    operands = [t for t in tokens if t != "+"]
+    src, makers = [f"def shapes({values}):"], []
+    for shape in itertools.product((False, True), repeat=len(operands)):
+        is_closure = dict(zip(operands, shape))
+        lines, steps, reads = [], 0, []
+        for t in tokens:
+            if t != "+" and is_closure[t]:
+                lines += _charge(steps) + reads + [f"{t} = {t}_(st, fr)"]
+                steps, reads = 0, []
+            else:
+                steps += 1
+                if t != "+":
+                    reads.append(f"{t} = fr[{t}k]")
+        lines += _charge(steps) + reads + body.splitlines()
+        params = [t + ("_" if is_closure[t] else "k") for t in operands] + ([node] if node else [])
+        makers.append(f"shape{len(makers)}")
+        src += [
+            f"    def {makers[-1]}({', '.join(params)}):",
+            f"        def {name}(st, fr):",
+            *("            " + line for line in lines),
+            f"        return {name}",
+        ]
+    if operands:
+        # The shape's index: one bit per operand, set for a closure.
+        n = len(operands)
+        index = " + ".join(f"{1 << (n - 1 - i)} * callable({t})" for i, t in enumerate(operands))
+        args = ", ".join(operands + ["*node"])
+        src += [
+            f"    makers = {', '.join(makers)}",
+            f"    def pick({args}):",
+            f"        return makers[{index}]({args})",
+            "    return pick",
+        ]
+    else:
+        src.append(f"    return {makers[0]}")
     ns = {}
-    exec(compile(src, f"<{name} shapes>", "exec"), globals(), ns)
+    exec(compile("\n".join(src) + "\n", f"<{name} shapes>", "exec"), globals(), ns)
     return ns["shapes"]
-
-
-def _pick(shapes, left, right, *node):
-    """The shape for two operands, each a frame slot or a closure."""
-    return shapes[2 * callable(left) + callable(right)](left, right, *node)
 
 
 # A binary operator on two ints: a ZeroDivisionError from `/` or `%` is
 # the node's div_by_zero, and results wrap to 64 bits unless they are
 # `exact`.  `mixed(a, b, nid)` answers for operands not both ints.
-_operator = _shapes("op", values="fn, exact, mixed", body="""\
+_operator = _shapes("op", "+ a b", values="fn, exact, mixed", node="nid", body="""\
 if type(a) is not int or type(b) is not int:
     return mixed(a, b, nid)
 try:
@@ -633,19 +459,48 @@ if b < 0 or b >= len(a):
     raise RuntimeErr("index_oob", nid)
 """
 
-_LOAD_ITEM = _shapes("load_item", body=_INDEX_CHECK + "return a[b]\n")()
+_LOAD_ITEM = _shapes("load_item", "+ a b", _INDEX_CHECK + "return a[b]", node="nid")()
 
-# An array store evaluates its value first, under the statement's own step.
-_STORE = _shapes("store", node="nid, value", head="""\
-st.steps = n = st.steps + 1
-if n >= st.limit:
-    raise StepLimit()
-v = value(st, fr)
-""", body=_INDEX_CHECK + """\
+# An array store evaluates its value under the statement's own step, then
+# the target's array and index under the target's.
+_STORE = _shapes("store", "+ v + a b", _INDEX_CHECK + """\
 if type(v) is list and contains_array(v, a):
     raise RuntimeErr("array_cycle", nid)
 a[b] = v
-""")()
+""", node="nid")()
+
+# An assignment to a name charges the name's step once its value is known.
+_ASSIGN = _shapes("assign", "+ v +", "fr[slot] = v", node="slot")()
+_ASSIGN_GLOBAL = _shapes("assign_global", "+ v +", "st.globals[ident] = v", node="ident")()
+_LET = _shapes("let", "+ v", "fr[slot] = v", node="slot")()
+_RETURN = _shapes("return_", "+ v", "return v")()
+_EXPR_STMT = _shapes("expr_stmt", "+ v", "")()
+
+_ASSERT = _shapes("assert_", "+ v", """\
+if v is True:
+    return None
+if v is False:
+    raise AssertFail(nid)
+raise RuntimeErr("type_mismatch", nid)
+""", node="nid")()
+
+_NEG = _shapes("neg", "+ v", """\
+if type(v) is not int:
+    raise RuntimeErr("type_mismatch", nid)
+return v if v == INT_MIN else -v
+""", node="nid")()
+
+_NOT = _shapes("not_", "+ v", """\
+if v is True:
+    return False
+if v is False:
+    return True
+raise RuntimeErr("type_mismatch", nid)
+""", node="nid")()
+
+_LOAD = _shapes("load", "+", "return fr[slot]", node="slot")()
+_LOAD_GLOBAL = _shapes("load_global", "+", "return st.globals[ident]", node="ident")()
+_CONST = _shapes("const", "+", "return value", node="value")()
 
 
 def _type_mismatch(a, b, nid):

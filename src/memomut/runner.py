@@ -248,6 +248,8 @@ def compare_runs(base: MutationReport, memo: MutationReport) -> dict:
     The guarantee is per mutant: each one must keep its status, killing
     test and cause, so flips that cancel out in the score still fail.
     """
+    if base.memo_enabled or not memo.memo_enabled:
+        raise ValueError("expected a memo-off report, then a memo-on report")
     if base.fingerprint != memo.fingerprint:
         raise FingerprintMismatch("reports cover different programs")
     base_verdicts = {r.mutant_id: _verdict(r) for r in base.results}
@@ -283,6 +285,10 @@ def compare_runs(base: MutationReport, memo: MutationReport) -> dict:
 # -- JSON -------------------------------------------------------------------
 
 
+def _counts_to_json(per_method: dict[str, dict[str, int]]) -> dict:
+    return {fn: dict(sorted(d.items())) for fn, d in sorted(per_method.items())}
+
+
 def report_to_json(report: MutationReport) -> dict:
     return {
         "fingerprint": report.fingerprint,
@@ -290,7 +296,7 @@ def report_to_json(report: MutationReport) -> dict:
         "score": round(report.score, 6),
         "wall_ns": report.wall_ns,
         "totals": dict(sorted(report.totals.items())),
-        "per_method": {fn: dict(sorted(d.items())) for fn, d in sorted(report.per_method.items())},
+        "per_method": _counts_to_json(report.per_method),
         "mutants": [
             {
                 "id": r.mutant_id,
@@ -303,6 +309,7 @@ def report_to_json(report: MutationReport) -> dict:
                 "hits": r.hits,
                 "misses": r.misses,
                 "gated": r.gated,
+                "per_method": _counts_to_json(r.per_method),
             }
             for r in report.results
         ],
@@ -322,6 +329,7 @@ def report_from_json(doc: dict) -> MutationReport:
             hits=d["hits"],
             misses=d["misses"],
             gated=d["gated"],
+            per_method=d.get("per_method", {}),
         )
         for d in doc["mutants"]
     ]

@@ -299,6 +299,55 @@ def test_cli_config_file_overridden_by_flags(tmp_path, capsys):
     assert main(["profile", str(proj), "--seed", "2", "-o", str(prof)]) == 0
 
 
+def test_cli_config_bool_values(tmp_path, capsys):
+    proj = _sample_project(tmp_path)
+    prof = tmp_path / "p.json"
+    for value in ("true", "FALSE", "yes", "no", "on", "Off", "1", "0"):
+        (proj / "memomut.toml").write_text(f"fake_time = {value}\n")
+        assert main(["profile", str(proj), "-o", str(prof)]) == 0, value
+    art = tmp_path / "artifacts"
+    for value in ("ture", "2", "", "y"):
+        (proj / "memomut.toml").write_text(f"fake_time = {value}\n")
+        assert main(["profile", str(proj), "-o", str(prof)]) == 1, value
+        assert "bad fake-time" in capsys.readouterr().err, value
+    for key in ("all_tests", "time_rand_only"):
+        (proj / "memomut.toml").write_text(f"{key} = ture\n")
+        assert main(["pipeline", str(proj), "--artifact-dir", str(art)]) == 1, key
+        assert not art.exists(), key
+        assert "bad " in capsys.readouterr().err, key
+
+
+def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
+    proj = _sample_project(tmp_path)
+    art = tmp_path / "artifacts"
+    (proj / "memomut.toml").write_text("seed = 3\ntua = 1ms\n")
+    assert main(["pipeline", str(proj), "--artifact-dir", str(art)]) == 1
+    assert not art.exists()
+    assert "unknown setting in memomut.toml: tua" in capsys.readouterr().err
+    # Every key some subcommand reads is accepted by every subcommand,
+    # spelled with '_' or '-'.
+    (proj / "memomut.toml").write_text(
+        "seed = 3\nfake-time = yes\ntau = 1000steps\nlimit = 20%\ntau_mode = mean\n"
+        "time_rand_only = no\nprofile_reps = 1\nstep_limit_factor = 10\nworkers = 1\n"
+        "all_tests = off\nartifact_dir = elsewhere\n"
+    )
+    assert main(["mutate", str(proj), "-o", str(tmp_path / "m.json")]) == 0
+    (proj / "memomut.toml").write_text("just some words\n")
+    assert main(["mutate", str(proj)]) == 1
+    assert "expected 'key = value'" in capsys.readouterr().err
+
+
+def test_cli_report_rejects_swapped_reports(tmp_path, capsys):
+    base, memo = tmp_path / "base.json", tmp_path / "memo.json"
+    base_doc, memo_doc = cancelling_flip_docs()
+    base.write_text(json.dumps(base_doc))
+    memo.write_text(json.dumps(memo_doc))
+    assert main(["report", str(memo), str(base)]) == 1
+    assert "expected a memo-off report, then a memo-on report" in capsys.readouterr().err
+    assert main(["report", str(base), str(base)]) == 1
+    assert main(["report", str(memo), str(memo)]) == 1
+
+
 def test_cli_profile_rejects_selection_flags(tmp_path):
     proj = _sample_project(tmp_path)
     for flags in (["--tau", "1ms"], ["--limit", "20%"], ["--tau-mode", "mean"], ["--time-rand-only"]):

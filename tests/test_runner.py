@@ -1,5 +1,6 @@
 """Mutation-analysis engine: verdicts, gating, scoring, comparison."""
 
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -377,6 +378,21 @@ def test_parallel_run_matches_serial():
     ]
     assert vec(serial) == vec(parallel)
     assert serial.score == parallel.score
+
+
+def test_report_json_keeps_per_mutant_counts():
+    pipe = cached_pipeline("bench_expensive", tau=1000, tau_unit="steps")
+    memo = run(pipe, memo=True)
+    doc = json.loads(json.dumps(report_to_json(memo)))
+    for r, d in zip(memo.results, doc["mutants"]):
+        assert d["per_method"] == r.per_method
+        assert list(d["per_method"]) == sorted(d["per_method"])
+        for kind in ("hits", "misses", "gated"):
+            assert sum(counts[kind] for counts in d["per_method"].values()) == d[kind]
+    assert any(d["hits"] for d in doc["mutants"])
+    back = report_from_json(doc)
+    assert [r.per_method for r in back.results] == [r.per_method for r in memo.results]
+    assert report_to_json(back) == doc
 
 
 @pytest.mark.parametrize("workers", [2, 3])
