@@ -64,18 +64,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _write_json(doc: dict, out: str | None) -> None:
-    """Streams `doc` out: with an indent, `json.dumps` would first hold
-    every piece of the text in one list."""
+    """Writes `doc` as one line of key-sorted JSON: without an indent,
+    `json` encodes it in C."""
+    text = json.dumps(doc, sort_keys=True) + "\n"
     if out is None or out == "-":
-        _dump(doc, sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            _dump(doc, fh)
-
-
-def _dump(doc: dict, fh) -> None:
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+            fh.write(text)
 
 
 def _read_json(path: str) -> dict:

@@ -195,7 +195,8 @@ def replace_child(parent: Node, old: Node, new: Node) -> bool:
 # ---------------------------------------------------------------------------
 # Canonical pretty-printer.
 
-_PREC = {
+# Binary operators by precedence, loosest first; the parser climbs this table.
+PRECEDENCE = {
     "||": 1,
     "&&": 2,
     "==": 3,
@@ -233,7 +234,7 @@ def expr_str(e: Expr, min_prec: int = 0) -> str:
         s = e.op + expr_str(e.operand, _UNARY_PREC)
         prec = _UNARY_PREC
     elif t is Binary:
-        prec = _PREC[e.op]
+        prec = PRECEDENCE[e.op]
         s = f"{expr_str(e.left, prec)} {e.op} {expr_str(e.right, prec + 1)}"
     elif t is Index:
         s = expr_str(e.array, 8) + "[" + expr_str(e.index) + "]"

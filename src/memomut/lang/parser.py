@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 from . import ast
 from .ast import (
+    PRECEDENCE,
     ArrayLit,
     Assert,
     Assign,
@@ -180,6 +181,17 @@ class _Parser:
         t = self.peek()
         return t.kind == "kw" and t.text == kw
 
+    def comma_list(self, item, close: str) -> list:
+        """Items parsed by `item`, separated by commas, up to and past `close`."""
+        items = []
+        if not self.at_op(close):
+            items.append(item())
+            while self.at_op(","):
+                self.next()
+                items.append(item())
+        self.expect_op(close)
+        return items
+
     # -- top level ----------------------------------------------------------
 
     def program(self) -> Program:
@@ -237,13 +249,7 @@ class _Parser:
         self.expect_kw("fn")
         name = self.expect_ident()
         self.expect_op("(")
-        params: list[str] = []
-        if not self.at_op(")"):
-            params.append(self.expect_ident())
-            while self.at_op(","):
-                self.next()
-                params.append(self.expect_ident())
-        self.expect_op(")")
+        params = self.comma_list(self.expect_ident, ")")
         if len(set(params)) != len(params):
             raise self.error(f"duplicate parameter in {name!r}")
         body = self.block()
@@ -313,34 +319,18 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self) -> Expr:
-        return self.or_expr()
-
-    def _binary_level(self, sub, ops):
-        left = sub()
-        while self.peek().kind == "op" and self.peek().text in ops:
-            op = self.next().text
-            right = sub()
-            left = Binary(op=op, left=left, right=right)
-        return left
-
-    def or_expr(self):
-        return self._binary_level(self.and_expr, ("||",))
-
-    def and_expr(self):
-        return self._binary_level(self.eq_expr, ("&&",))
-
-    def eq_expr(self):
-        return self._binary_level(self.rel_expr, ("==", "!="))
-
-    def rel_expr(self):
-        return self._binary_level(self.add_expr, ("<", "<=", ">", ">="))
-
-    def add_expr(self):
-        return self._binary_level(self.mul_expr, ("+", "-"))
-
-    def mul_expr(self):
-        return self._binary_level(self.unary_expr, ("*", "/", "%"))
+    def expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over the printer's table: an operator binds
+        what follows it up to the next operator of its level or looser, so
+        operators of one level group to the left."""
+        left = self.unary_expr()
+        while True:
+            t = self.peek()
+            prec = PRECEDENCE.get(t.text, 0) if t.kind == "op" else 0
+            if prec < min_prec:
+                return left
+            self.next()
+            left = Binary(op=t.text, left=left, right=self.expr(prec + 1))
 
     def unary_expr(self) -> Expr:
         t = self.peek()
@@ -354,14 +344,7 @@ class _Parser:
         while True:
             if self.at_op("("):
                 self.next()
-                args: list[Expr] = []
-                if not self.at_op(")"):
-                    args.append(self.expr())
-                    while self.at_op(","):
-                        self.next()
-                        args.append(self.expr())
-                self.expect_op(")")
-                e = Call(callee=e, name=None, args=args)
+                e = Call(callee=e, name=None, args=self.comma_list(self.expr, ")"))
             elif self.at_op("["):
                 self.next()
                 idx = self.expr()
@@ -394,14 +377,7 @@ class _Parser:
             return e
         if t.kind == "op" and t.text == "[":
             self.next()
-            items: list[Expr] = []
-            if not self.at_op("]"):
-                items.append(self.expr())
-                while self.at_op(","):
-                    self.next()
-                    items.append(self.expr())
-            self.expect_op("]")
-            return ArrayLit(items=items)
+            return ArrayLit(items=self.comma_list(self.expr, "]"))
         raise self.error(f"unexpected token {t.text!r}")
 
 

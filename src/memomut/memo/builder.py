@@ -15,21 +15,10 @@ from dataclasses import dataclass
 from ..analysis import AnalysisBundle
 from ..lang.ast import Program
 from ..lang.interp import Hooks, Runtime, Substitute, run_test
-from ..lang.values import deep_copy, deep_equal
+from ..lang.values import deep_copy
 from ..profiler import DEFAULT_STEP_LIMIT_FACTOR, Candidate, ExpensivenessCriterion, Profile
-from .db import Exclusion, FingerprintMismatch, MemoDB, MemoTable, OutputRecord
+from .db import Exclusion, FingerprintMismatch, MemoDB, MemoTable, OutputRecord, encode_record
 from .encoding import encode_key, program_fingerprint
-
-
-def _records_equal(a: OutputRecord, b: OutputRecord) -> bool:
-    return (
-        deep_equal(a.ret, b.ret)
-        and a.output_steps == b.output_steps
-        and set(a.written_globals) == set(b.written_globals)
-        and all(deep_equal(v, b.written_globals[g]) for g, v in a.written_globals.items())
-        and set(a.post_args) == set(b.post_args)
-        and all(deep_equal(v, b.post_args[p]) for p, v in a.post_args.items())
-    )
 
 
 class RecordHooks(Hooks):
@@ -61,7 +50,7 @@ class RecordHooks(Hooks):
         existing = self.table.entries.get(key)
         if existing is None:
             self.table.entries[key] = rec
-        elif not _records_equal(existing, rec):
+        elif encode_record(existing) != encode_record(rec):
             self.conflicted = True
 
 

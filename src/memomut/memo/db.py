@@ -14,7 +14,9 @@ File layout (all integers big-endian):
     per table:  u32 body length, body, u64 FNV-1a checksum of body
     exclusions: u32 body length, body, u64 FNV-1a checksum of body
 
-Checksums make single-byte corruption detectable anywhere in the file.
+Checksums make single-byte corruption detectable anywhere in the file,
+and one bounded reader, with a sub-reader per body, reports each error at
+its offset in the file.
 The version is checked right after the magic, because other schema
 versions lay out the header differently; the fingerprint is checked only
 once the header checksum holds.
@@ -28,13 +30,7 @@ from typing import Optional
 
 from ..lang.ast import Program
 from ..lang.values import Value
-from .encoding import (
-    DecodeError,
-    decode_value,
-    encode_value,
-    fnv1a64,
-    program_fingerprint,
-)
+from .encoding import DecodeError, Reader, encode_value, fnv1a64, program_fingerprint
 
 MAGIC = b"MEMU"
 SCHEMA_VERSION = 2
@@ -48,10 +44,8 @@ class SchemaVersionMismatch(Exception):
     pass
 
 
-class CorruptDB(Exception):
-    def __init__(self, offset: int, message: str = "corrupt data"):
-        super().__init__(f"offset {offset}: {message}")
-        self.offset = offset
+# A corrupt byte anywhere in the file is a decode error at its file offset.
+CorruptDB = DecodeError
 
 
 @dataclass
@@ -119,51 +113,7 @@ def encode_record(rec: OutputRecord) -> bytes:
     return bytes(out)
 
 
-class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.offset = offset
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise CorruptDB(self.offset, "truncated")
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u32()
-        raw = self.take(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptDB(self.offset - n, "bad utf-8") from exc
-
-    def value(self) -> Value:
-        try:
-            v, self.offset = decode_value(self.data, self.offset)
-        except DecodeError as exc:
-            raise CorruptDB(exc.offset, str(exc)) from exc
-        return v
-
-
-def decode_record(data: bytes) -> OutputRecord:
-    r = _Reader(data)
+def _read_record(r: Reader) -> OutputRecord:
     ret = r.value()
     written = {}
     for _ in range(r.u32()):
@@ -174,8 +124,7 @@ def decode_record(data: bytes) -> OutputRecord:
         pos = r.u32()
         post_args[pos] = r.value()
     steps = r.u64()
-    if r.offset != len(data):
-        raise CorruptDB(r.offset, "trailing bytes in record")
+    r.done("record")
     return OutputRecord(ret=ret, written_globals=written, post_args=post_args, output_steps=steps)
 
 
@@ -204,8 +153,7 @@ def _table_body(table: MemoTable) -> bytes:
     return bytes(out)
 
 
-def _parse_table(data: bytes) -> MemoTable:
-    r = _Reader(data)
+def _read_table(r: Reader) -> MemoTable:
     fn = r.string()
     may_read = [r.string() for _ in range(r.u32())]
     may_write = [r.string() for _ in range(r.u32())]
@@ -214,13 +162,10 @@ def _parse_table(data: bytes) -> MemoTable:
     entries: dict[bytes, OutputRecord] = {}
     for _ in range(r.u32()):
         key = r.take(r.u32())
-        stored_hash = r.u64()
-        if stored_hash != fnv1a64(key):
+        if r.u64() != fnv1a64(key):
             raise CorruptDB(r.offset - 8, "key hash mismatch")
-        rec = decode_record(r.take(r.u32()))
-        entries[key] = rec
-    if r.offset != len(data):
-        raise CorruptDB(r.offset, "trailing bytes in table")
+        entries[key] = _read_record(r.sub(r.u32()))
+    r.done("table")
     return MemoTable(
         fn=fn,
         may_read=may_read,
@@ -229,6 +174,14 @@ def _parse_table(data: bytes) -> MemoTable:
         entries=entries,
         recorded_from=recorded,
     )
+
+
+def _sealed(r: Reader, what: str) -> Reader:
+    """A reader over the next length-prefixed body, once its checksum holds."""
+    body = r.sub(r.u32())
+    if r.u64() != fnv1a64(r.data[body.offset : body.end]):
+        raise CorruptDB(body.offset, f"{what} checksum mismatch")
+    return body
 
 
 def db_to_bytes(db: MemoDB) -> bytes:
@@ -264,7 +217,7 @@ def db_to_bytes(db: MemoDB) -> bytes:
 
 
 def db_from_bytes(data: bytes, expected_fingerprint: Optional[int] = None) -> MemoDB:
-    r = _Reader(data)
+    r = Reader(data)
     if r.take(4) != MAGIC:
         raise CorruptDB(0, "bad magic")
     version = r.u16()
@@ -294,28 +247,18 @@ def db_from_bytes(data: bytes, expected_fingerprint: Optional[int] = None) -> Me
         limit_is_pct=limit_is_pct,
     )
     for _ in range(table_count):
-        body_start = r.offset + 4
-        body = r.take(r.u32())
-        if r.u64() != fnv1a64(body):
-            raise CorruptDB(body_start, "table checksum mismatch")
-        table = _parse_table(body)
+        table = _read_table(_sealed(r, "table"))
         db.tables[table.fn] = table
-    excl_start = r.offset + 4
-    excl = r.take(r.u32())
-    if r.u64() != fnv1a64(excl):
-        raise CorruptDB(excl_start, "exclusions checksum mismatch")
-    er = _Reader(excl)
+    er = _sealed(r, "exclusions")
     for _ in range(er.u32()):
         fn = er.string()
         tag = er.u8()
         if tag not in _TAG_REASONS:
-            raise CorruptDB(excl_start + er.offset - 1, "bad exclusion reason")
+            raise CorruptDB(er.offset - 1, "bad exclusion reason")
         detail = er.string()
         db.exclusions[fn] = Exclusion(reason=_TAG_REASONS[tag], detail=detail or None)
-    if er.offset != len(excl):
-        raise CorruptDB(excl_start + er.offset, "trailing bytes in exclusions")
-    if r.offset != len(data):
-        raise CorruptDB(r.offset, "trailing bytes in file")
+    er.done("exclusions")
+    r.done("file")
     return db
 
 

@@ -25,9 +25,81 @@ TAG_UNIT = 0x06
 
 
 class DecodeError(ValueError):
-    def __init__(self, offset: int, message: str):
+    """Bytes that do not decode, reported at their offset in the whole buffer."""
+
+    def __init__(self, offset: int, message: str = "corrupt data"):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset
+
+
+class Reader:
+    """Reads `data` from `offset` up to `end`; every error names its offset
+    in the whole of `data`, also from a sub-reader over one body."""
+
+    def __init__(self, data: bytes, offset: int = 0, end: int | None = None):
+        self.data = data
+        self.offset = offset
+        self.end = len(data) if end is None else end
+
+    def skip(self, n: int) -> int:
+        """Step over `n` bytes; returns where they start."""
+        start = self.offset
+        if n > self.end - start:
+            raise DecodeError(start, "truncated")
+        self.offset = start + n
+        return start
+
+    def take(self, n: int) -> bytes:
+        return self.data[self.skip(n) : self.offset]
+
+    def sub(self, n: int) -> Reader:
+        """A reader over the next `n` bytes, which this one steps over."""
+        return Reader(self.data, self.skip(n), self.offset)
+
+    def done(self, what: str) -> None:
+        if self.offset != self.end:
+            raise DecodeError(self.offset, f"trailing bytes in {what}")
+
+    def u8(self) -> int:
+        return self.data[self.skip(1)]
+
+    def u16(self) -> int:
+        return struct.unpack_from(">H", self.data, self.skip(2))[0]
+
+    def u32(self) -> int:
+        return struct.unpack_from(">I", self.data, self.skip(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack_from(">Q", self.data, self.skip(8))[0]
+
+    def f64(self) -> float:
+        return struct.unpack_from(">d", self.data, self.skip(8))[0]
+
+    def string(self) -> str:
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError(self.offset - len(raw), "bad utf-8") from exc
+
+    def value(self) -> Value:
+        tag = self.u8()
+        if tag == TAG_INT:
+            return struct.unpack_from(">q", self.data, self.skip(8))[0]
+        if tag == TAG_BOOL:
+            b = self.u8()
+            if b > 1:
+                raise DecodeError(self.offset - 1, "bad bool")
+            return b == 1
+        if tag == TAG_STR:
+            return self.string()
+        if tag == TAG_ARR:
+            return [self.value() for _ in range(self.u32())]
+        if tag == TAG_FNREF:
+            return FnRef(self.string())
+        if tag == TAG_UNIT:
+            return UNIT
+        raise DecodeError(self.offset - 1, f"unknown tag {tag:#x}")
 
 
 def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
@@ -72,44 +144,8 @@ def _encode_into(v: Value, out: bytearray) -> None:
 
 def decode_value(buf: bytes, offset: int = 0) -> tuple[Value, int]:
     """Decode one value; returns (value, next offset)."""
-    if offset >= len(buf):
-        raise DecodeError(offset, "truncated value")
-    tag = buf[offset]
-    offset += 1
-    if tag == TAG_UNIT:
-        return UNIT, offset
-    if tag == TAG_BOOL:
-        if offset >= len(buf) or buf[offset] not in (0, 1):
-            raise DecodeError(offset, "bad bool")
-        return buf[offset] == 1, offset + 1
-    if tag == TAG_INT:
-        if offset + 8 > len(buf):
-            raise DecodeError(offset, "truncated int")
-        return struct.unpack_from(">q", buf, offset)[0], offset + 8
-    if tag in (TAG_STR, TAG_FNREF):
-        if offset + 4 > len(buf):
-            raise DecodeError(offset, "truncated length")
-        n = struct.unpack_from(">I", buf, offset)[0]
-        offset += 4
-        if offset + n > len(buf):
-            raise DecodeError(offset, "truncated bytes")
-        try:
-            text = buf[offset : offset + n].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(offset, "bad utf-8") from exc
-        value = text if tag == TAG_STR else FnRef(text)
-        return value, offset + n
-    if tag == TAG_ARR:
-        if offset + 4 > len(buf):
-            raise DecodeError(offset, "truncated count")
-        n = struct.unpack_from(">I", buf, offset)[0]
-        offset += 4
-        items = []
-        for _ in range(n):
-            item, offset = decode_value(buf, offset)
-            items.append(item)
-        return items, offset
-    raise DecodeError(offset - 1, f"unknown tag {tag:#x}")
+    r = Reader(buf, offset)
+    return r.value(), r.offset
 
 
 def encode_key(args: list, global_items: list[tuple[str, Value]]) -> bytes:

@@ -1,10 +1,13 @@
 """Mutant generation and on-the-fly application for Mini programs.
 
 Eight operators over the AST; exactly one mutant per applicable
-(operator, node, variant) opportunity in every non-test function.  The
-shared Program stays immutable: applying a mutant copies only the nodes
-on the path from its function's body down to the mutated node, and
-shares every other node with the program.
+(operator, node, variant) opportunity in every non-test function.  Each
+operator is written once, in `_mutations`, as a rewrite: the node it
+replaces and the node that takes its place.  The pool prints both for
+its `before` and `after` text, and `apply_mutant` splices the same
+rewrite into the program.  The shared Program stays immutable: applying
+a mutant copies only the nodes on the path from its function's body down
+to the mutated node, and shares every other node with the program.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ from .lang.ast import (
     Binary,
     BoolLit,
     Call,
-    FnRefLit,
     FunctionDef,
     If,
     IntLit,
-    Name,
+    Node,
     Program,
     Return,
+    Stmt,
     StrLit,
     Unary,
     While,
@@ -51,12 +54,20 @@ class Operator(Enum):
     SVR = "SVR"  # assignment statement deletion
 
 
-_OP_ORDER = {op: i for i, op in enumerate(Operator)}
-
 AOR_MAP = {"+": "-", "-": "+", "*": "/", "/": "*", "%": "*"}
 ROR_BOUNDARY = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 ROR_NEGATION = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 LOGICAL = {"&&": "||", "||": "&&"}
+
+# Binary operator -> its (operator, replacement) pairs in variant order:
+# a relational operator's boundary variant, where it has one, comes first.
+_SWAPS = {
+    **{o: [(Operator.AOR, r)] for o, r in AOR_MAP.items()},
+    **{o: [(Operator.ROR, r) for r in (ROR_BOUNDARY.get(o), ROR_NEGATION[o]) if r] for o in ROR_NEGATION},
+    **{o: [(Operator.LCR, r)] for o, r in LOGICAL.items()},
+}
+_INT_BUILTINS = ("len", "rand", "time_now")
+_ZERO = {IntLit: 0, BoolLit: False, StrLit: ""}
 
 
 @dataclass(frozen=True)
@@ -80,83 +91,67 @@ class StaleMutant(Exception):
     pass
 
 
-def _infer_type(e) -> Optional[str]:
-    """Static type of an expression where it is syntactically evident."""
+def _default_for(e) -> Optional[Node]:
+    """A fresh default literal of `e`'s type where the type is evident from
+    the syntax; None where it is not, or where `e` already is that default."""
     t = type(e)
-    if t is IntLit:
-        return "int"
-    if t is BoolLit:
-        return "bool"
-    if t is StrLit:
-        return "str"
     if t is ArrayLit:
-        return "arr"
-    if t is FnRefLit:
-        return "fnref"
-    if t is Unary:
-        return "int" if e.op == "-" else "bool"
-    if t is Binary:
-        return "int" if e.op in AOR_MAP else "bool"
-    if t is Call and e.callee is None and e.name in ("len", "rand", "time_now"):
-        return "int"
-    return None
+        return ArrayLit(items=[]) if e.items else None
+    if t in _ZERO:
+        lit = t
+    elif t is Unary or t is Binary:
+        lit = IntLit if e.op in AOR_MAP else BoolLit
+    elif t is Call and e.callee is None and e.name in _INT_BUILTINS:
+        lit = IntLit
+    else:
+        return None
+    if t is lit and e.value == _ZERO[lit]:
+        return None
+    return lit(_ZERO[lit])
 
 
-_RVM_DEFAULTS = {
-    "int": (IntLit(value=0), "0"),
-    "bool": (BoolLit(value=False), "false"),
-    "str": (StrLit(value=""), '""'),
-    "arr": (ArrayLit(items=[]), "[]"),
-}
+def _with_id(node, node_id: int):
+    node.node_id = node_id
+    return node
 
 
-def _is_default(e, ty: str) -> bool:
-    t = type(e)
-    return (
-        (ty == "int" and t is IntLit and e.value == 0)
-        or (ty == "bool" and t is BoolLit and e.value is False)
-        or (ty == "str" and t is StrLit and e.value == "")
-        or (ty == "arr" and t is ArrayLit and not e.items)
-    )
-
-
-def _opportunities(node) -> list[tuple[Operator, int, str, str]]:
-    """(operator, variant, before, after) tuples applicable at one node."""
-    out: list[tuple[Operator, int, str, str]] = []
+def _mutations(node, new_id: int) -> list[tuple[Operator, int, Node, Optional[Node]]]:
+    """Every mutation of one node, as (operator, variant, old, new): `new`
+    takes the place of `old`, which is the node itself or, for UOI_NEG, its
+    condition; None deletes `old` from its block.  A new node keeps the id
+    of the node it stands in for; one that stands where no node stood gets
+    `new_id`."""
     t = type(node)
     if t is Binary:
-        if node.op in AOR_MAP:
-            swapped = Binary(op=AOR_MAP[node.op], left=node.left, right=node.right)
-            out.append((Operator.AOR, 0, expr_str(node), expr_str(swapped)))
-        elif node.op in ROR_NEGATION:
-            variant = 0
-            if node.op in ROR_BOUNDARY:
-                swapped = Binary(op=ROR_BOUNDARY[node.op], left=node.left, right=node.right)
-                out.append((Operator.ROR, variant, expr_str(node), expr_str(swapped)))
-                variant += 1
-            swapped = Binary(op=ROR_NEGATION[node.op], left=node.left, right=node.right)
-            out.append((Operator.ROR, variant, expr_str(node), expr_str(swapped)))
-        elif node.op in LOGICAL:
-            swapped = Binary(op=LOGICAL[node.op], left=node.left, right=node.right)
-            out.append((Operator.LCR, 0, expr_str(node), expr_str(swapped)))
-    elif t in (If, While):
-        before = expr_str(node.cond)
-        out.append((Operator.UOI_NEG, 0, before, expr_str(Unary(op="!", operand=node.cond))))
-    elif t is Return and node.value is not None:
-        ty = _infer_type(node.value)
-        if ty in _RVM_DEFAULTS and not _is_default(node.value, ty):
-            out.append((Operator.RVM, 0, f"return {expr_str(node.value)};", f"return {_RVM_DEFAULTS[ty][1]};"))
-    elif t is IntLit:
-        out.append((Operator.CRP, 0, str(node.value), str(wrap64(node.value + 1))))
-    elif t is Unary and node.op == "-":
-        out.append((Operator.AOD, 0, expr_str(node), expr_str(node.operand)))
-    elif t is Assign:
-        out.append((Operator.SVR, 0, stmt_str(node), ""))
-    return out
+        return [
+            (op, variant, node, _with_id(Binary(op=swap, left=node.left, right=node.right), node.node_id))
+            for variant, (op, swap) in enumerate(_SWAPS[node.op])
+        ]
+    if t is If or t is While:
+        return [(Operator.UOI_NEG, 0, node.cond, _with_id(Unary(op="!", operand=node.cond), new_id))]
+    if t is Return and node.value is not None:
+        default = _default_for(node.value)
+        if default is None:
+            return []
+        return [(Operator.RVM, 0, node, _with_id(Return(value=_with_id(default, new_id)), node.node_id))]
+    if t is IntLit:
+        return [(Operator.CRP, 0, node, _with_id(IntLit(value=wrap64(node.value + 1)), node.node_id))]
+    if t is Unary and node.op == "-":
+        return [(Operator.AOD, 0, node, node.operand)]
+    if t is Assign:
+        return [(Operator.SVR, 0, node, None)]
+    return []
+
+
+def _text(node: Optional[Node]) -> str:
+    if node is None:
+        return ""
+    return stmt_str(node) if isinstance(node, Stmt) else expr_str(node)
 
 
 def generate_mutants(program: Program) -> MutantPool:
-    """One mutant per opportunity, in deterministic pool order.
+    """One mutant per opportunity, in deterministic pool order: by function
+    name, then node id (the preorder of `walk`), then variant.
 
     Test function bodies are skipped; everything they call is fair game.
     """
@@ -166,16 +161,9 @@ def generate_mutants(program: Program) -> MutantPool:
         if fn_name in tests:
             continue
         fn = program.functions[fn_name]
-        entries: list[tuple[int, int, int, str, str, Operator]] = []
         for node in walk(fn.body):
-            for op, variant, before, after in _opportunities(node):
-                entries.append((node.node_id, _OP_ORDER[op], variant, before, after, op))
-        entries.sort(key=lambda e: e[:3])
-        for node_id, _, variant, before, after, op in entries:
-            mid = len(mutants)
-            mutants.append(
-                Mutant(id=mid, op=op, fn=fn_name, node_id=node_id, variant=variant, before=before, after=after)
-            )
+            for op, variant, old, new in _mutations(node, fn.max_node_id + 1):
+                mutants.append(Mutant(len(mutants), op, fn_name, node.node_id, variant, _text(old), _text(new)))
     return MutantPool(mutants=mutants, fingerprint=program_fingerprint(program))
 
 
@@ -189,10 +177,7 @@ def apply_mutant(program: Program, m: Mutant) -> Program:
         raise StaleMutant(f"node {m.node_id} not in {m.fn!r}")
     new_fn = copy.copy(fn)
     new_fn.body = path[0]
-    try:
-        _transform(new_fn, path, m)
-    except (AssertionError, KeyError, AttributeError) as exc:
-        raise StaleMutant(str(exc)) from exc
+    _transform(new_fn, path, m)
     return Program(
         globals=program.globals,
         functions={**program.functions, m.fn: new_fn},
@@ -201,20 +186,22 @@ def apply_mutant(program: Program, m: Mutant) -> Program:
 
 
 def _copy_path(body, node_id: int) -> Optional[list]:
-    """Copies of the nodes from `body` down to node `node_id`, outermost
-    first, each linked into the copy of its parent; None if there is no
-    such node.  Node ids are preorder, so the target lies under the last
-    child whose id is not past it."""
-    node = _copy_node(body)
-    path = [node]
+    """The nodes from `body` down to node `node_id`, outermost first, or
+    None if there is no such node.  Each node above the last is a copy,
+    linked into the copy of its parent; the last is the program's own.
+    Node ids are preorder, so the target lies under the last child whose
+    id is not past it."""
+    node, path = body, []
     while node.node_id != node_id:
         below = [c for c in children(node) if c.node_id <= node_id]
         if not below:
             return None
-        child = _copy_node(below[-1])
-        replace_child(node, below[-1], child)
-        node = child
-        path.append(node)
+        new = _copy_node(node)
+        if path:
+            replace_child(path[-1], node, new)
+        path.append(new)
+        node = below[-1]
+    path.append(node)
     return path
 
 
@@ -228,44 +215,22 @@ def _copy_node(node):
 
 
 def _transform(fn: FunctionDef, path: list, m: Mutant) -> None:
-    node, op = path[-1], m.op
-    if op is Operator.AOR:
-        assert type(node) is Binary and node.op in AOR_MAP, "operator/node mismatch"
-        node.op = AOR_MAP[node.op]
-    elif op is Operator.ROR:
-        assert type(node) is Binary and node.op in ROR_NEGATION, "operator/node mismatch"
-        if m.variant == 0 and node.op in ROR_BOUNDARY:
-            node.op = ROR_BOUNDARY[node.op]
-        else:
-            node.op = ROR_NEGATION[node.op]
-    elif op is Operator.LCR:
-        assert type(node) is Binary and node.op in LOGICAL, "operator/node mismatch"
-        node.op = LOGICAL[node.op]
-    elif op is Operator.UOI_NEG:
-        assert type(node) in (If, While), "operator/node mismatch"
-        wrapper = Unary(op="!", operand=node.cond)
-        wrapper.node_id = fn.max_node_id + 1
-        node.cond = wrapper
-    elif op is Operator.RVM:
-        assert type(node) is Return and node.value is not None, "operator/node mismatch"
-        ty = _infer_type(node.value)
-        assert ty in _RVM_DEFAULTS, "operator/node mismatch"
-        default = copy.deepcopy(_RVM_DEFAULTS[ty][0])
-        default.node_id = fn.max_node_id + 1
-        node.value = default
-    elif op is Operator.CRP:
-        assert type(node) is IntLit, "operator/node mismatch"
-        node.value = wrap64(node.value + 1)
-    elif op is Operator.AOD:
-        assert type(node) is Unary and node.op == "-", "operator/node mismatch"
-        assert len(path) > 1, "node has no parent"
-        replace_child(path[-2], node, node.operand)
-    elif op is Operator.SVR:
-        assert type(node) is Assign, "operator/node mismatch"
-        assert len(path) > 1 and hasattr(path[-2], "stmts"), "node has no parent block"
-        path[-2].stmts.remove(node)
-    else:
-        raise StaleMutant(f"unknown operator {op}")
+    """Splice mutant `m`'s rewrite into `path`, the nodes from `fn`'s body
+    down to the mutated node, all but the last of them copies."""
+    node = path[-1]
+    for op, variant, old, new in _mutations(node, fn.max_node_id + 1):
+        if op is m.op and variant == m.variant:
+            if old is node:
+                parent = path[-2]
+            else:  # the rewrite lies below the node, so the node is copied too
+                parent = _copy_node(node)
+                replace_child(path[-2], node, parent)
+            if new is None:
+                parent.stmts.remove(old)
+            else:
+                replace_child(parent, old, new)
+            return
+    raise StaleMutant(f"no {m.op.value} variant {m.variant} at node {m.node_id} of {m.fn!r}")
 
 
 # -- JSON -------------------------------------------------------------------

@@ -383,6 +383,26 @@ def test_unknown_exclusion_reason_rejected():
         db_from_bytes(bytes(blob))
 
 
+def test_corrupt_record_reported_at_its_file_offset():
+    # One table holding one entry; the record's return value starts with its
+    # type tag.  Set that tag to 9 and re-seal the table checksum: the error
+    # names the tag's offset in the file, once.
+    rec = OutputRecord(ret=5, written_globals={}, post_args={}, output_steps=3)
+    table = MemoTable(fn="f", may_read=[], may_write=[], mut_args=[])
+    table.entries[encode_key([1], [])] = rec
+    db = MemoDB(fingerprint=3, tau=1, limit_value=1, limit_is_pct=False, tables={"f": table})
+    blob = bytearray(db_to_bytes(db))
+    header_end = 4 + 2 + 8 + 8 + 1 + 1 + 8 + 4 + 8
+    body_start = header_end + 4
+    body_end = body_start + int.from_bytes(blob[header_end:body_start], "big")
+    tag_at = blob.index(encode_value(5), body_start)
+    blob[tag_at] = 9
+    blob[body_end : body_end + 8] = fnv1a64(bytes(blob[body_start:body_end])).to_bytes(8, "big")
+    with pytest.raises(CorruptDB, match=f"^offset {tag_at}: unknown tag 0x9$") as info:
+        db_from_bytes(bytes(blob))
+    assert info.value.offset == tag_at
+
+
 def test_tau_unit_round_trip_and_bad_unit_rejected():
     db = MemoDB(fingerprint=3, tau=1000, tau_unit="steps", limit_value=20, limit_is_pct=True)
     blob = bytearray(db_to_bytes(db))

@@ -1,6 +1,7 @@
 """Mutant generation and application."""
 
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -112,22 +113,45 @@ def test_mutants_stay_parseable(corpus_pipelines):
             parse(text)  # must not raise
 
 
+def _text_programs(corpus_pipelines):
+    yield from ((name, pipe.program) for name, pipe in corpus_pipelines.items())
+    yield "edges", parse((Path(__file__).parent / "edges.mini").read_text(encoding="utf-8"))
+    # Rewrites whose operand gains or loses parentheses in the printed mutant.
+    yield "parens", parse("fn f(a, b, c){ if (c || a && b) { return -(a + b) * c; } return (a || b) && c; }")
+
+
+def _spliced(line, before, after):
+    """Every line that `line` becomes when one occurrence of `before`, or of
+    it in parentheses, is replaced by `after` or by it in parentheses: the
+    printer parenthesizes a rewritten operand where the precedence asks."""
+    out = set()
+    for old in (before, f"({before})"):
+        at = line.find(old)
+        while at >= 0:
+            out.update(line[:at] + new + line[at + len(old):] for new in (after, f"({after})"))
+            at = line.find(old, at + 1)
+    return out
+
+
 def test_single_point_diff(corpus_pipelines):
-    for name, pipe in corpus_pipelines.items():
-        base_lines = print_program(pipe.program).splitlines()
-        for m in pipe.pool.mutants:
-            mut_lines = print_program(apply_mutant(pipe.program, m)).splitlines()
-            differing = [
-                i
-                for i, (a, b) in enumerate(zip(base_lines, mut_lines))
-                if a != b
-            ]
+    # The pool's before/after text and the applied mutant come from one
+    # rewrite: the printed mutant differs from the printed program only
+    # where `before` became `after`, or by the one deleted line for SVR.
+    for name, program in _text_programs(corpus_pipelines):
+        base_lines = print_program(program).splitlines()
+        for m in generate_mutants(program).mutants:
+            mut_lines = print_program(apply_mutant(program, m)).splitlines()
+            where = f"{name}#{m.id} {m.op.value}"
             if m.op is Operator.SVR:
-                # Statement deletion removes one line.
-                assert len(base_lines) == len(mut_lines) + 1, f"{name}#{m.id}"
-            else:
-                assert len(base_lines) == len(mut_lines)
-                assert len(differing) == 1, f"{name}#{m.id}"
+                assert m.after == "", where
+                gone = [i for i in range(len(base_lines)) if base_lines[:i] + base_lines[i + 1 :] == mut_lines]
+                assert gone and base_lines[gone[0]].strip() == m.before, where
+                continue
+            assert len(mut_lines) == len(base_lines), where
+            differing = [i for i, (a, b) in enumerate(zip(base_lines, mut_lines)) if a != b]
+            assert len(differing) == 1, where
+            i = differing[0]
+            assert mut_lines[i] in _spliced(base_lines[i], m.before, m.after), where
 
 
 def test_ror_variants_semantics():
