@@ -10,10 +10,13 @@ mutated function, always executes its body.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .lang.ast import Program
 from .lang.interp import Runtime, run_test
@@ -68,6 +71,8 @@ class RunConfig:
         check_step_limit_factor(self.step_limit_factor)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ValueError("workers > 1 needs os.fork, which this platform lacks")
 
 
 @dataclass
@@ -150,19 +155,152 @@ def _run_single_mutant(
     return result
 
 
-# Shared state for worker processes; set once per worker via the
-# executor initializer so the (immutable) inputs are pickled only once.
-_WORKER_CTX = None
+# The run `_worker_run` serves.  `run_mutation_analysis` sets it for one
+# run, and the workers it forks inherit it.  A module-level function of one
+# argument, looked up at call time, lets a wrapper installed in its place
+# (the benchmark's tracer) see every mutant in every process.
+_RUN = None
 
 
-def _init_worker(ctx):
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
+def _worker_run(index: int) -> MutantResult:
+    """Run the current run's `index`-th mutant."""
+    program, pool, profile, closure, db, cfg, runtime = _RUN
+    return _run_single_mutant(program, pool.mutants[index], profile, closure, db, cfg, runtime)
 
 
-def _worker_run(mutant_id: int) -> MutantResult:
-    program, pool, profile, closure, db, cfg, runtime = _WORKER_CTX
-    return _run_single_mutant(program, pool.mutants[mutant_id], profile, closure, db, cfg, runtime)
+# Bytes per chunk number in the queue pipe.  A write this small is atomic
+# and every read asks for exactly this much, so no reader gets part of one.
+_NUMBER_BYTES = 4
+
+
+def _run_chunk(k: int, size: int, n: int, out: list[MutantResult]) -> None:
+    out.extend(_worker_run(i) for i in range(k * size, min(k * size + size, n)))
+
+
+def _take_chunks(queue: int, size: int, n: int, out: list[MutantResult]) -> None:
+    """Run chunks read from `queue` until it is empty and every write end closed."""
+    while number := os.read(queue, _NUMBER_BYTES):
+        _run_chunk(int.from_bytes(number, "little"), size, n, out)
+
+
+def _queue_chunks(feed: int, chunks: int, size: int, n: int, out: list[MutantResult]) -> None:
+    """Write chunk numbers 0..chunks-1 to `feed` without ever blocking.
+
+    While the pipe is full, this process runs the last chunk not yet
+    queued itself, so a queue larger than the pipe cannot stall it even
+    when no other process is reading.
+    """
+    os.set_blocking(feed, False)
+    k = 0
+    while k < chunks:
+        try:
+            os.write(feed, k.to_bytes(_NUMBER_BYTES, "little"))
+            k += 1
+        except BlockingIOError:
+            chunks -= 1
+            _run_chunk(chunks, size, n, out)
+
+
+def _portable(exc: BaseException) -> Optional[BaseException]:
+    """`exc` if it survives a pickle round trip, else None."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
+def _serve(queue: int, feed: int, reply: int, size: int, n: int) -> NoReturn:
+    """A forked worker: run chunks from `queue`, then send back its results,
+    or the exception that stopped it and its traceback, pickled on `reply`.
+
+    Every path ends in `os._exit`, so the child never returns into the
+    caller's code or flushes the stdio buffers it inherited.
+    """
+    code = 1
+    try:
+        os.close(feed)
+        results: list[MutantResult] = []
+        try:
+            _take_chunks(queue, size, n, results)
+            payload = results
+        except BaseException as exc:  # raised again in the parent
+            payload = _portable(exc), "".join(traceback.format_exception(exc))
+        with open(reply, "wb") as out:
+            pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(pid: int, blob: bytes, status: int) -> list[MutantResult]:
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise RuntimeError(f"worker process {pid} ended with status {code} before sending its results")
+    payload = pickle.loads(blob)
+    if isinstance(payload, list):
+        return payload
+    exc, text = payload
+    cause = RuntimeError(f"worker process {pid} failed:\n{text}")
+    if exc is None:
+        raise cause
+    raise exc from cause
+
+
+def _run_all(n: int, workers: int) -> list[MutantResult]:
+    """Results of the current run's `n` mutants, unordered.
+
+    This process and up to `workers - 1` forked ones pull chunk numbers
+    from one pipe until it is empty.  Each child sends its results back on
+    a pipe of its own, which this process reads once its own chunks are
+    done.  If this process fails, it kills the children; either way it
+    reaps them all before it returns or raises.
+    """
+    # About 8 chunks per worker: few enough that the queue traffic stays
+    # small next to the mutant runs, enough to even out slow mutants.
+    size = max(1, math.ceil(n / (8 * workers)))
+    chunks = math.ceil(n / size)
+    parent = os.getpid()
+    results: list[MutantResult] = []
+    children: list[tuple[int, int]] = []  # (pid, read end of its reply pipe)
+    held = list(os.pipe())  # pipe ends this process still has open
+    queue, feed = held
+
+    def close(fd: int) -> None:
+        held.remove(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(min(workers, chunks) - 1):
+            answer, reply = os.pipe()
+            held += answer, reply
+            pid = os.fork()
+            if pid == 0:
+                _serve(queue, feed, reply, size, n)
+            children.append((pid, answer))
+            close(reply)
+        # Queued after the forks, so the children already drain the pipe
+        # by the time it could fill up.
+        _queue_chunks(feed, chunks, size, n, results)
+        close(feed)
+        _take_chunks(queue, size, n, results)
+        blobs = []
+        for _, answer in children:
+            with open(answer, "rb", closefd=False) as pipe:
+                blobs.append(pipe.read())
+    except BaseException:
+        if os.getpid() != parent:  # interrupted between fork and `_serve`
+            os._exit(1)
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in held:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for (pid, _), blob, status in zip(children, blobs, statuses):
+        results += _received(pid, blob, status)
+    return results
 
 
 def compute_score(results: list[MutantResult]) -> float:
@@ -190,22 +328,13 @@ def run_mutation_analysis(
     if cfg.memo and db is not None and db.fingerprint != fingerprint:
         raise FingerprintMismatch("memo database does not match the program")
 
+    global _RUN
+    _RUN = (program, pool, profile, closure, db, cfg, runtime)
     t0 = time.perf_counter_ns()
-    if cfg.workers > 1 and len(pool.mutants) > 1:
-        ctx = (program, pool, profile, closure, db, cfg, runtime)
-        ids = [m.id for m in pool.mutants]
-        # About 8 tasks per worker: few enough that the per-task IPC stays
-        # small next to the mutant runs, enough to even out slow mutants.
-        chunksize = math.ceil(len(ids) / (8 * cfg.workers))
-        with ProcessPoolExecutor(
-            max_workers=cfg.workers, initializer=_init_worker, initargs=(ctx,)
-        ) as ex:
-            results = list(ex.map(_worker_run, ids, chunksize=chunksize))
-    else:
-        results = [
-            _run_single_mutant(program, m, profile, closure, db, cfg, runtime)
-            for m in pool.mutants
-        ]
+    try:
+        results = _run_all(len(pool.mutants), cfg.workers)
+    finally:
+        _RUN = None
     wall = time.perf_counter_ns() - t0
     results.sort(key=lambda r: r.mutant_id)
 

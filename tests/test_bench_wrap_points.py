@@ -4,17 +4,25 @@
 attributes listed in its `WRAP_POINTS`.  A renamed import in one of those
 modules would leave the benchmark's per-layer counts at zero; this test
 fails instead.  The traced benchmark also replaces `runner._worker_run`
-with a wrapper that takes one mutant id, so the pool must map that
-module-level function over the ids alone.
+with a wrapper of one argument and moves the spans it records onto each
+result, so every mutant, in the parent and in each forked worker, must run
+through that module attribute, and what the wrapper sets on a result must
+come back with it.
 """
 
 import importlib
 import importlib.util
 import inspect
+import os
+import time
 from pathlib import Path
+
+import pytest
 
 from memomut import runner
 from memomut.memo.builder import LookupHooks
+
+from conftest import cached_pipeline
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -33,7 +41,34 @@ def test_benchmark_wrap_points_resolve():
 def test_worker_run_takes_one_mutant_id():
     fn = runner._worker_run
     assert inspect.isfunction(fn)
-    # Module-level, so a pickled reference resolves to the traced wrapper.
     assert (fn.__module__, fn.__qualname__) == ("memomut.runner", "_worker_run")
+    # The mutant's index in the pool: the only argument the wrapper passes on.
     (param,) = inspect.signature(fn).parameters.values()
     assert param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_run_wrapper_sees_every_mutant(monkeypatch, workers):
+    pipe = cached_pipeline("sample")
+    parent = os.getpid()
+    worker_run = runner._worker_run
+
+    def traced(index):
+        if os.getpid() == parent:
+            time.sleep(0.002)  # leave chunks for the children
+        result = worker_run(index)
+        result.traced_in = os.getpid()
+        return result
+
+    monkeypatch.setattr(runner, "_worker_run", traced)
+    report = runner.run_mutation_analysis(
+        pipe.program,
+        pipe.pool,
+        pipe.profile,
+        pipe.bundle.closure,
+        cfg=runner.RunConfig(workers=workers),
+        runtime=pipe.runtime,
+    )
+    assert [r.mutant_id for r in report.results] == [m.id for m in pipe.pool.mutants]
+    pids = {r.traced_in for r in report.results}
+    assert (pids == {parent}) == (workers == 1), pids

@@ -1,14 +1,19 @@
 """Mutation-analysis engine: verdicts, gating, scoring, comparison."""
 
 import json
+import os
+import signal
+import time
 from types import SimpleNamespace
 
 import pytest
 
+from memomut import runner
 from memomut.lang.interp import Substitute
 from memomut.memo.builder import LookupHooks
 from memomut.memo.db import FingerprintMismatch, MemoDB, MemoTable, OutputRecord
 from memomut.memo.encoding import encode_key
+from memomut.mutation import MutantPool
 from memomut.runner import (
     EmptyPool,
     InvalidPool,
@@ -29,11 +34,11 @@ from oracles import exhaustive_killed
 SMALL_CORPUS = ["sample", "fib", "strings", "globals", "indirect"]
 
 
-def run(pipe, memo=False, **kw):
+def run(pipe, memo=False, pool=None, **kw):
     cfg = RunConfig(memo=memo, **kw)
     return run_mutation_analysis(
         pipe.program,
-        pipe.pool,
+        pool or pipe.pool,
         pipe.profile,
         pipe.bundle.closure,
         db=pipe.db if memo else None,
@@ -261,6 +266,13 @@ def test_run_config_validation():
         RunConfig(workers=0)
 
 
+def test_run_config_needs_fork_for_workers(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        RunConfig(workers=2)
+    RunConfig(workers=1)
+
+
 def test_not_covered_mutants_counted():
     pipe = cached_pipeline("nondet")
     report = run(pipe)
@@ -368,16 +380,128 @@ def test_compare_runs_checks_killing_test_and_cause():
 # -- workers and serialization ----------------------------------------------
 
 
-def test_parallel_run_matches_serial():
+def without_wall(report):
+    doc = report_to_json(report)
+    del doc["wall_ns"]
+    for m in doc["mutants"]:
+        del m["wall_ns"]
+    return doc
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that forks workers, rather than hang, if a run stalls."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the run took over 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def few_mutants(pipe):
+    """Three of the pool's mutants, whose ids are not their places in the pool."""
+    return MutantPool(mutants=pipe.pool.mutants[1::5][:3], fingerprint=pipe.pool.fingerprint)
+
+
+def test_parallel_run_matches_serial(deadline):
     pipe = cached_pipeline("sample")
-    serial = run(pipe)
-    parallel = run(pipe, workers=4)
-    vec = lambda rep: [
-        (r.mutant_id, r.status, r.killing_test, r.cause, r.tests_run, r.steps)
-        for r in rep.results
-    ]
-    assert vec(serial) == vec(parallel)
-    assert serial.score == parallel.score
+    assert len(pipe.db.tables) == 1
+    few = few_mutants(pipe)
+    assert [m.id for m in few.mutants] == [1, 6, 11]
+    for memo in (False, True):
+        # 14 mutants over 2 and 3 workers; then more workers than mutants.
+        for pool, workers in ((pipe.pool, 2), (pipe.pool, 3), (few, 5)):
+            serial = run(pipe, memo=memo, pool=pool)
+            parallel = run(pipe, memo=memo, pool=pool, workers=workers)
+            assert without_wall(parallel) == without_wall(serial), (memo, workers)
+    assert [r.mutant_id for r in serial.results] == [1, 6, 11]
+
+
+def test_forks_one_child_per_chunk_past_the_first(monkeypatch, deadline):
+    pipe = cached_pipeline("sample")
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    run(pipe, pool=few_mutants(pipe), workers=5)  # 3 chunks of 1 mutant
+    assert len(forked) == 2
+    run(pipe, workers=1)
+    assert len(forked) == 2
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle")
+
+
+@pytest.mark.parametrize(
+    "where, raised, expected",
+    [
+        ("child", LookupError("boom"), LookupError),
+        ("child", Unpicklable("boom"), RuntimeError),
+        ("parent", KeyboardInterrupt("boom"), KeyboardInterrupt),
+    ],
+)
+def test_worker_failure_reaches_parent(monkeypatch, deadline, where, raised, expected):
+    pipe = cached_pipeline("sample")
+    parent = os.getpid()
+    worker_run = runner._worker_run
+    stalled = []  # each process has its own copy
+
+    def failing(index):
+        if (os.getpid() != parent) == (where == "child"):
+            raise raised
+        if where == "child":
+            time.sleep(0.005)  # a failing child takes a chunk before the parent is done
+        elif not stalled:  # a child's first mutant stalls until it is killed
+            stalled.append(index)
+            time.sleep(10)
+        return worker_run(index)
+
+    monkeypatch.setattr(runner, "_worker_run", failing)
+    started = time.monotonic()
+    with pytest.raises(expected, match="boom") as exc:
+        run(pipe, workers=3)
+    if where == "parent":  # the children were killed, not waited for
+        assert time.monotonic() - started < 5
+    else:  # the child's traceback comes along
+        text = str(exc.value if expected is RuntimeError else exc.value.__cause__)
+        assert "Traceback" in text and f"{type(raised).__name__}: boom" in text
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_queueing_chunks_never_blocks(monkeypatch):
+    # Four bytes per chunk number: twice what a Linux or macOS pipe holds,
+    # with no other reader.  The overflow runs here instead of waiting.
+    monkeypatch.setattr(runner, "_worker_run", lambda index: index)
+    n = 1 << 15
+    queue, feed = os.pipe()
+    out = []
+    try:
+        runner._queue_chunks(feed, n, 1, n, out)
+        ran_while_queueing = len(out)
+        os.close(feed)
+        feed = None
+        runner._take_chunks(queue, 1, n, out)
+    finally:
+        os.close(queue)
+        if feed is not None:
+            os.close(feed)
+    assert ran_while_queueing > 0
+    assert sorted(out) == list(range(n))
 
 
 def test_report_json_keeps_per_mutant_counts():
@@ -396,21 +520,13 @@ def test_report_json_keeps_per_mutant_counts():
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_parallel_memo_run_matches_serial(workers):
+def test_parallel_memo_run_matches_serial(workers, deadline):
     # 103 mutants split into chunks that do not divide them evenly.
     pipe = cached_pipeline("bench_expensive", tau=1000, tau_unit="steps")
     assert len(pipe.db.tables) == 3 and len(pipe.pool.mutants) == 103
-
-    def strip(report):
-        doc = report_to_json(report)
-        del doc["wall_ns"]
-        for m in doc["mutants"]:
-            del m["wall_ns"]
-        return doc
-
     serial = run(pipe, memo=True)
     parallel = run(pipe, memo=True, workers=workers)
-    assert strip(parallel) == strip(serial)
+    assert without_wall(parallel) == without_wall(serial)
     assert serial.totals["hits"] > 0 and serial.totals["gated"] > 0
 
 
@@ -426,13 +542,4 @@ def test_report_json_round_trip():
 
 def test_report_deterministic_modulo_wall():
     pipe = cached_pipeline("sample")
-
-    def strip(doc):
-        doc = dict(doc)
-        doc.pop("wall_ns")
-        doc["mutants"] = [
-            {k: v for k, v in m.items() if k != "wall_ns"} for m in doc["mutants"]
-        ]
-        return doc
-
-    assert strip(report_to_json(run(pipe))) == strip(report_to_json(run(pipe)))
+    assert without_wall(run(pipe)) == without_wall(run(pipe))
