@@ -137,6 +137,10 @@ def _build_parser() -> _ArgumentParser:
     common(p)
     p.add_argument("--mutants", required=True)
     p.add_argument("--memo", default=None, help="memo database; enables interception")
+    p.add_argument(
+        "--profile", default=None,
+        help="profile.json from the profile stage (default: profile the suite again)",
+    )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--all-tests", action="store_true", default=None)
     p.add_argument("--step-limit-factor", type=int, default=None)
@@ -302,7 +306,10 @@ def _cmd_run(args, st: Settings) -> int:
     cfg, runtime = st.run_config(memo=args.memo is not None), st.runtime()
     program = load_project(args.project)
     pool = pool_from_json(_read_json(args.mutants))
-    profile = profile_suite(program, runtime=runtime)
+    if args.profile:
+        profile = profile_from_json(_read_json(args.profile))
+    else:
+        profile = profile_suite(program, runtime=runtime)
     closure = dependency_closure(build_call_graph(program))
     db = load_db(args.memo, program) if args.memo else None
     report = run_mutation_analysis(program, pool, profile, closure, db=db, cfg=cfg, runtime=runtime)

@@ -1,11 +1,12 @@
 """Memo-table construction: snapshot recording and provisional filtering.
 
-Recording runs each candidate's covering passing tests with hooks that
-snapshot an input key at every entry (arguments plus may-read globals)
-and an output record at the matching exit (return value, may-write
-globals, mutated array arguments).  Provisional memoization then
-re-runs the same tests with look-up enabled for one function at a time
-and throws out anything that regresses a test or misses the cache.
+Recording runs each passing test that covers a candidate once, with
+hooks that snapshot, for every candidate the test covers, an input key
+at every entry (arguments plus may-read globals) and an output record
+at the matching exit (return value, may-write globals, mutated array
+arguments).  Provisional memoization then re-runs the same tests with
+look-up enabled for one function at a time and throws out anything
+that regresses a test or misses the cache.
 """
 
 from __future__ import annotations
@@ -22,36 +23,42 @@ from .encoding import encode_key, program_fingerprint
 
 
 class RecordHooks(Hooks):
-    """Fills one function's memo-table during an unmutated run."""
+    """Fills the memo-tables of every function in `tables` during one
+    unmutated run; `conflicted` collects the functions whose table got
+    two different records for one key."""
 
-    def __init__(self, table: MemoTable):
-        self.table = table
-        self.conflicted = False
+    def __init__(self, tables: dict[str, MemoTable]):
+        self.tables = tables
+        self.conflicted: set[str] = set()
+        # Entries and exits nest, so the top entry is always the one the
+        # next exit of a recorded function closes.
         self._open: list[tuple[bytes, list, int]] = []
 
     def on_call_enter(self, fn, args, state):
-        if fn == self.table.fn:
-            key = encode_key(args, [(g, state.globals[g]) for g in self.table.may_read])
+        table = self.tables.get(fn)
+        if table is not None:
+            key = encode_key(args, [(g, state.globals[g]) for g in table.may_read])
             self._open.append((key, args, state.steps))
         return None
 
     def on_call_exit(self, fn, ret, state):
-        if fn != self.table.fn:
+        table = self.tables.get(fn)
+        if table is None:
             return
         key, args, steps0 = self._open.pop()
         rec = OutputRecord(
             ret=deep_copy(ret),
-            written_globals={g: deep_copy(state.globals[g]) for g in self.table.may_write},
+            written_globals={g: deep_copy(state.globals[g]) for g in table.may_write},
             post_args={
-                p: deep_copy(args[p]) for p in self.table.mut_args if p < len(args)
+                p: deep_copy(args[p]) for p in table.mut_args if p < len(args)
             },
             output_steps=state.steps - steps0,
         )
-        existing = self.table.entries.get(key)
+        existing = table.entries.get(key)
         if existing is None:
-            self.table.entries[key] = rec
+            table.entries[key] = rec
         elif encode_record(existing) != encode_record(rec):
-            self.conflicted = True
+            self.conflicted.add(fn)
 
 
 class LookupHooks(Hooks):
@@ -133,27 +140,41 @@ def record_tables(
         limit_is_pct=criterion.limit_is_pct,
     )
     effects = bundle.effects
-    for cand in candidates:
-        fn = cand.fn
-        table = MemoTable(
-            fn=fn,
-            may_read=sorted(effects.reads.get(fn, ())),
-            may_write=sorted(effects.writes.get(fn, ())),
-            mut_args=sorted(effects.mut_args.get(fn, ())),
+    tables = {
+        cand.fn: MemoTable(
+            fn=cand.fn,
+            may_read=sorted(effects.reads.get(cand.fn, ())),
+            may_write=sorted(effects.writes.get(cand.fn, ())),
+            mut_args=sorted(effects.mut_args.get(cand.fn, ())),
         )
-        hooks = RecordHooks(table)
+        for cand in candidates
+    }
+    covered: dict[str, list[str]] = {}
+    for cand in candidates:
         for test in cand.covering_tests:
-            hooks._open.clear()
-            run_test(
-                program,
-                test,
-                hooks,
-                step_limit=profile.step_budget(test, step_limit_factor),
-                rng=runtime.rng_for(f"record:{fn}:{test}"),
-                clock=runtime.clock_for(f"record:{fn}:{test}"),
-            )
-            table.recorded_from.add(test)
-        if hooks.conflicted:
+            covered.setdefault(test, []).append(cand.fn)
+    conflicted: set[str] = set()
+    # Sorted tests fill each table in the order a run per candidate over
+    # its (sorted) covering tests would.
+    for test in sorted(covered):
+        fns = covered[test]
+        hooks = RecordHooks({fn: tables[fn] for fn in fns})
+        # Named after the test's first candidate, so that a test with one
+        # candidate draws the stream a run for that candidate alone would.
+        label = f"record:{min(fns)}:{test}"
+        run_test(
+            program,
+            test,
+            hooks,
+            step_limit=profile.step_budget(test, step_limit_factor),
+            rng=runtime.rng_for(label),
+            clock=runtime.clock_for(label),
+        )
+        conflicted |= hooks.conflicted
+        for fn in fns:
+            tables[fn].recorded_from.add(test)
+    for fn, table in tables.items():
+        if fn in conflicted:
             db.exclusions[fn] = Exclusion(reason="conflicted")
         else:
             db.tables[fn] = table

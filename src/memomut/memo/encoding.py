@@ -8,6 +8,7 @@ payloads, and program fingerprints.
 from __future__ import annotations
 
 import struct
+import weakref
 
 from ..lang.ast import Program, print_program
 from ..lang.values import UNIT, FnRef, Value
@@ -167,6 +168,17 @@ def encode_key(args: list, global_items: list[tuple[str, Value]]) -> bytes:
     return bytes(out)
 
 
+# Each program's fingerprint, dropped with the Program object, as
+# `interp._CODE_MAPS` keeps each program's code map: a Program never
+# changes after parsing or `apply_mutant`.
+_FINGERPRINTS: dict[int, int] = {}
+
+
 def program_fingerprint(program: Program) -> int:
     """FNV-1a-64 of the canonical pretty-printed source."""
-    return fnv1a64(print_program(program).encode("utf-8"))
+    key = id(program)
+    fp = _FINGERPRINTS.get(key)
+    if fp is None:
+        fp = _FINGERPRINTS[key] = fnv1a64(print_program(program).encode("utf-8"))
+        weakref.finalize(program, _FINGERPRINTS.pop, key, None)
+    return fp

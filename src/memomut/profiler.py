@@ -57,9 +57,6 @@ class Profile:
             t for t, rec in self.tests.items() if rec.verdict.passed and fn in rec.covered
         )
 
-    def total_test_ns(self) -> int:
-        return sum(self.functions[t].inclusive_ns for t in self.tests)
-
     def step_budget(self, test: str, factor: int) -> int:
         return self.tests[test].steps * factor + 1000
 
@@ -217,19 +214,21 @@ def select_candidates(
 
 
 def cost_breakdown(profile: Profile, top_fraction: float) -> tuple[int, int, float]:
-    """(top-set time, total suite time, share) for the most expensive functions.
+    """(top-set steps, total suite steps, share) for the most expensive functions.
 
-    Inclusive intervals overlap when expensive functions nest, so the
-    share may exceed 1; this follows literal entry/exit differencing.
+    Functions are ranked and summed by inclusive steps, so the share is
+    the same on every run and every machine.  Inclusive intervals overlap
+    when expensive functions nest, so the share may exceed 1; this
+    follows literal entry/exit differencing.
     """
     if not 0 < top_fraction <= 1:
         raise ValueError("top_fraction must be in (0, 1]")
-    ranked = sorted(profile.functions.items(), key=lambda kv: (-kv[1].inclusive_ns, kv[0]))
+    ranked = sorted(profile.functions.items(), key=lambda kv: (-kv[1].inclusive_steps, kv[0]))
     k = math.ceil(top_fraction * len(ranked))
-    top_ns = sum(st.inclusive_ns for _, st in ranked[:k])
-    total_ns = profile.total_test_ns()
-    share = top_ns / total_ns if total_ns else 1.0
-    return top_ns, total_ns, share
+    top = sum(st.inclusive_steps for _, st in ranked[:k])
+    total = sum(profile.functions[t].inclusive_steps for t in profile.tests)
+    share = top / total if total else 1.0
+    return top, total, share
 
 
 # -- JSON round trip --------------------------------------------------------

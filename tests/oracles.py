@@ -4,7 +4,8 @@ Deliberately written with different algorithms and data structures than
 the package code: per-node BFS instead of the set-propagation fixpoint,
 a pattern-matching mutant enumerator instead of the generator, an
 exhaustive run-everything mutant runner instead of the covering-tests
-engine, and a minimal step-counting evaluator for profiler arithmetic.
+engine, a run-per-candidate recorder instead of one run per covering
+test, and a minimal step-counting evaluator for profiler arithmetic.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from collections import deque
 
 from memomut.lang import ast as A
 from memomut.lang.interp import Runtime, run_test
+from memomut.memo.builder import RecordHooks
+from memomut.memo.db import Exclusion, MemoDB, MemoTable
+from memomut.memo.encoding import program_fingerprint
 from memomut.mutation import MutantPool, apply_mutant
-from memomut.profiler import Profile
+from memomut.profiler import Candidate, ExpensivenessCriterion, Profile
 
 
 def bfs_closure(nodes, edge_pairs) -> dict[str, set[str]]:
@@ -120,6 +124,53 @@ def exhaustive_killed(
             if not outcome.verdict.passed:
                 killed.add(m.id)
     return killed
+
+
+def record_per_candidate(
+    program,
+    bundle,
+    candidates: list[Candidate],
+    profile: Profile,
+    criterion: ExpensivenessCriterion,
+    runtime: Runtime,
+    factor: int = 10,
+) -> MemoDB:
+    """Raw memo-tables database recorded by running every candidate's
+    covering tests once for that candidate alone."""
+    db = MemoDB(
+        fingerprint=program_fingerprint(program),
+        tau=criterion.tau,
+        tau_unit=criterion.tau_unit,
+        limit_value=criterion.limit_value,
+        limit_is_pct=criterion.limit_is_pct,
+    )
+    effects = bundle.effects
+    for cand in candidates:
+        fn = cand.fn
+        table = MemoTable(
+            fn=fn,
+            may_read=sorted(effects.reads.get(fn, ())),
+            may_write=sorted(effects.writes.get(fn, ())),
+            mut_args=sorted(effects.mut_args.get(fn, ())),
+        )
+        conflicted = False
+        for test in cand.covering_tests:
+            hooks = RecordHooks({fn: table})
+            run_test(
+                program,
+                test,
+                hooks,
+                step_limit=profile.step_budget(test, factor),
+                rng=runtime.rng_for(f"record:{fn}:{test}"),
+                clock=runtime.clock_for(f"record:{fn}:{test}"),
+            )
+            conflicted = conflicted or bool(hooks.conflicted)
+            table.recorded_from.add(test)
+        if conflicted:
+            db.exclusions[fn] = Exclusion(reason="conflicted")
+        else:
+            db.tables[fn] = table
+    return db
 
 
 class _Halt(Exception):

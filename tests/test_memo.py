@@ -1,12 +1,18 @@
 """Value encoding, memo-table recording, provisional filtering, persistence."""
 
-import pytest
-from hypothesis import given, strategies as st
+from pathlib import Path
 
+import pytest
+from conftest import SMALL_TAU_NS, cached_pipeline
+from hypothesis import given, strategies as st
+from oracles import record_per_candidate
+
+from memomut import corpus_names, corpus_path
 from memomut.analysis import analyze_program
 from memomut.lang.interp import Runtime, run_test
 from memomut.lang.parser import parse
 from memomut.lang.values import UNIT, FnRef, deep_equal
+from memomut.memo import builder
 from memomut.memo.builder import LookupHooks, provisional_memoization, record_tables
 from memomut.memo.db import (
     CorruptDB,
@@ -32,6 +38,7 @@ from memomut.memo.encoding import (
     program_fingerprint,
 )
 from memomut.profiler import ExpensivenessCriterion, profile_suite, select_candidates
+from memomut.project import load_project
 
 
 # -- encoding ---------------------------------------------------------------
@@ -184,17 +191,69 @@ def test_conflicting_snapshots_flag_the_table():
     from memomut.memo.builder import RecordHooks
 
     table = MemoTable(fn="f", may_read=[], may_write=[], mut_args=[])
-    hooks = RecordHooks(table)
+    other = MemoTable(fn="g", may_read=[], may_write=[], mut_args=[])
+    hooks = RecordHooks({"f": table, "g": other})
 
     class _S:
         globals = {}
         steps = 0
 
     hooks.on_call_enter("f", [1], _S)
+    hooks.on_call_enter("g", [1], _S)
+    hooks.on_call_exit("g", 5, _S)
     hooks.on_call_exit("f", 10, _S)
     hooks.on_call_enter("f", [1], _S)
     hooks.on_call_exit("f", 11, _S)
-    assert hooks.conflicted
+    assert hooks.conflicted == {"f"}
+
+
+def _recording_programs():
+    for name in corpus_names():
+        yield name, load_project(corpus_path(name))
+    for name in ("edges", "limits"):
+        yield name, parse((Path(__file__).parent / f"{name}.mini").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("tau, tau_unit", [(1, "steps"), (SMALL_TAU_NS, "ns")])
+def test_record_tables_matches_a_run_per_candidate(tau, tau_unit, seed):
+    """One run per covering test records what one run per candidate and
+    test records: the same bytes and the same recorded-from tests."""
+    for name, program in _recording_programs():
+        runtime = Runtime(seed=seed, fake_time=True)
+        profile = profile_suite(program, runtime=runtime)
+        bundle = analyze_program(program)
+        criterion = ExpensivenessCriterion(tau=tau, tau_unit=tau_unit, limit_value=100.0)
+        cands = select_candidates(profile, bundle.determinacy, criterion)
+        got = record_tables(program, bundle, cands, profile, criterion=criterion, runtime=runtime)
+        want = record_per_candidate(program, bundle, cands, profile, criterion, runtime)
+        assert db_to_bytes(got) == db_to_bytes(want), name
+        assert {fn: t.recorded_from for fn, t in got.tables.items()} == {
+            fn: t.recorded_from for fn, t in want.tables.items()
+        }, name
+
+
+def test_record_runs_each_covering_test_once(monkeypatch):
+    pipe = cached_pipeline("bench_expensive", tau=1000, tau_unit="steps")
+    runs = []
+    inner = builder.run_test
+
+    def counted(program, test, *args, **kwargs):
+        runs.append(test)
+        return inner(program, test, *args, **kwargs)
+
+    monkeypatch.setattr(builder, "run_test", counted)
+    raw = record_tables(
+        pipe.program, pipe.bundle, pipe.candidates, pipe.profile,
+        criterion=pipe.criterion, runtime=pipe.runtime,
+    )
+    assert len(pipe.candidates) == 3
+    assert sum(len(c.covering_tests) for c in pipe.candidates) == 9
+    assert runs == sorted({t for c in pipe.candidates for t in c.covering_tests})
+    assert len(runs) == 3
+    runs.clear()
+    provisional_memoization(pipe.program, raw, pipe.profile, runtime=pipe.runtime)
+    assert len(runs) == 9
 
 
 def test_provisional_drops_rand_argument_functions():

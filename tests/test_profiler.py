@@ -146,9 +146,9 @@ def test_resolve_limit_examples():
 
 def test_cost_breakdown_simple_ratio():
     prof = _mk_profile({"heavy": 0, "light": 0})
-    prof.functions["heavy"].inclusive_ns = 300
-    prof.functions["light"].inclusive_ns = 50
-    prof.functions["test_a"].inclusive_ns = 400
+    prof.functions["heavy"].inclusive_steps = 300
+    prof.functions["light"].inclusive_steps = 50
+    prof.functions["test_a"].inclusive_steps = 400
     # ceil(0.5 * 3) = 2 ranked functions: test_a (400) + heavy (300).
     top, total, share = cost_breakdown(prof, 0.5)
     assert (top, total) == (700, 400)
@@ -157,10 +157,10 @@ def test_cost_breakdown_simple_ratio():
 
 def test_cost_breakdown_subunit_share():
     prof = _mk_profile({"heavy": 0, "light": 0, "mid": 0})
-    prof.functions["heavy"].inclusive_ns = 300
-    prof.functions["mid"].inclusive_ns = 200
-    prof.functions["light"].inclusive_ns = 50
-    prof.functions["test_a"].inclusive_ns = 400
+    prof.functions["heavy"].inclusive_steps = 300
+    prof.functions["mid"].inclusive_steps = 200
+    prof.functions["light"].inclusive_steps = 50
+    prof.functions["test_a"].inclusive_steps = 400
     # ceil(0.25 * 4) = 1 ranked function: test_a itself.
     top, total, share = cost_breakdown(prof, 0.25)
     assert (top, total) == (400, 400)

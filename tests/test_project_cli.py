@@ -278,17 +278,20 @@ def test_cli_bad_step_limit_factor_rejected_before_any_stage(tmp_path, capsys):
 def test_cli_reinvocation_stable_modulo_wall(tmp_path):
     proj = _sample_project(tmp_path)
     pool = tmp_path / "mutants.json"
+    prof = tmp_path / "profile.json"
     main(["mutate", str(proj), "-o", str(pool)])
+    main(["profile", str(proj), "--fake-time", "--seed", "5", "-o", str(prof)])
     outs = []
-    for i in range(2):
+    # Twice profiling the suite again, then once reading the profile stage's file.
+    for i, extra in enumerate([[], [], ["--profile", str(prof)]]):
         out = tmp_path / f"r{i}.json"
-        main(["run", str(proj), "--fake-time", "--seed", "5", "--mutants", str(pool), "-o", str(out)])
+        main(["run", str(proj), "--fake-time", "--seed", "5", "--mutants", str(pool), "-o", str(out), *extra])
         doc = json.loads(out.read_text())
         doc.pop("wall_ns")
         for m in doc["mutants"]:
             m.pop("wall_ns")
         outs.append(doc)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_cli_config_file_overridden_by_flags(tmp_path, capsys):
