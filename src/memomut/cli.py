@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .analysis import analyze_program, build_call_graph, bundle_to_json, dependency_closure
 from .lang.interp import Runtime
@@ -34,6 +35,7 @@ from .profiler import (
     SuiteEmpty,
     check_profile_reps,
     check_step_limit_factor,
+    check_tau_mode,
     profile_from_json,
     profile_suite,
     profile_to_json,
@@ -44,6 +46,7 @@ from .runner import (
     InvalidPool,
     RunConfig,
     ScoreMismatch,
+    check_workers,
     compare_runs,
     report_from_json,
     report_to_json,
@@ -74,9 +77,59 @@ def _write_json(doc: dict, out: str | None) -> None:
             fh.write(text)
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str, from_json: Callable, *args):
+    """`from_json(doc, *args)` of the JSON file at `path`; a missing key or
+    a value of the wrong type is a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    try:
+        return from_json(doc, *args)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed artifact: {type(exc).__name__}: {exc}") from None
+
+
+class _Setting(NamedTuple):
+    kind: type  # int, str, or bool for a yes/no switch
+    default: object  # None: the library's default, or one the command works out
+    check: Callable | None  # checks a given value and returns what is used
+    commands: str  # the subcommands that read it
+    help: str
+    choices: tuple | None = None
+
+
+# Every setting: its --flag on each subcommand that reads it, and its
+# `memomut.toml` key, spelled with '_' or '-'.
+_SETTINGS = {
+    "seed": _Setting(int, 0, None, "profile memoize run pipeline", "seed for the rand builtin"),
+    "fake_time": _Setting(bool, False, None, "profile memoize run pipeline",
+                          "make time_now return a seed-derived monotonic counter"),
+    "tau": _Setting(str, None, parse_tau, "memoize pipeline",
+                    "expensiveness threshold: a step count (default 1000steps) or a duration (1ms)"),
+    "limit": _Setting(str, None, parse_limit, "memoize pipeline", "candidates: a count or a percent (default 20%%)"),
+    "tau_mode": _Setting(str, None, check_tau_mode, "memoize pipeline",
+                         "compare tau with each function's mean or summed cost (default mean)", TAU_MODES),
+    "time_rand_only": _Setting(bool, False, None, "analyze memoize pipeline",
+                               "disable the print axiom and global-taint rule"),
+    "profile_reps": _Setting(int, 1, check_profile_reps, "profile pipeline", "profiling runs; times are medians"),
+    "step_limit_factor": _Setting(int, DEFAULT_STEP_LIMIT_FACTOR, check_step_limit_factor, "memoize run pipeline",
+                                  "a test's step budget: this times its profiled steps, plus 1000"),
+    "workers": _Setting(int, 1, check_workers, "run pipeline", "processes that run mutants"),
+    "all_tests": _Setting(bool, False, None, "run pipeline", "run every passing test, not only covering ones"),
+    "artifact_dir": _Setting(str, None, None, "pipeline", "output directory (default PROJECT/.memomut)"),
+}
+
+_BOOLS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def _from_config(name: str, kind: type, text: str):
+    try:
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        expected = "true/false, yes/no, on/off or 1/0" if kind is bool else "an integer"
+        raise ValueError(f"bad {name.replace('_', '-')} {text!r}; expected {expected}") from None
 
 
 def _build_parser() -> _ArgumentParser:
@@ -85,157 +138,82 @@ def _build_parser() -> _ArgumentParser:
         "--version", action="version", version=f"memomut (memo-db schema {SCHEMA_VERSION})"
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+    commands = {}
+    for name, command, text in (
+        ("analyze", _cmd_analyze, "call graph, closure, determinacy, side effects"),
+        ("profile", _cmd_profile, "run the suite and time every function"),
+        ("mutate", _cmd_mutate, "generate the mutant pool"),
+        ("memoize", _cmd_memoize, "record and filter memo-tables"),
+        ("run", _cmd_run, "mutation analysis over a mutant pool"),
+        ("pipeline", _cmd_pipeline, "all stages end to end, then the comparison"),
+    ):
+        commands[name] = p = sub.add_parser(name, help=text)
+        p.set_defaults(run=command)
+        p.add_argument("project", help="project directory or single .mini file")
 
-    def common(p, project=True):
-        if project:
-            p.add_argument("project", help="project directory or single .mini file")
-        p.add_argument("--seed", type=int, default=None, help="seed for the rand builtin")
-        p.add_argument(
-            "--fake-time",
-            action="store_true",
-            default=None,
-            help="make time_now return a seed-derived monotonic counter",
-        )
-
-    def tuning(p):
-        p.add_argument(
-            "--tau", default=None,
-            help="expensiveness threshold: a step count (default 1000steps) or a duration (1ms)",
-        )
-        p.add_argument("--limit", default=None, help="candidate limit: count or percent, e.g. 20%%")
-        p.add_argument("--tau-mode", choices=TAU_MODES, default=None)
-        p.add_argument(
-            "--time-rand-only",
-            action="store_true",
-            default=None,
-            help="disable the print axiom and global-taint rule",
-        )
-
-    p = sub.add_parser("analyze", help="call graph, closure, determinacy, side effects")
-    common(p)
-    p.add_argument("--time-rand-only", action="store_true", default=None)
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("profile", help="run the suite and time every function")
-    common(p)
-    p.add_argument("--profile-reps", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("mutate", help="generate the mutant pool")
-    common(p)
-    p.add_argument("-o", "--output", default=None)
-
-    p = sub.add_parser("memoize", help="record and filter memo-tables")
-    common(p)
-    tuning(p)
+    p = commands["memoize"]
     p.add_argument("--profile", required=True, help="profile.json from the profile stage")
-    p.add_argument("--step-limit-factor", type=int, default=None)
     p.add_argument("--dump-json", action="store_true", help="also write a JSON mirror of the db")
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("run", help="mutation analysis over a mutant pool")
-    common(p)
+    p = commands["run"]
     p.add_argument("--mutants", required=True)
     p.add_argument("--memo", default=None, help="memo database; enables interception")
-    p.add_argument(
-        "--profile", default=None,
-        help="profile.json from the profile stage (default: profile the suite again)",
-    )
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--all-tests", action="store_true", default=None)
-    p.add_argument("--step-limit-factor", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("--profile", default=None, help="profile.json to use (default: profile the suite again)")
 
     p = sub.add_parser("report", help="compare a base run with a memoized run")
+    p.set_defaults(run=_cmd_report)
     p.add_argument("base", help="report.json from a memo-off run")
     p.add_argument("memo", help="report.json from a memo-on run")
-    p.add_argument("-o", "--output", default=None)
+    for p in (commands["analyze"], commands["profile"], commands["mutate"], commands["run"], p):
+        p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("pipeline", help="all stages end to end, then the comparison")
-    common(p)
-    tuning(p)
-    p.add_argument("--profile-reps", type=int, default=None)
-    p.add_argument("--step-limit-factor", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--all-tests", action="store_true", default=None)
-    p.add_argument("--artifact-dir", default=None)
+    for name, row in _SETTINGS.items():
+        kind = {"action": "store_true"} if row.kind is bool else {"type": row.kind, "choices": row.choices}
+        for command in row.commands.split():
+            commands[command].add_argument("--" + name.replace("_", "-"), default=None, help=row.help, **kind)
     return parser
 
 
-# The settings a `memomut.toml` may hold: those some subcommand reads.
-_CONFIG_KEYS = frozenset({
-    "all_tests", "artifact_dir", "fake_time", "limit", "profile_reps", "seed",
-    "step_limit_factor", "tau", "tau_mode", "time_rand_only", "workers",
-})
-
-_BOOLS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
-
-class Settings:
-    """Flag values with config-file fallback and hard defaults."""
+class Settings(dict):
+    """Every setting the subcommand reads, checked: its flag, else its
+    `memomut.toml` value, else its default."""
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self._args = args
-        self._config = {key.replace("-", "_"): value for key, value in config.items()}
-        unknown = sorted(self._config.keys() - _CONFIG_KEYS)
+        super().__init__()
+        config = {key.replace("-", "_"): value for key, value in config.items()}
+        unknown = sorted(config.keys() - _SETTINGS.keys())
         if unknown:
             raise ProjectError(f"unknown setting in {CONFIG_NAME}: {', '.join(unknown)}")
-
-    def _raw(self, name: str):
-        key = name.replace("-", "_")
-        assert key in _CONFIG_KEYS, key
-        flag = getattr(self._args, key, None)
-        return self._config.get(key) if flag is None else flag
-
-    def str_(self, name: str, default: str) -> str:
-        raw = self._raw(name)
-        return default if raw is None else str(raw)
-
-    def int_(self, name: str, default: int) -> int:
-        raw = self._raw(name)
-        return default if raw is None else int(raw)
-
-    def bool_(self, name: str, default: bool = False) -> bool:
-        raw = self._raw(name)
-        if raw is None:
-            return default
-        if isinstance(raw, bool):
-            return raw
-        value = _BOOLS.get(raw.lower())
-        if value is None:
-            raise ValueError(f"bad {name} {raw!r}; expected true/false, yes/no, on/off or 1/0")
-        return value
+        for name, row in _SETTINGS.items():
+            if args.command not in row.commands.split():
+                continue
+            value = getattr(args, name)
+            if value is None and name in config:
+                value = _from_config(name, row.kind, config[name])
+            if value is None:
+                value = row.default
+            elif row.check is not None:
+                value = row.check(value)
+            self[name] = value
 
     def criterion(self) -> ExpensivenessCriterion:
         """The criterion's own defaults fill in every setting not given."""
         fields = {}
-        if (tau := self._raw("tau")) is not None:
-            fields["tau"], fields["tau_unit"] = parse_tau(str(tau))
-        if (limit := self._raw("limit")) is not None:
-            fields["limit_value"], fields["limit_is_pct"] = parse_limit(str(limit))
-        if (tau_mode := self._raw("tau-mode")) is not None:
-            fields["tau_mode"] = str(tau_mode)
+        if self["tau"] is not None:
+            fields["tau"], fields["tau_unit"] = self["tau"]
+        if self["limit"] is not None:
+            fields["limit_value"], fields["limit_is_pct"] = self["limit"]
+        if self["tau_mode"] is not None:
+            fields["tau_mode"] = self["tau_mode"]
         return ExpensivenessCriterion(**fields)
 
     def runtime(self) -> Runtime:
-        return Runtime(seed=self.int_("seed", 0), fake_time=self.bool_("fake-time"))
-
-    def step_limit_factor(self) -> int:
-        return check_step_limit_factor(self.int_("step-limit-factor", DEFAULT_STEP_LIMIT_FACTOR))
-
-    def profile_reps(self) -> int:
-        return check_profile_reps(self.int_("profile-reps", 1))
+        return Runtime(seed=self["seed"], fake_time=self["fake_time"])
 
     def run_config(self, memo: bool) -> RunConfig:
-        return RunConfig(
-            memo=memo,
-            step_limit_factor=self.step_limit_factor(),
-            all_tests=self.bool_("all-tests"),
-            workers=self.int_("workers", 1),
-        )
+        return RunConfig(memo=memo, step_limit_factor=self["step_limit_factor"],
+                         all_tests=self["all_tests"], workers=self["workers"])
 
 
 def _comparison_table(block: dict) -> str:
@@ -257,15 +235,14 @@ def _comparison_table(block: dict) -> str:
 
 def _cmd_analyze(args, st: Settings) -> int:
     program = load_project(args.project)
-    bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
+    bundle = analyze_program(program, time_rand_only=st["time_rand_only"])
     _write_json(bundle_to_json(bundle), args.output)
     return 0
 
 
 def _cmd_profile(args, st: Settings) -> int:
-    runtime, reps = st.runtime(), st.profile_reps()
     program = load_project(args.project)
-    profile = profile_suite(program, runtime=runtime, reps=reps)
+    profile = profile_suite(program, runtime=st.runtime(), reps=st["profile_reps"])
     _write_json(profile_to_json(profile), args.output)
     return 0
 
@@ -277,7 +254,8 @@ def _cmd_mutate(args, st: Settings) -> int:
     return 0
 
 
-def _build_db(program, profile, bundle, criterion: ExpensivenessCriterion, runtime: Runtime, factor: int):
+def _build_db(program, profile, bundle, st: Settings):
+    criterion, runtime, factor = st.criterion(), st.runtime(), st["step_limit_factor"]
     candidates = select_candidates(profile, bundle.determinacy, criterion)
     raw = record_tables(
         program, bundle, candidates, profile,
@@ -291,11 +269,10 @@ def _build_db(program, profile, bundle, criterion: ExpensivenessCriterion, runti
 
 
 def _cmd_memoize(args, st: Settings) -> int:
-    criterion, runtime, factor = st.criterion(), st.runtime(), st.step_limit_factor()
     program = load_project(args.project)
-    profile = profile_from_json(_read_json(args.profile))
-    bundle = analyze_program(program, time_rand_only=st.bool_("time-rand-only"))
-    final = _build_db(program, profile, bundle, criterion, runtime, factor)
+    profile = _read_json(args.profile, profile_from_json, program)
+    bundle = analyze_program(program, time_rand_only=st["time_rand_only"])
+    final = _build_db(program, profile, bundle, st)
     save_db(final, args.output)
     if args.dump_json:
         _write_json(db_to_json(final), args.output + ".json")
@@ -303,23 +280,24 @@ def _cmd_memoize(args, st: Settings) -> int:
 
 
 def _cmd_run(args, st: Settings) -> int:
-    cfg, runtime = st.run_config(memo=args.memo is not None), st.runtime()
+    runtime = st.runtime()
     program = load_project(args.project)
-    pool = pool_from_json(_read_json(args.mutants))
+    pool = _read_json(args.mutants, pool_from_json)
     if args.profile:
-        profile = profile_from_json(_read_json(args.profile))
+        profile = _read_json(args.profile, profile_from_json, program)
     else:
         profile = profile_suite(program, runtime=runtime)
     closure = dependency_closure(build_call_graph(program))
     db = load_db(args.memo, program) if args.memo else None
+    cfg = st.run_config(memo=args.memo is not None)
     report = run_mutation_analysis(program, pool, profile, closure, db=db, cfg=cfg, runtime=runtime)
     _write_json(report_to_json(report), args.output)
     return 0
 
 
 def _cmd_report(args, st: Settings) -> int:
-    base = report_from_json(_read_json(args.base))
-    memo = report_from_json(_read_json(args.memo))
+    base = _read_json(args.base, report_from_json)
+    memo = _read_json(args.memo, report_from_json)
     block = compare_runs(base, memo)
     print(_comparison_table(block))
     if args.output:
@@ -328,25 +306,24 @@ def _cmd_report(args, st: Settings) -> int:
 
 
 def _cmd_pipeline(args, st: Settings) -> int:
-    criterion, runtime, reps = st.criterion(), st.runtime(), st.profile_reps()
-    time_rand_only = st.bool_("time-rand-only")
-    base_cfg, memo_cfg = st.run_config(memo=False), st.run_config(memo=True)
+    runtime = st.runtime()
     program = load_project(args.project)
-    art = Path(st.str_("artifact-dir", str(Path(args.project) / ".memomut")))
+    art = Path(args.project) / ".memomut" if st["artifact_dir"] is None else Path(st["artifact_dir"])
     art.mkdir(parents=True, exist_ok=True)
 
-    bundle = analyze_program(program, time_rand_only=time_rand_only)
+    bundle = analyze_program(program, time_rand_only=st["time_rand_only"])
     _write_json(bundle_to_json(bundle), str(art / "analysis.json"))
 
-    profile = profile_suite(program, runtime=runtime, reps=reps)
+    profile = profile_suite(program, runtime=runtime, reps=st["profile_reps"])
     _write_json(profile_to_json(profile), str(art / "profile.json"))
 
     pool = generate_mutants(program)
     _write_json(pool_to_json(pool), str(art / "mutants.json"))
 
-    db = _build_db(program, profile, bundle, criterion, runtime, base_cfg.step_limit_factor)
+    db = _build_db(program, profile, bundle, st)
     save_db(db, art / "memo.db")
 
+    base_cfg, memo_cfg = st.run_config(memo=False), st.run_config(memo=True)
     base = run_mutation_analysis(program, pool, profile, bundle.closure, db=None, cfg=base_cfg, runtime=runtime)
     _write_json(report_to_json(base), str(art / "base.json"))
     memo = run_mutation_analysis(program, pool, profile, bundle.closure, db=db, cfg=memo_cfg, runtime=runtime)
@@ -358,17 +335,6 @@ def _cmd_pipeline(args, st: Settings) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "profile": _cmd_profile,
-    "mutate": _cmd_mutate,
-    "memoize": _cmd_memoize,
-    "run": _cmd_run,
-    "report": _cmd_report,
-    "pipeline": _cmd_pipeline,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -377,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         config = load_config(args.project) if hasattr(args, "project") else {}
-        return _COMMANDS[args.command](args, Settings(args, config))
+        return args.run(args, Settings(args, config))
     except (FingerprintMismatch, InvalidPool) as exc:
         print(f"memomut: {exc}", file=sys.stderr)
         return 2
@@ -393,7 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         SchemaVersionMismatch,
         ValueError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"memomut: {exc}", file=sys.stderr)
         return 1

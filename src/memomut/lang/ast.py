@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from .values import Value, literal_str
 
@@ -147,6 +149,31 @@ class Program:
 
 
 BUILTINS = ("len", "print", "push", "rand", "time_now")
+
+_T = TypeVar("_T")
+
+
+def per_node(compute: Callable[[object], _T]) -> Callable[[object], _T]:
+    """`compute(node)`, computed once per node object and dropped with it.
+
+    The value is kept beside the AST, keyed by `id`, so that copying,
+    printing, fingerprinting and pickling never see it.  This is sound
+    because a FunctionDef or Program never changes after parsing or
+    `apply_mutant`: a mutant is a new Program with a private copy of the
+    one function it changes.
+    """
+    cache: dict[int, _T] = {}
+
+    @functools.wraps(compute)
+    def cached(node):
+        key = id(node)
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = compute(node)
+            weakref.finalize(node, cache.pop, key, None)
+        return value
+
+    return cached
 
 
 def children(node: Node) -> list[Node]:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import weakref
 
 from .ast import (
     ArrayLit,
@@ -64,6 +63,7 @@ from .ast import (
     StrLit,
     Unary,
     While,
+    per_node,
 )
 from .values import (
     INT_MAX,
@@ -531,22 +531,10 @@ _OPERATORS = {
 }
 
 
-# Compiled code per FunctionDef object, kept beside the AST so that
-# copying, printing, fingerprinting and pickling never see it.  An entry
-# lives as long as its FunctionDef: a mutant's private copy of one
-# function is compiled once and dropped together with the mutant.
-_COMPILED: dict[int, Code] = {}
-
-
+@per_node
 def compiled(fn: FunctionDef) -> Code:
     """The compiled code of `fn`, compiling it on first use."""
-    key = id(fn)
-    code = _COMPILED.get(key)
-    if code is None:
-        compiler = _Compiler(fn.nslots)
-        body = compiler.block(fn.body)
-        consts = [value for _, value in compiler.consts]
-        code = Code(len(fn.params), [None] * (fn.nslots - len(fn.params)) + consts, body)
-        _COMPILED[key] = code
-        weakref.finalize(fn, _COMPILED.pop, key, None)
-    return code
+    compiler = _Compiler(fn.nslots)
+    body = compiler.block(fn.body)
+    consts = [value for _, value in compiler.consts]
+    return Code(len(fn.params), [None] * (fn.nslots - len(fn.params)) + consts, body)

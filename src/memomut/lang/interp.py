@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 import sys
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .ast import Program
+from .ast import Program, per_node
 from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled
 from .values import UNIT, Value, contains_array, deep_copy, format_value, wrap64
 
@@ -144,21 +143,10 @@ class ExecState:
         raise RuntimeErr("type_mismatch", site)
 
 
-# Each program's name -> compiled code map, shared by all its executions
-# and dropped with the Program object, as `compiler._COMPILED` keeps code
-# per FunctionDef.  A Program's `functions` never change after parsing
-# or `apply_mutant`; a mutant is a new Program.
-_CODE_MAPS: dict[int, dict[str, Code]] = {}
-
-
+# Shared by all of a program's executions.
+@per_node
 def _code_map(program: Program) -> dict[str, Code]:
-    key = id(program)
-    code = _CODE_MAPS.get(key)
-    if code is None:
-        code = {name: compiled(fn) for name, fn in program.functions.items()}
-        _CODE_MAPS[key] = code
-        weakref.finalize(program, _CODE_MAPS.pop, key, None)
-    return code
+    return {name: compiled(fn) for name, fn in program.functions.items()}
 
 
 @dataclass

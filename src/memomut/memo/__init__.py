@@ -1,59 +1,1 @@
 """Snapshot memoization: canonical encoding, memo-tables, persistence."""
-
-from .builder import (
-    LookupHooks,
-    ProvisionalStats,
-    RecordHooks,
-    provisional_memoization,
-    record_tables,
-)
-from .db import (
-    CorruptDB,
-    Exclusion,
-    FingerprintMismatch,
-    MemoDB,
-    MemoTable,
-    OutputRecord,
-    SCHEMA_VERSION,
-    SchemaVersionMismatch,
-    db_from_bytes,
-    db_to_bytes,
-    db_to_json,
-    load_db,
-    save_db,
-)
-from .encoding import (
-    DecodeError,
-    decode_value,
-    encode_key,
-    encode_value,
-    fnv1a64,
-    program_fingerprint,
-)
-
-__all__ = [
-    "CorruptDB",
-    "DecodeError",
-    "Exclusion",
-    "FingerprintMismatch",
-    "LookupHooks",
-    "MemoDB",
-    "MemoTable",
-    "OutputRecord",
-    "ProvisionalStats",
-    "RecordHooks",
-    "SCHEMA_VERSION",
-    "SchemaVersionMismatch",
-    "db_from_bytes",
-    "db_to_bytes",
-    "db_to_json",
-    "decode_value",
-    "encode_key",
-    "encode_value",
-    "fnv1a64",
-    "load_db",
-    "program_fingerprint",
-    "provisional_memoization",
-    "record_tables",
-    "save_db",
-]

@@ -61,7 +61,31 @@ class RecordHooks(Hooks):
             self.conflicted.add(fn)
 
 
-class LookupHooks(Hooks):
+def count_total(per_method: dict[str, dict[str, int]], kind: str) -> int:
+    """The "hits", "misses" or "gated" count summed over every function."""
+    return sum(counts[kind] for counts in per_method.values())
+
+
+class CountTotals:
+    """`hits`, `misses` and `gated` summed over the `per_method` counts,
+    fn -> {"hits": n, "misses": n, "gated": n}, the only place they are stored."""
+
+    per_method: dict[str, dict[str, int]]
+
+    @property
+    def hits(self) -> int:
+        return count_total(self.per_method, "hits")
+
+    @property
+    def misses(self) -> int:
+        return count_total(self.per_method, "misses")
+
+    @property
+    def gated(self) -> int:
+        return count_total(self.per_method, "gated")
+
+
+class LookupHooks(Hooks, CountTotals):
     """Bypasses table-holding functions on cache hits.
 
     A hit is decided and applied here: the recorded globals and mutated
@@ -79,21 +103,6 @@ class LookupHooks(Hooks):
         self.tables = tables
         self.blocked = blocked
         self.per_method: dict[str, dict[str, int]] = {}
-
-    def _total(self, kind: str) -> int:
-        return sum(counts[kind] for counts in self.per_method.values())
-
-    @property
-    def hits(self) -> int:
-        return self._total("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._total("misses")
-
-    @property
-    def gated(self) -> int:
-        return self._total("gated")
 
     def on_call_enter(self, fn, args, state):
         table = self.tables.get(fn)

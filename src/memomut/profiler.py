@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from .analysis import DeterminacyReport
 from .lang.ast import Program
 from .lang.interp import Hooks, Runtime, Verdict, run_test
+from .memo.db import FingerprintMismatch
+from .memo.encoding import program_fingerprint
 
 DEFAULT_STEP_LIMIT_FACTOR = 10
 
@@ -48,6 +50,7 @@ class TestRecord:
 class Profile:
     functions: dict[str, FunctionStats]
     tests: dict[str, TestRecord]
+    fingerprint: int  # of the profiled program
 
     def passing_tests(self) -> list[str]:
         return [t for t, rec in self.tests.items() if rec.verdict.passed]
@@ -108,6 +111,7 @@ def profile_suite(
     if not program.tests:
         raise SuiteEmpty("program declares no tests")
     runtime = runtime or Runtime()
+    fingerprint = program_fingerprint(program)
     runs: list[Profile] = []
     for rep in range(check_profile_reps(reps)):
         functions = {f: FunctionStats() for f in program.functions}
@@ -128,7 +132,7 @@ def profile_suite(
                 steps=outcome.steps,
                 output=list(state.output),
             )
-        runs.append(Profile(functions=functions, tests=tests))
+        runs.append(Profile(functions=functions, tests=tests, fingerprint=fingerprint))
 
     base = runs[0]
     if len(runs) > 1:
@@ -141,6 +145,12 @@ def profile_suite(
 
 TAU_UNITS = ("ns", "steps")
 TAU_MODES = ("mean", "cumulative")
+
+
+def check_tau_mode(mode: str) -> str:
+    if mode not in TAU_MODES:
+        raise ValueError(f"unknown tau mode {mode!r}")
+    return mode
 
 
 @dataclass
@@ -161,8 +171,7 @@ class ExpensivenessCriterion:
     def __post_init__(self):
         if self.tau_unit not in TAU_UNITS:
             raise ValueError(f"unknown tau unit {self.tau_unit!r}")
-        if self.tau_mode not in TAU_MODES:
-            raise ValueError(f"unknown tau mode {self.tau_mode!r}")
+        check_tau_mode(self.tau_mode)
 
     def inclusive(self, st: FunctionStats) -> int:
         """A function's profiled inclusive cost, summed over its calls, in tau's unit."""
@@ -236,6 +245,7 @@ def cost_breakdown(profile: Profile, top_fraction: float) -> tuple[int, int, flo
 
 def profile_to_json(profile: Profile) -> dict:
     return {
+        "fingerprint": profile.fingerprint,
         "functions": {
             f: {
                 "invocations": st.invocations,
@@ -262,7 +272,13 @@ def profile_to_json(profile: Profile) -> dict:
     }
 
 
-def profile_from_json(doc: dict) -> Profile:
+def profile_from_json(doc: dict, program: Program | None = None) -> Profile:
+    """Read a profile, checking its fingerprint when a program is given."""
+    fingerprint = doc["fingerprint"]
+    if program is not None and fingerprint != (expected := program_fingerprint(program)):
+        raise FingerprintMismatch(
+            f"profile fingerprint {fingerprint:#x} does not match program {expected:#x}"
+        )
     functions = {
         f: FunctionStats(
             invocations=d["invocations"],
@@ -285,4 +301,4 @@ def profile_from_json(doc: dict) -> Profile:
         )
         for t, d in doc["tests"].items()
     }
-    return Profile(functions=functions, tests=tests)
+    return Profile(functions=functions, tests=tests, fingerprint=fingerprint)

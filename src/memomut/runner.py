@@ -20,7 +20,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .lang.ast import Program
 from .lang.interp import Runtime, run_test
-from .memo.builder import LookupHooks
+from .memo.builder import CountTotals, LookupHooks, count_total
 from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
 from .mutation import Mutant, MutantPool, apply_mutant
@@ -60,6 +60,14 @@ class InvalidPool(Exception):
     pass
 
 
+def check_workers(workers: int) -> int:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError("workers > 1 needs os.fork, which this platform lacks")
+    return workers
+
+
 @dataclass
 class RunConfig:
     memo: bool = False
@@ -69,14 +77,11 @@ class RunConfig:
 
     def __post_init__(self):
         check_step_limit_factor(self.step_limit_factor)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.workers > 1 and not hasattr(os, "fork"):
-            raise ValueError("workers > 1 needs os.fork, which this platform lacks")
+        check_workers(self.workers)
 
 
 @dataclass
-class MutantResult:
+class MutantResult(CountTotals):
     mutant_id: int
     status: str  # "killed" | "survived" | "not_covered"
     killing_test: Optional[str] = None
@@ -84,9 +89,6 @@ class MutantResult:
     tests_run: int = 0
     steps: int = 0
     wall_ns: int = 0
-    hits: int = 0
-    misses: int = 0
-    gated: int = 0
     # fn -> {"hits": n, "misses": n, "gated": n} for each memoized function it called
     per_method: dict[str, dict[str, int]] = field(default_factory=dict)
 
@@ -150,7 +152,6 @@ def _run_single_mutant(
             break
     result.wall_ns = time.perf_counter_ns() - t0
     if hooks is not None:
-        result.hits, result.misses, result.gated = hooks.hits, hooks.misses, hooks.gated
         result.per_method = hooks.per_method
     return result
 
@@ -352,9 +353,7 @@ def run_mutation_analysis(
         "not_covered": sum(1 for r in results if r.status == "not_covered"),
         "tests_run": sum(r.tests_run for r in results),
         "steps": sum(r.steps for r in results),
-        "hits": sum(r.hits for r in results),
-        "misses": sum(r.misses for r in results),
-        "gated": sum(r.gated for r in results),
+        **{kind: count_total(per_method, kind) for kind in ("hits", "misses", "gated")},
     }
     return MutationReport(
         fingerprint=fingerprint,
@@ -455,9 +454,6 @@ def report_from_json(doc: dict) -> MutationReport:
             tests_run=d["tests_run"],
             steps=d["steps"],
             wall_ns=d["wall_ns"],
-            hits=d["hits"],
-            misses=d["misses"],
-            gated=d["gated"],
             per_method=d.get("per_method", {}),
         )
         for d in doc["mutants"]

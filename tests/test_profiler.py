@@ -84,7 +84,7 @@ def _mk_profile(mean_ns_by_fn, tests=("test_a",), invocations=1):
             steps=10,
             output=[],
         )
-    return Profile(functions=functions, tests=recs)
+    return Profile(functions=functions, tests=recs, fingerprint=0)
 
 
 _NO_NONDET = DeterminacyReport(nondeterministic=set(), reasons={})

@@ -355,6 +355,45 @@ def test_cli_profile_rejects_selection_flags(tmp_path):
     proj = _sample_project(tmp_path)
     for flags in (["--tau", "1ms"], ["--limit", "20%"], ["--tau-mode", "mean"], ["--time-rand-only"]):
         assert main(["profile", str(proj), *flags]) == 64, flags
+    # analyze and mutate read neither the seed nor the clock.
+    for command in ("analyze", "mutate"):
+        for flags in (["--seed", "1"], ["--fake-time"]):
+            assert main([command, str(proj), *flags]) == 64, (command, flags)
+
+
+def test_cli_profile_of_another_program_rejected(tmp_path, capsys):
+    proj = _sample_project(tmp_path)
+    fib_profile = tmp_path / "fib_profile.json"
+    pool = tmp_path / "pool.json"
+    assert main(["profile", str(corpus_path("fib")), "--fake-time", "-o", str(fib_profile)]) == 0
+    assert main(["mutate", str(proj), "-o", str(pool)]) == 0
+    out = tmp_path / "out"
+    argv = ["run", str(proj), "--fake-time", "--mutants", str(pool), "--profile", str(fib_profile), "-o", str(out)]
+    assert main(argv) == 2
+    assert "profile fingerprint" in capsys.readouterr().err
+    assert not out.exists()
+    argv = ["memoize", str(proj), "--fake-time", "--profile", str(fib_profile), "-o", str(out)]
+    assert main(argv) == 2
+    assert "profile fingerprint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_malformed_artifacts_exit_1(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert main(["report", str(empty), str(empty)]) == 1
+    assert f"{empty}: malformed artifact: KeyError: 'mutants'" in capsys.readouterr().err
+    proj = _sample_project(tmp_path)
+    pool = tmp_path / "pool.json"
+    assert main(["mutate", str(proj), "-o", str(pool)]) == 0
+    doc = json.loads(pool.read_text())
+    del doc["mutants"][0]["op"]
+    pool.write_text(json.dumps(doc))
+    assert main(["run", str(proj), "--mutants", str(pool)]) == 1
+    assert f"{pool}: malformed artifact: KeyError: 'op'" in capsys.readouterr().err
+    pool.write_text(json.dumps({"fingerprint": doc["fingerprint"], "mutants": 5}))
+    assert main(["run", str(proj), "--mutants", str(pool)]) == 1
+    assert f"{pool}: malformed artifact: TypeError" in capsys.readouterr().err
 
 
 # -- CLI exit codes (subprocess, to observe real process behavior) ----------
