@@ -1,73 +1,1 @@
 """The Mini language: AST, parser, canonical printer, closure compiler and interpreter."""
-
-from .ast import (
-    BUILTINS,
-    Block,
-    Call,
-    FunctionDef,
-    Node,
-    Program,
-    children,
-    expr_str,
-    function_str,
-    print_program,
-    stmt_str,
-    walk,
-)
-from .interp import (
-    DEFAULT_STEP_LIMIT,
-    ExecState,
-    Hooks,
-    MiniExecutionError,
-    Runtime,
-    Substitute,
-    TestOutcome,
-    Verdict,
-    run_function,
-    run_test,
-)
-from .parser import MiniSyntaxError, ResolutionError, parse
-from .values import (
-    UNIT,
-    FnRef,
-    Value,
-    deep_copy,
-    deep_equal,
-    format_value,
-    wrap64,
-)
-
-__all__ = [
-    "BUILTINS",
-    "Block",
-    "Call",
-    "DEFAULT_STEP_LIMIT",
-    "ExecState",
-    "FnRef",
-    "FunctionDef",
-    "Hooks",
-    "MiniExecutionError",
-    "MiniSyntaxError",
-    "Node",
-    "Program",
-    "ResolutionError",
-    "Runtime",
-    "Substitute",
-    "TestOutcome",
-    "UNIT",
-    "Value",
-    "Verdict",
-    "children",
-    "deep_copy",
-    "deep_equal",
-    "expr_str",
-    "format_value",
-    "function_str",
-    "parse",
-    "print_program",
-    "run_function",
-    "run_test",
-    "stmt_str",
-    "walk",
-    "wrap64",
-]

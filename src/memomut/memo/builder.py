@@ -11,15 +11,23 @@ that regresses a test or misses the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..analysis import AnalysisBundle
 from ..lang.ast import Program
-from ..lang.interp import Hooks, Runtime, Substitute, run_test
+from ..lang.interp import ExecState, Hooks, Runtime, Substitute, run_test
 from ..lang.values import deep_copy
 from ..profiler import DEFAULT_STEP_LIMIT_FACTOR, Candidate, ExpensivenessCriterion, Profile
 from .db import Exclusion, FingerprintMismatch, MemoDB, MemoTable, OutputRecord, encode_record
 from .encoding import encode_key, program_fingerprint
+
+# The decisions `LookupHooks` counts for each function, in the order reports list them.
+KINDS = ("hits", "misses", "gated")
+
+
+def memo_key(table: MemoTable, args: list, state: ExecState) -> bytes:
+    """The key of one call of `table`'s function: its arguments and the
+    globals the function may read.  `encode_key` is looked up here at call
+    time, so a wrapper installed on this module sees every key."""
+    return encode_key(args, [(g, state.globals[g]) for g in table.may_read])
 
 
 class RecordHooks(Hooks):
@@ -37,8 +45,7 @@ class RecordHooks(Hooks):
     def on_call_enter(self, fn, args, state):
         table = self.tables.get(fn)
         if table is not None:
-            key = encode_key(args, [(g, state.globals[g]) for g in table.may_read])
-            self._open.append((key, args, state.steps))
+            self._open.append((memo_key(table, args, state), args, state.steps))
         return None
 
     def on_call_exit(self, fn, ret, state):
@@ -61,28 +68,28 @@ class RecordHooks(Hooks):
             self.conflicted.add(fn)
 
 
-def count_total(per_method: dict[str, dict[str, int]], kind: str) -> int:
-    """The "hits", "misses" or "gated" count summed over every function."""
-    return sum(counts[kind] for counts in per_method.values())
-
-
 class CountTotals:
     """`hits`, `misses` and `gated` summed over the `per_method` counts,
-    fn -> {"hits": n, "misses": n, "gated": n}, the only place they are stored."""
+    fn -> {"hits": n, "misses": n, "gated": n}: the one place they are summed."""
 
     per_method: dict[str, dict[str, int]]
 
+    def count_totals(self) -> dict[str, int]:
+        """Each of `KINDS` summed over every function."""
+        rows = self.per_method.values()
+        return {kind: sum(counts[kind] for counts in rows) for kind in KINDS}
+
     @property
     def hits(self) -> int:
-        return count_total(self.per_method, "hits")
+        return self.count_totals()["hits"]
 
     @property
     def misses(self) -> int:
-        return count_total(self.per_method, "misses")
+        return self.count_totals()["misses"]
 
     @property
     def gated(self) -> int:
-        return count_total(self.per_method, "gated")
+        return self.count_totals()["gated"]
 
 
 class LookupHooks(Hooks, CountTotals):
@@ -110,12 +117,11 @@ class LookupHooks(Hooks, CountTotals):
             return None
         counts = self.per_method.get(fn)
         if counts is None:
-            counts = self.per_method[fn] = {"hits": 0, "misses": 0, "gated": 0}
+            counts = self.per_method[fn] = dict.fromkeys(KINDS, 0)
         if fn in self.blocked:
             counts["gated"] += 1
             return None
-        key = encode_key(args, [(g, state.globals[g]) for g in table.may_read])
-        rec = table.entries.get(key)
+        rec = table.entries.get(memo_key(table, args, state))
         if rec is None:
             counts["misses"] += 1
             return None
@@ -190,20 +196,15 @@ def record_tables(
     return db
 
 
-@dataclass
-class ProvisionalStats:
-    hits: dict[str, int]
-    misses: dict[str, int]
-
-
 def provisional_memoization(
     program: Program,
     raw: MemoDB,
     profile: Profile,
     step_limit_factor: int = DEFAULT_STEP_LIMIT_FACTOR,
     runtime: Runtime | None = None,
-) -> tuple[MemoDB, ProvisionalStats]:
-    """Filter the raw database down to safely memoizable functions.
+) -> tuple[MemoDB, dict[str, dict[str, int]]]:
+    """Filter the raw database down to safely memoizable functions, and
+    count each table's look-ups, fn -> {"hits": n, "misses": n, "gated": n}.
 
     A function is dropped if look-up-enabled re-runs of its covering
     tests regress any previously-passing test (verdict or printed
@@ -220,7 +221,7 @@ def provisional_memoization(
         limit_is_pct=raw.limit_is_pct,
         exclusions=dict(raw.exclusions),
     )
-    stats = ProvisionalStats(hits={}, misses={})
+    per_method: dict[str, dict[str, int]] = {}
     for fn in sorted(raw.tables):
         table = raw.tables[fn]
         hooks = LookupHooks({fn: table})
@@ -238,14 +239,13 @@ def provisional_memoization(
             if outcome.verdict != baseline.verdict or state.output != baseline.output:
                 failed_test = test
                 break
-        stats.hits[fn] = hooks.hits
-        stats.misses[fn] = hooks.misses
+        counts = per_method[fn] = hooks.per_method.get(fn, dict.fromkeys(KINDS, 0))
         if failed_test is not None:
             final.exclusions[fn] = Exclusion(reason="new_test_failure", detail=failed_test)
-        elif hooks.misses:
+        elif counts["misses"]:
             final.exclusions[fn] = Exclusion(
-                reason="cache_miss_on_covering_test", detail=str(hooks.misses)
+                reason="cache_miss_on_covering_test", detail=str(counts["misses"])
             )
         else:
             final.tables[fn] = table
-    return final, stats
+    return final, per_method

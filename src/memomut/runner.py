@@ -20,7 +20,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .lang.ast import Program
 from .lang.interp import Runtime, run_test
-from .memo.builder import CountTotals, LookupHooks, count_total
+from .memo.builder import KINDS, CountTotals, LookupHooks
 from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
 from .mutation import Mutant, MutantPool, apply_mutant
@@ -80,10 +80,13 @@ class RunConfig:
         check_workers(self.workers)
 
 
+STATUSES = ("killed", "survived", "not_covered")
+
+
 @dataclass
 class MutantResult(CountTotals):
     mutant_id: int
-    status: str  # "killed" | "survived" | "not_covered"
+    status: str  # one of STATUSES
     killing_test: Optional[str] = None
     cause: Optional[str] = None  # "assert_fail" | "runtime_error" | "step_limit"
     tests_run: int = 0
@@ -94,14 +97,43 @@ class MutantResult(CountTotals):
 
 
 @dataclass
-class MutationReport:
+class MutationReport(CountTotals):
+    """A run's mutants; its score, totals and per-function counts are
+    derived from them, never stored beside them."""
+
     fingerprint: int
     memo_enabled: bool
-    score: float
     results: list[MutantResult]
-    per_method: dict[str, dict[str, int]]  # fn -> {"hits": n, "misses": n, "gated": n}
-    totals: dict[str, int]
     wall_ns: int
+    # The functions that held memo tables: each has a `per_method` row,
+    # all zeros if no mutant called it.
+    tables: tuple[str, ...]
+
+    @property
+    def score(self) -> float:
+        return compute_score(self.results) if self.results else 0.0
+
+    @property
+    def per_method(self) -> dict[str, dict[str, int]]:
+        """fn -> {"hits": n, "misses": n, "gated": n} summed over every mutant."""
+        per_method = {fn: dict.fromkeys(KINDS, 0) for fn in self.tables}
+        for r in self.results:
+            for fn, counts in r.per_method.items():
+                row = per_method.setdefault(fn, dict.fromkeys(KINDS, 0))
+                for kind in KINDS:
+                    row[kind] += counts[kind]
+        return per_method
+
+    @property
+    def totals(self) -> dict[str, int]:
+        results = self.results
+        return {
+            "mutants": len(results),
+            **{status: sum(1 for r in results if r.status == status) for status in STATUSES},
+            "tests_run": sum(r.tests_run for r in results),
+            "steps": sum(r.steps for r in results),
+            **self.count_totals(),
+        }
 
 
 def _blocked_functions(db: MemoDB, closure: dict[str, set[str]], mutated_fn: str) -> frozenset[str]:
@@ -338,31 +370,12 @@ def run_mutation_analysis(
         _RUN = None
     wall = time.perf_counter_ns() - t0
     results.sort(key=lambda r: r.mutant_id)
-
-    per_method: dict[str, dict[str, int]] = {}
-    if cfg.memo and db is not None:
-        per_method = {fn: {"hits": 0, "misses": 0, "gated": 0} for fn in db.tables}
-        for r in results:
-            for fn, counts in r.per_method.items():
-                for kind, n in counts.items():
-                    per_method[fn][kind] += n
-    totals = {
-        "mutants": len(results),
-        "killed": sum(1 for r in results if r.status == "killed"),
-        "survived": sum(1 for r in results if r.status == "survived"),
-        "not_covered": sum(1 for r in results if r.status == "not_covered"),
-        "tests_run": sum(r.tests_run for r in results),
-        "steps": sum(r.steps for r in results),
-        **{kind: count_total(per_method, kind) for kind in ("hits", "misses", "gated")},
-    }
     return MutationReport(
         fingerprint=fingerprint,
         memo_enabled=cfg.memo,
-        score=compute_score(results) if results else 0.0,
         results=results,
-        per_method=per_method,
-        totals=totals,
         wall_ns=wall,
+        tables=tuple(db.tables) if cfg.memo and db is not None else (),
     )
 
 
@@ -387,25 +400,21 @@ def compare_runs(base: MutationReport, memo: MutationReport) -> dict:
         for mid in base_verdicts.keys() | memo_verdicts.keys()
         if base_verdicts.get(mid) != memo_verdicts.get(mid)
     )
-    if base.score != memo.score or differing:
-        raise ScoreMismatch(base.score, memo.score, differing)
+    score = base.score
+    if score != memo.score or differing:
+        raise ScoreMismatch(score, memo.score, differing)
     speedup = (base.wall_ns - memo.wall_ns) / base.wall_ns if base.wall_ns else 0.0
-    step_saving = (
-        (base.totals["steps"] - memo.totals["steps"]) / base.totals["steps"]
-        if base.totals["steps"]
-        else 0.0
-    )
+    base_steps, memo_steps = base.totals["steps"], memo.totals["steps"]
+    step_saving = (base_steps - memo_steps) / base_steps if base_steps else 0.0
     return {
-        "score": round(base.score, 6),
+        "score": round(score, 6),
         "base_wall_ns": base.wall_ns,
         "memo_wall_ns": memo.wall_ns,
         "speedup_pct": round(speedup * 100.0, 2),
-        "base_steps": base.totals["steps"],
-        "memo_steps": memo.totals["steps"],
+        "base_steps": base_steps,
+        "memo_steps": memo_steps,
         "step_saving_pct": round(step_saving * 100.0, 2),
-        "hits": memo.totals["hits"],
-        "misses": memo.totals["misses"],
-        "gated": memo.totals["gated"],
+        **memo.count_totals(),
         "per_method": memo.per_method,
     }
 
@@ -418,6 +427,8 @@ def _counts_to_json(per_method: dict[str, dict[str, int]]) -> dict:
 
 
 def report_to_json(report: MutationReport) -> dict:
+    """The report's mutants, and for readers its score, totals and
+    per-function counts; `report_from_json` reads back only the mutants."""
     return {
         "fingerprint": report.fingerprint,
         "memo_enabled": report.memo_enabled,
@@ -434,9 +445,7 @@ def report_to_json(report: MutationReport) -> dict:
                 "tests_run": r.tests_run,
                 "steps": r.steps,
                 "wall_ns": r.wall_ns,
-                "hits": r.hits,
-                "misses": r.misses,
-                "gated": r.gated,
+                **r.count_totals(),
                 "per_method": _counts_to_json(r.per_method),
             }
             for r in report.results
@@ -444,26 +453,38 @@ def report_to_json(report: MutationReport) -> dict:
     }
 
 
+def _int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _result_from_json(d: dict) -> MutantResult:
+    if d["status"] not in STATUSES:
+        raise ValueError(f"mutant {d['id']}: unknown status {d['status']!r}")
+    return MutantResult(
+        mutant_id=_int(d["id"]),
+        status=d["status"],
+        killing_test=d["killing_test"],
+        cause=d["cause"],
+        tests_run=_int(d["tests_run"]),
+        steps=_int(d["steps"]),
+        wall_ns=_int(d["wall_ns"]),
+        per_method={
+            fn: {kind: _int(counts[kind]) for kind in KINDS}
+            for fn, counts in d.get("per_method", {}).items()
+        },
+    )
+
+
 def report_from_json(doc: dict) -> MutationReport:
-    results = [
-        MutantResult(
-            mutant_id=d["id"],
-            status=d["status"],
-            killing_test=d["killing_test"],
-            cause=d["cause"],
-            tests_run=d["tests_run"],
-            steps=d["steps"],
-            wall_ns=d["wall_ns"],
-            per_method=d.get("per_method", {}),
-        )
-        for d in doc["mutants"]
-    ]
+    """The report whose mutants `doc` lists.  Its score, totals and counts
+    are derived again; of `per_method` only the function names are read."""
+    results = [_result_from_json(d) for d in doc["mutants"]]
     return MutationReport(
         fingerprint=doc["fingerprint"],
         memo_enabled=doc["memo_enabled"],
-        score=doc["score"],
         results=results,
-        per_method=doc.get("per_method", {}),
-        totals=doc["totals"],
-        wall_ns=doc["wall_ns"],
+        wall_ns=_int(doc["wall_ns"]),
+        tables=tuple(doc.get("per_method", {})),
     )

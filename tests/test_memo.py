@@ -122,8 +122,8 @@ def _pipeline_for(src, **kw):
     criterion = ExpensivenessCriterion(tau=kw.pop("tau", 0), limit_value=100.0)
     cands = select_candidates(profile, bundle.determinacy, criterion)
     raw = record_tables(program, bundle, cands, profile, criterion=criterion, runtime=runtime)
-    final, stats = provisional_memoization(program, raw, profile, runtime=runtime)
-    return program, profile, raw, final, stats
+    final, counts = provisional_memoization(program, raw, profile, runtime=runtime)
+    return program, profile, raw, final, counts
 
 
 FIB_SRC = """
@@ -261,11 +261,11 @@ def test_provisional_drops_rand_argument_functions():
         "fn f(n){ return n * n; } "
         "fn test_a(){ assert(f(rand(1000)) >= 0); }"
     )
-    _, _, raw, final, stats = _pipeline_for(src)
+    _, _, raw, final, counts = _pipeline_for(src)
     assert "f" in raw.tables
     assert "f" not in final.tables
     assert final.exclusions["f"].reason == "cache_miss_on_covering_test"
-    assert stats.misses["f"] > 0
+    assert counts["f"]["misses"] > 0
 
 
 def test_provisional_drops_changed_output_log():
@@ -282,11 +282,11 @@ def test_provisional_drops_changed_output_log():
 
 def test_provisional_zero_misses_on_retained(corpus_pipelines):
     for name, pipe in corpus_pipelines.items():
-        final, stats = provisional_memoization(
+        final, counts = provisional_memoization(
             pipe.program, pipe.raw, pipe.profile, runtime=pipe.runtime
         )
         for fn in final.tables:
-            assert stats.misses[fn] == 0, f"{name}:{fn}"
+            assert counts[fn]["misses"] == 0, f"{name}:{fn}"
 
 
 def test_provisional_rejects_foreign_program(sample_pipeline):

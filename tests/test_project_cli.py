@@ -396,6 +396,63 @@ def test_cli_malformed_artifacts_exit_1(tmp_path, capsys):
     assert f"{pool}: malformed artifact: TypeError" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def bench_reports(tmp_path_factory):
+    """base.json and memo.json of a bench_expensive pipeline, whose memo run
+    counts hits and gated calls."""
+    art = tmp_path_factory.mktemp("bench") / "artifacts"
+    argv = ["pipeline", str(corpus_path("bench_expensive")), "--fake-time", "--artifact-dir", str(art)]
+    assert main(argv) == 0
+    return {name: json.loads((art / f"{name}.json").read_text()) for name in ("base", "memo")}
+
+
+def _report(tmp_path, capsys, base_doc, memo_doc):
+    """`memomut report` on the two documents: its exit code, stdout and stderr."""
+    capsys.readouterr()
+    base, memo = tmp_path / "base.json", tmp_path / "memo.json"
+    base.write_text(json.dumps(base_doc))
+    memo.write_text(json.dumps(memo_doc))
+    code = main(["report", str(base), str(memo)])
+    return (code, *capsys.readouterr())
+
+
+def test_cli_report_recomputes_totals(tmp_path, capsys, bench_reports):
+    base, memo = bench_reports["base"], bench_reports["memo"]
+    code, table, _ = _report(tmp_path, capsys, base, memo)
+    assert code == 0 and "cache hits" in table
+    no_totals = {name: {**doc, "totals": {}} for name, doc in bench_reports.items()}
+    assert _report(tmp_path, capsys, no_totals["base"], no_totals["memo"]) == (0, table, "")
+
+
+def test_cli_report_ignores_the_stored_score(tmp_path, capsys, bench_reports):
+    base, memo = bench_reports["base"], bench_reports["memo"]
+    assert base["score"] != 0.5
+    code, _, err = _report(tmp_path, capsys, {**base, "score": 0.5}, memo)
+    assert (code, err) == (0, "")
+
+
+def _first_row(mutant):
+    return mutant["per_method"][min(mutant["per_method"])]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: _first_row(m).pop("gated"),
+        lambda m: _first_row(m).update(hits="1"),
+        lambda m: m.update(status="skipped"),
+        lambda m: m.update(steps="5"),
+    ],
+    ids=["count-missing", "count-string", "status", "steps-string"],
+)
+def test_cli_report_rejects_a_malformed_mutant(tmp_path, capsys, bench_reports, edit):
+    memo = json.loads(json.dumps(bench_reports["memo"]))
+    edit(next(m for m in memo["mutants"] if m["per_method"]))
+    code, _, err = _report(tmp_path, capsys, bench_reports["base"], memo)
+    assert code == 1
+    assert f"{tmp_path / 'memo.json'}: malformed artifact" in err
+
+
 # -- CLI exit codes (subprocess, to observe real process behavior) ----------
 
 

@@ -297,27 +297,30 @@ def test_compare_runs_fields():
     )
 
 
+def _report(memo, wall_ns, statuses, steps=5, per_method=None):
+    """A report with one mutant of each of `statuses`, each of `steps` steps."""
+    mutants = [
+        {
+            "id": i,
+            "status": status,
+            "killing_test": "test_a" if status == "killed" else None,
+            "cause": "assert_fail" if status == "killed" else None,
+            "tests_run": 1,
+            "steps": steps,
+            "wall_ns": 1,
+            "per_method": per_method or {},
+        }
+        for i, status in enumerate(statuses)
+    ]
+    return report_from_json(
+        {"fingerprint": 1, "memo_enabled": memo, "wall_ns": wall_ns, "mutants": mutants}
+    )
+
+
 def test_compare_runs_speedup_example():
-    base = report_from_json(
-        {
-            "fingerprint": 1,
-            "memo_enabled": False,
-            "score": 0.677,
-            "wall_ns": 418_000_000_000,
-            "totals": {"steps": 1000, "hits": 0, "misses": 0, "gated": 0},
-            "mutants": [],
-        }
-    )
-    memo = report_from_json(
-        {
-            "fingerprint": 1,
-            "memo_enabled": True,
-            "score": 0.677,
-            "wall_ns": 220_000_000_000,
-            "totals": {"steps": 600, "hits": 5, "misses": 0, "gated": 1},
-            "mutants": [],
-        }
-    )
+    base = _report(False, 418_000_000_000, ["survived"], steps=1000)
+    counts = {"f": {"hits": 5, "misses": 0, "gated": 1}}
+    memo = _report(True, 220_000_000_000, ["survived"], steps=600, per_method=counts)
     cmp = compare_runs(base, memo)
     assert cmp["speedup_pct"] == 47.37
     assert cmp["step_saving_pct"] == 40.0
@@ -325,26 +328,8 @@ def test_compare_runs_speedup_example():
 
 
 def test_compare_runs_raises_on_score_change():
-    a = report_from_json(
-        {
-            "fingerprint": 1,
-            "memo_enabled": False,
-            "score": 0.5,
-            "wall_ns": 10,
-            "totals": {"steps": 10},
-            "mutants": [],
-        }
-    )
-    b = report_from_json(
-        {
-            "fingerprint": 1,
-            "memo_enabled": True,
-            "score": 0.6,
-            "wall_ns": 5,
-            "totals": {"steps": 5},
-            "mutants": [],
-        }
-    )
+    a = _report(False, 10, ["killed"] * 5 + ["survived"] * 5)
+    b = _report(True, 5, ["killed"] * 6 + ["survived"] * 4)
     with pytest.raises(ScoreMismatch) as exc:
         compare_runs(a, b)
     assert exc.value.base_score == 0.5 and exc.value.memo_score == 0.6
