@@ -11,29 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .lang.ast import (
-    ArrayLit,
-    Assert,
-    Assign,
-    BUILTINS,
-    Binary,
-    Block,
-    Call,
-    ExprStmt,
-    FnRefLit,
-    If,
-    Index,
-    IntLit,
-    BoolLit,
-    StrLit,
-    Let,
-    Name,
-    Program,
-    Return,
-    Unary,
-    While,
-    walk,
-)
+from .lang.ast import BUILTINS, ArrayLit, Assign, Call, FnRefLit, Index, Let, Name, Program, Return, walk
 
 NONDET_BUILTINS = {"time_now": "calls_time", "rand": "calls_rand", "print": "performs_io"}
 
@@ -79,113 +57,89 @@ class AnalysisBundle:
 
 
 class _Cfa:
+    """0-CFA over flow classes.  Each function's flow-moving nodes are
+    listed once, in preorder; every pass of the fixpoint runs over those
+    lists, and `flow` reads what an expression may evaluate to."""
+
     def __init__(self, program: Program):
-        self.program = program
+        self.functions = program.functions
         self.sets: dict[tuple, set[str]] = defaultdict(set)
-        self.resolution: dict[tuple[str, int], frozenset[str]] = {}
+        self.nodes = {
+            f: [n for n in walk(fn.body) if type(n) in (Let, Assign, Return, ArrayLit, Call)]
+            for f, fn in program.functions.items()
+        }
 
-    def _var(self, fn: str, name: str, is_global: bool) -> tuple:
-        return ("g", name) if is_global else ("v", fn, name)
+    def _var(self, fn: str, name: Name) -> tuple:
+        return ("g", name.ident) if name.is_global else ("v", fn, name.ident)
 
-    def run(self) -> None:
-        changed = True
-        while changed:
-            before = sum(len(s) for s in self.sets.values())
-            for fn in self.program.functions.values():
-                self._flow_block(fn.name, fn.body)
-            changed = sum(len(s) for s in self.sets.values()) != before
+    def callees(self, fn: str, call: Call) -> frozenset[str]:
+        return frozenset({call.name} if call.callee is None else self.flow(fn, call.callee))
 
-    def _flow_block(self, fn: str, block: Block) -> None:
-        for st in block.stmts:
-            self._flow_stmt(fn, st)
-
-    def _flow_stmt(self, fn: str, st) -> None:
-        t = type(st)
-        if t is Let:
-            self.sets[("v", fn, st.name)] |= self._flow_expr(fn, st.value)
-        elif t is Assign:
-            flow = self._flow_expr(fn, st.value)
-            target = st.target
-            if type(target) is Name:
-                self.sets[self._var(fn, target.ident, target.is_global)] |= flow
-            else:
-                self._flow_expr(fn, target.array)
-                self._flow_expr(fn, target.index)
-                self.sets[_CELLS] |= flow
-        elif t is If:
-            self._flow_expr(fn, st.cond)
-            self._flow_block(fn, st.then)
-            if st.orelse is not None:
-                self._flow_block(fn, st.orelse)
-        elif t is While:
-            self._flow_expr(fn, st.cond)
-            self._flow_block(fn, st.body)
-        elif t is Return:
-            if st.value is not None:
-                self.sets[("ret", fn)] |= self._flow_expr(fn, st.value)
-        elif t is ExprStmt:
-            self._flow_expr(fn, st.expr)
-        elif t is Assert:
-            self._flow_expr(fn, st.cond)
-
-    def _flow_expr(self, fn: str, e) -> set[str]:
+    def flow(self, fn: str, e) -> set[str]:
+        """The function names `e`, in `fn`, may evaluate to."""
         t = type(e)
         if t is FnRefLit:
             return {e.name}
         if t is Name:
-            return self.sets[self._var(fn, e.ident, e.is_global)]
+            return self.sets[self._var(fn, e)]
         if t is Index:
-            self._flow_expr(fn, e.array)
-            self._flow_expr(fn, e.index)
             return self.sets[_CELLS]
-        if t is ArrayLit:
-            for item in e.items:
-                self.sets[_CELLS] |= self._flow_expr(fn, item)
-            return set()
         if t is Call:
-            return self._flow_call(fn, e)
-        if t is Unary:
-            self._flow_expr(fn, e.operand)
-            return set()
-        if t is Binary:
-            self._flow_expr(fn, e.left)
-            self._flow_expr(fn, e.right)
-            return set()
-        return set()  # literals
+            return set().union(*(self.sets[("ret", g)] for g in self.callees(fn, e) if g in self.functions))
+        return set()
 
-    def _flow_call(self, fn: str, call: Call) -> set[str]:
-        if call.callee is None:
-            callees = {call.name}
-        else:
-            callees = set(self._flow_expr(fn, call.callee))
-        arg_flows = [self._flow_expr(fn, a) for a in call.args]
-        result: set[str] = set()
-        for g in sorted(callees):
-            if g in self.program.functions:
-                target = self.program.functions[g]
-                for p, flow in zip(target.params, arg_flows):
-                    self.sets[("v", g, p)] |= flow
-                result |= self.sets[("ret", g)]
-            elif g == "push" and len(arg_flows) > 1:
-                self.sets[_CELLS] |= arg_flows[1]
-        self.resolution[(fn, call.node_id)] = frozenset(callees)
-        return result
+    def run(self) -> None:
+        sets, flow = self.sets, self.flow
+        changed = True
+        while changed:
+            before = sum(map(len, sets.values()))
+            for fn, nodes in self.nodes.items():
+                for n in nodes:
+                    t = type(n)
+                    if t is Let:
+                        sets[("v", fn, n.name)] |= flow(fn, n.value)
+                    elif t is Assign:
+                        target = n.target
+                        sets[self._var(fn, target) if type(target) is Name else _CELLS] |= flow(fn, n.value)
+                    elif t is Return:
+                        if n.value is not None:
+                            sets[("ret", fn)] |= flow(fn, n.value)
+                    elif t is ArrayLit:
+                        for item in n.items:
+                            sets[_CELLS] |= flow(fn, item)
+                    else:
+                        for g in self.callees(fn, n):
+                            if g in self.functions:
+                                for p, a in zip(self.functions[g].params, n.args):
+                                    sets[("v", g, p)] |= flow(fn, a)
+                            elif g == "push" and len(n.args) > 1:
+                                sets[_CELLS] |= flow(fn, n.args[1])
+            changed = sum(map(len, sets.values())) != before
+
+    def resolution(self) -> dict[tuple[str, int], frozenset[str]]:
+        return {
+            (fn, n.node_id): self.callees(fn, n)
+            for fn, nodes in self.nodes.items()
+            for n in nodes
+            if type(n) is Call
+        }
 
 
 def build_call_graph(program: Program) -> CallGraph:
     """0-CFA call graph: direct sites syntactically, indirect by flow fixpoint."""
     cfa = _Cfa(program)
     cfa.run()
+    resolution = cfa.resolution()
     nodes = set(program.functions) | set(BUILTINS)
     edges: set[tuple[str, int, str]] = set()
     warnings: list[str] = []
-    for (caller, site), callees in cfa.resolution.items():
+    for (caller, site), callees in resolution.items():
         valid = {c for c in callees if c in nodes}
         if not valid:
             warnings.append(f"indirect call in {caller} at node {site} resolves to no targets")
         for c in valid:
             edges.add((caller, site, c))
-    return CallGraph(nodes=nodes, edges=edges, resolution=dict(cfa.resolution), warnings=warnings)
+    return CallGraph(nodes=nodes, edges=edges, resolution=resolution, warnings=warnings)
 
 
 def dependency_closure(cg: CallGraph) -> dict[str, set[str]]:
@@ -193,86 +147,96 @@ def dependency_closure(cg: CallGraph) -> dict[str, set[str]]:
     succ: dict[str, set[str]] = {n: set() for n in cg.nodes}
     for caller, _, callee in cg.edges:
         succ.setdefault(caller, set()).add(callee)
-    closure = {n: {n} for n in succ}
-    changed = True
-    while changed:
-        changed = False
-        for n, out in succ.items():
-            cur = closure[n]
-            before = len(cur)
-            for g in out:
-                cur |= closure.get(g, {g})
-            if len(cur) != before:
-                changed = True
+    closure = {}
+    for n in succ:
+        seen, todo = {n}, [n]
+        while todo:
+            for g in succ.get(todo.pop(), ()):
+                if g not in seen:
+                    seen.add(g)
+                    todo.append(g)
+        closure[n] = seen
     return closure
 
 
-def _root_positions(expr, aliases: dict[str, set[int]]) -> set[int]:
-    """Parameter positions an lvalue expression may be rooted at."""
-    if type(expr) is Name and not expr.is_global:
-        return aliases.get(expr.ident, set())
-    if type(expr) is Index:
-        return _root_positions(expr.array, aliases)
+def _roots(expr, aliases: dict[str, set]) -> set:
+    """The roots whose array an expression may be or lie inside: parameter
+    positions (ints) and global names (strs)."""
+    t = type(expr)
+    if t is Index:
+        return _roots(expr.array, aliases)
+    if t is Name:
+        return {expr.ident} if expr.is_global else aliases.get(expr.ident, set())
     return set()
 
 
-def analyze_side_effects(program: Program, cg: CallGraph) -> SideEffectSummary:
-    """Transitively-closed may-read/may-write globals and mutated-arg positions."""
+def analyze_side_effects(program: Program, cg: CallGraph, closure: dict[str, set[str]]) -> SideEffectSummary:
+    """May-read/may-write globals, closed over `closure`, and mutated-arg positions.
+
+    A store mutates its target's roots, and so does an argument at a
+    position its callee mutates.  A mutated parameter position is in
+    `mut_args`, a mutated global in `writes`.  Locals alias the roots of
+    every name or index load bound to them by `let` or assignment.
+    """
+    # Each function's own reads and writes; the summary closes them over `closure`.
     reads: dict[str, set[str]] = {n: set() for n in cg.nodes}
     writes: dict[str, set[str]] = {n: set() for n in cg.nodes}
-    mut_args: dict[str, set[int]] = {n: set() for n in cg.nodes}
-    mut_args["push"] = {0}
-
-    # (caller, callee, per-argument root positions) for the propagation pass.
-    call_sites: list[tuple[str, str, list[set[int]]]] = []
+    # The roots each function mutates, itself or through its callees.
+    mutated: dict[str, set] = {n: set() for n in cg.nodes}
+    mutated["push"] = {0}
+    # (caller, callee, per-argument roots) for the argument-position pass.
+    call_sites: list[tuple[str, str, list[set]]] = []
 
     for fn in program.functions.values():
-        aliases: dict[str, set[int]] = {p: {i} for i, p in enumerate(fn.params)}
-        # Alias pass: locals bound directly to a parameter track its position.
-        for node in walk(fn.body):
-            if type(node) is Let and type(node.value) is Name and not node.value.is_global:
-                src = aliases.get(node.value.ident)
-                if src:
-                    aliases[node.name] = set(src)
-        # Bare-name assignment targets are writes, not reads.
-        write_targets = {
-            id(node.target)
-            for node in walk(fn.body)
-            if type(node) is Assign and type(node.target) is Name
-        }
+        f = fn.name
+        binds, stores, calls = [], [], []
+        target = None  # a bare-name assignment target is a write, not a read
         for node in walk(fn.body):
             t = type(node)
-            if t is Name and node.is_global and id(node) not in write_targets:
-                reads[fn.name].add(node.ident)
+            if t is Name and node.is_global and node is not target:
+                reads[f].add(node.ident)
+            elif t is Let:
+                binds.append((node.name, node.value))
             elif t is Assign:
                 target = node.target
-                if type(target) is Name and target.is_global:
-                    writes[fn.name].add(target.ident)
-                elif type(target) is Index:
-                    mut_args[fn.name] |= _root_positions(target, aliases)
+                if type(target) is Index:
+                    stores.append(target)
+                elif target.is_global:
+                    writes[f].add(target.ident)
+                else:
+                    binds.append((target.ident, node.value))
             elif t is Call:
-                callees = cg.resolution.get((fn.name, node.node_id), frozenset())
-                roots = [_root_positions(a, aliases) for a in node.args]
-                for g in callees:
-                    call_sites.append((fn.name, g, roots))
+                calls.append(node)
+        aliases: dict[str, set] = {p: {i} for i, p in enumerate(fn.params)}
+        binds = [(name, value) for name, value in binds if type(value) in (Name, Index)]
+        grown = True
+        while grown:
+            size = sum(map(len, aliases.values()))
+            for name, value in binds:
+                aliases.setdefault(name, set()).update(_roots(value, aliases))
+            grown = sum(map(len, aliases.values())) != size
+        for store in stores:
+            mutated[f] |= _roots(store, aliases)
+        for call in calls:
+            roots = [_roots(a, aliases) for a in call.args]
+            for g in cg.resolution.get((f, call.node_id), ()):
+                call_sites.append((f, g, roots))
 
     changed = True
     while changed:
         changed = False
         for caller, callee, roots in call_sites:
-            if callee not in reads:
-                continue
-            for acc_caller, acc_callee in ((reads[caller], reads[callee]), (writes[caller], writes[callee])):
-                if not acc_callee <= acc_caller:
-                    acc_caller |= acc_callee
+            for k in list(mutated.get(callee, ())):
+                if type(k) is int and k < len(roots) and not roots[k] <= mutated[caller]:
+                    mutated[caller] |= roots[k]
                     changed = True
-            for k in mut_args.get(callee, ()):
-                if k < len(roots):
-                    new = roots[k] - mut_args[caller]
-                    if new:
-                        mut_args[caller] |= new
-                        changed = True
-    return SideEffectSummary(reads=reads, writes=writes, mut_args=mut_args)
+    for f, roots in mutated.items():
+        writes[f] |= {r for r in roots if type(r) is str}
+    return SideEffectSummary(
+        reads={f: set().union(*(reads[g] for g in closure[f])) for f in cg.nodes},
+        writes={f: set().union(*(writes[g] for g in closure[f])) for f in cg.nodes},
+        mut_args={f: {r for r in roots if type(r) is int} for f, roots in mutated.items()},
+    )
 
 
 def analyze_determinacy(
@@ -333,7 +297,7 @@ def analyze_program(program: Program, time_rand_only: bool = False) -> AnalysisB
     """
     cg = build_call_graph(program)
     closure = dependency_closure(cg)
-    effects = analyze_side_effects(program, cg)
+    effects = analyze_side_effects(program, cg, closure)
     det = analyze_determinacy(
         program,
         cg,

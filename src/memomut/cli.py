@@ -27,7 +27,7 @@ from .memo.db import (
     load_db,
     save_db,
 )
-from .mutation import generate_mutants, pool_from_json, pool_to_json
+from .mutation import StaleMutant, generate_mutants, pool_from_json, pool_to_json
 from .profiler import (
     DEFAULT_STEP_LIMIT_FACTOR,
     TAU_MODES,
@@ -357,6 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         SuiteEmpty,
         CorruptDB,
         SchemaVersionMismatch,
+        StaleMutant,
         ValueError,
         OSError,
     ) as exc:

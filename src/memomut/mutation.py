@@ -41,6 +41,7 @@ from .lang.ast import (
 )
 from .lang.values import wrap64
 from .memo.encoding import program_fingerprint
+from .project import typed
 
 
 class Operator(Enum):
@@ -171,10 +172,10 @@ def apply_mutant(program: Program, m: Mutant) -> Program:
     """Program view with the single mutation applied; the input is untouched."""
     fn = program.functions.get(m.fn)
     if fn is None:
-        raise StaleMutant(f"function {m.fn!r} not in program")
+        raise StaleMutant(f"mutant {m.id}: function {m.fn!r} not in program")
     path = _copy_path(fn.body, m.node_id)
     if path is None:
-        raise StaleMutant(f"node {m.node_id} not in {m.fn!r}")
+        raise StaleMutant(f"mutant {m.id}: node {m.node_id} not in {m.fn!r}")
     new_fn = copy.copy(fn)
     new_fn.body = path[0]
     _transform(new_fn, path, m)
@@ -230,7 +231,7 @@ def _transform(fn: FunctionDef, path: list, m: Mutant) -> None:
             else:
                 replace_child(parent, old, new)
             return
-    raise StaleMutant(f"no {m.op.value} variant {m.variant} at node {m.node_id} of {m.fn!r}")
+    raise StaleMutant(f"mutant {m.id}: no {m.op.value} variant {m.variant} at node {m.node_id} of {m.fn!r}")
 
 
 # -- JSON -------------------------------------------------------------------
@@ -257,14 +258,19 @@ def pool_to_json(pool: MutantPool) -> dict:
 def pool_from_json(doc: dict) -> MutantPool:
     mutants = [
         Mutant(
-            id=d["id"],
+            id=typed(d["id"], int),
             op=Operator(d["op"]),
-            fn=d["fn"],
-            node_id=d["node"],
-            variant=d["variant"],
-            before=d["before"],
-            after=d["after"],
+            fn=typed(d["fn"], str),
+            node_id=typed(d["node"], int),
+            variant=typed(d["variant"], int),
+            before=typed(d["before"], str),
+            after=typed(d["after"], str),
         )
         for d in doc["mutants"]
     ]
-    return MutantPool(mutants=mutants, fingerprint=doc["fingerprint"])
+    ids: set[int] = set()
+    for m in mutants:
+        if m.id in ids:
+            raise ValueError(f"mutant id {m.id} appears twice")
+        ids.add(m.id)
+    return MutantPool(mutants=mutants, fingerprint=typed(doc["fingerprint"], int))

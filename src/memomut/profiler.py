@@ -18,6 +18,7 @@ from .lang.ast import Program
 from .lang.interp import Hooks, Runtime, Verdict, run_test
 from .memo.db import FingerprintMismatch
 from .memo.encoding import program_fingerprint
+from .project import typed
 
 DEFAULT_STEP_LIMIT_FACTOR = 10
 
@@ -274,30 +275,30 @@ def profile_to_json(profile: Profile) -> dict:
 
 def profile_from_json(doc: dict, program: Program | None = None) -> Profile:
     """Read a profile, checking its fingerprint when a program is given."""
-    fingerprint = doc["fingerprint"]
+    fingerprint = typed(doc["fingerprint"], int)
     if program is not None and fingerprint != (expected := program_fingerprint(program)):
         raise FingerprintMismatch(
             f"profile fingerprint {fingerprint:#x} does not match program {expected:#x}"
         )
     functions = {
         f: FunctionStats(
-            invocations=d["invocations"],
-            inclusive_ns=d["inclusive_ns"],
-            inclusive_steps=d["inclusive_steps"],
+            invocations=typed(d["invocations"], int),
+            inclusive_ns=typed(d["inclusive_ns"], int),
+            inclusive_steps=typed(d["inclusive_steps"], int),
         )
         for f, d in doc["functions"].items()
     }
     tests = {
         t: TestRecord(
-            covered=set(d["covered"]),
+            covered={typed(f, str) for f in typed(d["covered"], list)},
             verdict=Verdict(
-                kind=d["verdict"]["kind"],
-                node_id=d["verdict"]["node_id"],
-                error=d["verdict"]["error"],
+                kind=typed(d["verdict"]["kind"], str),
+                node_id=typed(d["verdict"]["node_id"], int, type(None)),
+                error=typed(d["verdict"]["error"], str, type(None)),
             ),
-            duration_ns=d["duration_ns"],
-            steps=d["steps"],
-            output=list(d["output"]),
+            duration_ns=typed(d["duration_ns"], int),
+            steps=typed(d["steps"], int),
+            output=[typed(line, str) for line in typed(d["output"], list)],
         )
         for t, d in doc["tests"].items()
     }

@@ -21,6 +21,15 @@ class ProjectError(Exception):
     pass
 
 
+def typed(value, *kinds: type):
+    """`value`, if its type is exactly one of `kinds` (so a bool is no
+    int); a TypeError otherwise.  The readers of the JSON artifacts check
+    the fields they read with it."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
 def project_sources(path: str | Path) -> list[Path]:
     p = Path(path)
     if p.is_file():

@@ -25,6 +25,7 @@ from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
 from .mutation import Mutant, MutantPool, apply_mutant
 from .profiler import DEFAULT_STEP_LIMIT_FACTOR, Profile, check_step_limit_factor
+from .project import typed
 
 
 # Mutant ids a ScoreMismatch message names before it says "and N more".
@@ -453,25 +454,19 @@ def report_to_json(report: MutationReport) -> dict:
     }
 
 
-def _int(value) -> int:
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _result_from_json(d: dict) -> MutantResult:
     if d["status"] not in STATUSES:
         raise ValueError(f"mutant {d['id']}: unknown status {d['status']!r}")
     return MutantResult(
-        mutant_id=_int(d["id"]),
+        mutant_id=typed(d["id"], int),
         status=d["status"],
         killing_test=d["killing_test"],
         cause=d["cause"],
-        tests_run=_int(d["tests_run"]),
-        steps=_int(d["steps"]),
-        wall_ns=_int(d["wall_ns"]),
+        tests_run=typed(d["tests_run"], int),
+        steps=typed(d["steps"], int),
+        wall_ns=typed(d["wall_ns"], int),
         per_method={
-            fn: {kind: _int(counts[kind]) for kind in KINDS}
+            fn: {kind: typed(counts[kind], int) for kind in KINDS}
             for fn, counts in d.get("per_method", {}).items()
         },
     )
@@ -485,6 +480,6 @@ def report_from_json(doc: dict) -> MutationReport:
         fingerprint=doc["fingerprint"],
         memo_enabled=doc["memo_enabled"],
         results=results,
-        wall_ns=_int(doc["wall_ns"]),
+        wall_ns=typed(doc["wall_ns"], int),
         tables=tuple(doc.get("per_method", {})),
     )

@@ -386,7 +386,8 @@ def test_cli_malformed_artifacts_exit_1(tmp_path, capsys):
     proj = _sample_project(tmp_path)
     pool = tmp_path / "pool.json"
     assert main(["mutate", str(proj), "-o", str(pool)]) == 0
-    doc = json.loads(pool.read_text())
+    fresh = pool.read_text()
+    doc = json.loads(fresh)
     del doc["mutants"][0]["op"]
     pool.write_text(json.dumps(doc))
     assert main(["run", str(proj), "--mutants", str(pool)]) == 1
@@ -394,6 +395,31 @@ def test_cli_malformed_artifacts_exit_1(tmp_path, capsys):
     pool.write_text(json.dumps({"fingerprint": doc["fingerprint"], "mutants": 5}))
     assert main(["run", str(proj), "--mutants", str(pool)]) == 1
     assert f"{pool}: malformed artifact: TypeError" in capsys.readouterr().err
+
+    def run_with(index, key, value):
+        """`memomut run`'s stderr, with one field of one mutant of a fresh pool replaced."""
+        doc = json.loads(fresh)
+        doc["mutants"][index][key] = value
+        pool.write_text(json.dumps(doc))
+        assert main(["run", str(proj), "--mutants", str(pool)]) == 1
+        return capsys.readouterr().err
+
+    assert f"{pool}: malformed artifact: TypeError: expected int, got '3'" in run_with(0, "node", "3")
+    assert f"{pool}: malformed artifact: TypeError: expected str, got ['x']" in run_with(0, "fn", ["x"])
+    assert f"{pool}: malformed artifact: ValueError: mutant id 0 appears twice" in run_with(1, "id", 0)
+    # Well-formed, but naming no node or variant of the program.
+    assert run_with(0, "node", 9999).startswith("memomut: mutant 0: node 9999 not in")
+    assert run_with(0, "variant", 99).startswith("memomut: mutant 0: no ")
+
+    pool.write_text(fresh)
+    profile = tmp_path / "profile.json"
+    assert main(["profile", str(proj), "-o", str(profile)]) == 0
+    doc = json.loads(profile.read_text())
+    next(iter(doc["tests"].values()))["steps"] = "5"
+    profile.write_text(json.dumps(doc))
+    for argv in (["run", str(proj), "--mutants", str(pool)], ["memoize", str(proj), "-o", str(tmp_path / "db")]):
+        assert main([*argv, "--profile", str(profile)]) == 1
+        assert f"{profile}: malformed artifact: TypeError: expected int, got '5'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
