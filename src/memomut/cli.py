@@ -41,7 +41,7 @@ from .profiler import (
     profile_to_json,
     select_candidates,
 )
-from .project import CONFIG_NAME, ProjectError, load_config, load_project, parse_limit, parse_tau
+from .project import CONFIG_NAME, ProjectError, load_config, load_project, parse_limit, parse_tau, project_dir
 from .runner import (
     InvalidPool,
     RunConfig,
@@ -115,7 +115,8 @@ _SETTINGS = {
                                   "a test's step budget: this times its profiled steps, plus 1000"),
     "workers": _Setting(int, 1, check_workers, "run pipeline", "processes that run mutants"),
     "all_tests": _Setting(bool, False, None, "run pipeline", "run every passing test, not only covering ones"),
-    "artifact_dir": _Setting(str, None, None, "pipeline", "output directory (default PROJECT/.memomut)"),
+    "artifact_dir": _Setting(str, None, None, "pipeline",
+                             "output directory (default .memomut in the project directory or a file's parent)"),
 }
 
 _BOOLS = {
@@ -262,7 +263,7 @@ def _build_db(program, profile, bundle, st: Settings):
         criterion=criterion, step_limit_factor=factor, runtime=runtime,
     )
     final, _ = provisional_memoization(
-        program, raw, profile,
+        program, raw, profile, bundle.closure,
         step_limit_factor=factor, runtime=runtime,
     )
     return final
@@ -308,7 +309,7 @@ def _cmd_report(args, st: Settings) -> int:
 def _cmd_pipeline(args, st: Settings) -> int:
     runtime = st.runtime()
     program = load_project(args.project)
-    art = Path(args.project) / ".memomut" if st["artifact_dir"] is None else Path(st["artifact_dir"])
+    art = project_dir(args.project) / ".memomut" if st["artifact_dir"] is None else Path(st["artifact_dir"])
     art.mkdir(parents=True, exist_ok=True)
 
     bundle = analyze_program(program, time_rand_only=st["time_rand_only"])

@@ -213,6 +213,15 @@ class Runtime:
 
         return clock
 
+    def drew(self, label: str, state: ExecState) -> bool:
+        """Whether a run given `rng_for(label)` and `clock_for(label)` drew
+        a value from either, so that under another label it could have
+        gone otherwise.  Reads the run's clock once more; a real clock
+        reads the same under every label."""
+        return state.rng.getstate() != self.rng_for(label).getstate() or (
+            self.fake_time and state.clock() != self.clock_for(label)()
+        )
+
 
 def _execute(state: ExecState, fn: str, args: list) -> tuple[Verdict, Value]:
     try:

@@ -5,8 +5,9 @@ hooks that snapshot, for every candidate the test covers, an input key
 at every entry (arguments plus may-read globals) and an output record
 at the matching exit (return value, may-write globals, mutated array
 arguments).  Provisional memoization then re-runs the same tests with
-look-up enabled for one function at a time and throws out anything
-that regresses a test or misses the cache.
+look-up enabled, each once with all the tables it covers and, where
+that cannot clear a table, once more per table, and throws out
+anything that regresses a test or misses the cache.
 """
 
 from __future__ import annotations
@@ -200,6 +201,7 @@ def provisional_memoization(
     program: Program,
     raw: MemoDB,
     profile: Profile,
+    closure: dict[str, set[str]],
     step_limit_factor: int = DEFAULT_STEP_LIMIT_FACTOR,
     runtime: Runtime | None = None,
 ) -> tuple[MemoDB, dict[str, dict[str, int]]]:
@@ -209,6 +211,21 @@ def provisional_memoization(
     A function is dropped if look-up-enabled re-runs of its covering
     tests regress any previously-passing test (verdict or printed
     output) or incur any cache miss.
+
+    Each covering test first runs once with every table it covers
+    enabled, its rng and clock labelled `provisional:{fn}:{test}` after
+    the first of those tables by name.  A table passes on these runs
+    alone if, on every one of its tests, the run kept its baseline, no
+    table missed, no other table of the test has the function in its
+    dependency `closure` (a hit on that outer function would hide the
+    inner one's look-ups), and the table is the first by name or the run
+    drew no `rand` value or fake clock reading (its own run would draw
+    another stream).  Every other table is checked alone: its
+    tests run in name order with only its look-ups enabled, each
+    labelled after it, until one regresses.  The counts of a table kept
+    on the shared runs are summed over them, where no other table's hit
+    can hide one of its calls; a table checked alone has the counts of
+    its own runs.
     """
     if raw.fingerprint != program_fingerprint(program):
         raise FingerprintMismatch("raw database was recorded from a different program")
@@ -221,24 +238,54 @@ def provisional_memoization(
         limit_is_pct=raw.limit_is_pct,
         exclusions=dict(raw.exclusions),
     )
+
+    def check(test: str, hooks: LookupHooks, label: str) -> tuple[bool, ExecState]:
+        """Runs `test` with look-ups through `hooks`: whether it kept the
+        verdict and printed output it had when profiled, and its state."""
+        baseline = profile.tests[test]
+        outcome, state = run_test(
+            program,
+            test,
+            hooks,
+            step_limit=profile.step_budget(test, step_limit_factor),
+            rng=runtime.rng_for(label),
+            clock=runtime.clock_for(label),
+        )
+        return outcome.verdict == baseline.verdict and state.output == baseline.output, state
+
+    covered: dict[str, list[str]] = {}
+    for fn in sorted(raw.tables):
+        for test in raw.tables[fn].recorded_from:
+            covered.setdefault(test, []).append(fn)
+    # One set of hooks counts every table's look-ups over the shared runs;
+    # each run enables only the tables its test covers.
+    shared = LookupHooks({})
+    alone: set[str] = set()
+    for test in sorted(covered):
+        fns = covered[test]
+        shared.tables = {fn: raw.tables[fn] for fn in fns}
+        misses = shared.misses
+        label = f"provisional:{fns[0]}:{test}"
+        kept, state = check(test, shared, label)
+        if not kept or shared.misses != misses:
+            alone.update(fns)
+            continue
+        if runtime.drew(label, state):
+            alone.update(fns[1:])
+        alone.update(fn for fn in fns if any(fn in closure[g] for g in fns if g != fn))
     per_method: dict[str, dict[str, int]] = {}
     for fn in sorted(raw.tables):
         table = raw.tables[fn]
-        hooks = LookupHooks({fn: table})
         failed_test = None
-        for test in sorted(table.recorded_from):
-            baseline = profile.tests[test]
-            outcome, state = run_test(
-                program,
-                test,
-                hooks,
-                step_limit=profile.step_budget(test, step_limit_factor),
-                rng=runtime.rng_for(f"provisional:{fn}:{test}"),
-                clock=runtime.clock_for(f"provisional:{fn}:{test}"),
-            )
-            if outcome.verdict != baseline.verdict or state.output != baseline.output:
-                failed_test = test
-                break
+        if fn in alone:
+            hooks = LookupHooks({fn: table})
+            for test in sorted(table.recorded_from):
+                kept, _ = check(test, hooks, f"provisional:{fn}:{test}")
+                if not kept:
+                    failed_test = test
+                    break
+        else:
+            hooks = shared
         counts = per_method[fn] = hooks.per_method.get(fn, dict.fromkeys(KINDS, 0))
         if failed_test is not None:
             final.exclusions[fn] = Exclusion(reason="new_test_failure", detail=failed_test)

@@ -10,12 +10,15 @@ File layout (all integers big-endian):
     u8   limit mode (1 = percent, 0 = absolute count)
     f64  limit value
     u32  table count
-    u64  FNV-1a checksum of everything above
-    per table:  u32 body length, body, u64 FNV-1a checksum of body
-    exclusions: u32 body length, body, u64 FNV-1a checksum of body
+    u64  checksum of everything above
+    per table:  u32 body length, body, u64 checksum of body
+    exclusions: u32 body length, body, u64 checksum of body
 
-Checksums make single-byte corruption detectable anywhere in the file,
-and one bounded reader, with a sub-reader per body, reports each error at
+Each table body ends with its entries, each a u32 key length, the key,
+the key's u64 checksum, a u32 record length and the record.  Every
+checksum is `checksum64`: CRC-32 in the high 32 bits, Adler-32 in the
+low 32.  Checksums make single-byte corruption detectable anywhere in
+the file, and one bounded reader, with a sub-reader per body, reports each error at
 its offset in the file.
 The version is checked right after the magic, because other schema
 versions lay out the header differently; the fingerprint is checked only
@@ -30,10 +33,10 @@ from typing import Optional
 
 from ..lang.ast import Program
 from ..lang.values import Value
-from .encoding import DecodeError, Reader, encode_value, fnv1a64, program_fingerprint
+from .encoding import DecodeError, Reader, checksum64, encode_value, program_fingerprint
 
 MAGIC = b"MEMU"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class FingerprintMismatch(Exception):
@@ -147,7 +150,7 @@ def _table_body(table: MemoTable) -> bytes:
         rec = encode_record(table.entries[key])
         out += struct.pack(">I", len(key))
         out += key
-        out += struct.pack(">Q", fnv1a64(key))
+        out += struct.pack(">Q", checksum64(key))
         out += struct.pack(">I", len(rec))
         out += rec
     return bytes(out)
@@ -162,7 +165,7 @@ def _read_table(r: Reader) -> MemoTable:
     entries: dict[bytes, OutputRecord] = {}
     for _ in range(r.u32()):
         key = r.take(r.u32())
-        if r.u64() != fnv1a64(key):
+        if r.u64() != checksum64(key):
             raise CorruptDB(r.offset - 8, "key hash mismatch")
         entries[key] = _read_record(r.sub(r.u32()))
     r.done("table")
@@ -179,7 +182,7 @@ def _read_table(r: Reader) -> MemoTable:
 def _sealed(r: Reader, what: str) -> Reader:
     """A reader over the next length-prefixed body, once its checksum holds."""
     body = r.sub(r.u32())
-    if r.u64() != fnv1a64(r.data[body.offset : body.end]):
+    if r.u64() != checksum64(r.data[body.offset : body.end]):
         raise CorruptDB(body.offset, f"{what} checksum mismatch")
     return body
 
@@ -194,14 +197,14 @@ def db_to_bytes(db: MemoDB) -> bytes:
     header += struct.pack(">B", 1 if db.limit_is_pct else 0)
     header += struct.pack(">d", db.limit_value)
     header += struct.pack(">I", len(db.tables))
-    header += struct.pack(">Q", fnv1a64(bytes(header)))
+    header += struct.pack(">Q", checksum64(header))
 
     out = bytearray(header)
     for fn in sorted(db.tables):
         body = _table_body(db.tables[fn])
         out += struct.pack(">I", len(body))
         out += body
-        out += struct.pack(">Q", fnv1a64(body))
+        out += struct.pack(">Q", checksum64(body))
 
     excl = bytearray()
     excl += struct.pack(">I", len(db.exclusions))
@@ -212,7 +215,7 @@ def db_to_bytes(db: MemoDB) -> bytes:
         excl += _pack_str(e.detail or "")
     out += struct.pack(">I", len(excl))
     out += excl
-    out += struct.pack(">Q", fnv1a64(bytes(excl)))
+    out += struct.pack(">Q", checksum64(excl))
     return bytes(out)
 
 
@@ -231,7 +234,7 @@ def db_from_bytes(data: bytes, expected_fingerprint: Optional[int] = None) -> Me
     limit_value = r.f64()
     table_count = r.u32()
     header_end = r.offset
-    if r.u64() != fnv1a64(data[:header_end]):
+    if r.u64() != checksum64(data[:header_end]):
         raise CorruptDB(header_end, "header checksum mismatch")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise FingerprintMismatch(
@@ -292,7 +295,7 @@ def db_to_json(db: MemoDB) -> dict:
                 "recorded_from": sorted(t.recorded_from),
                 "entries": [
                     {
-                        "key_hash": f"{fnv1a64(key):016x}",
+                        "key_hash": f"{checksum64(key):016x}",
                         "return": format_value(t.entries[key].ret),
                         "written_globals": {
                             g: format_value(v) for g, v in sorted(t.entries[key].written_globals.items())

@@ -1,4 +1,4 @@
-"""Canonical binary encoding of Mini values and FNV-1a hashing.
+"""Canonical binary encoding of Mini values and 64-bit checksums.
 
 The encoding is type-tagged and length-prefixed, injective up to deep
 structural equality, and is the basis for memo-table keys, record
@@ -8,13 +8,10 @@ payloads, and program fingerprints.
 from __future__ import annotations
 
 import struct
+import zlib
 
 from ..lang.ast import Program, per_node, print_program
 from ..lang.values import UNIT, FnRef, Value
-
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 
 TAG_INT = 0x01
 TAG_BOOL = 0x02
@@ -102,10 +99,14 @@ class Reader:
         raise DecodeError(self.offset - 1, f"unknown tag {tag:#x}")
 
 
-def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & _MASK64
-    return h
+def checksum64(data: bytes) -> int:
+    """CRC-32 of `data` in the high 32 bits, Adler-32 in the low 32.
+
+    Both run in C, and CRC-32 alone detects every single-byte change.
+    `zlib` is already imported through `shutil`; `hashlib` would load
+    OpenSSL into every process.
+    """
+    return zlib.crc32(data) << 32 | zlib.adler32(data)
 
 
 def encode_value(v: Value) -> bytes:
@@ -169,5 +170,5 @@ def encode_key(args: list, global_items: list[tuple[str, Value]]) -> bytes:
 
 @per_node
 def program_fingerprint(program: Program) -> int:
-    """FNV-1a-64 of the canonical pretty-printed source."""
-    return fnv1a64(print_program(program).encode("utf-8"))
+    """`checksum64` of the canonical pretty-printed source."""
+    return checksum64(print_program(program).encode("utf-8"))

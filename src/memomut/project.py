@@ -50,10 +50,16 @@ def load_project(path: str | Path) -> Program:
     return parse("\n".join(chunks))
 
 
+def project_dir(path: str | Path) -> Path:
+    """The directory a project lives in: the project directory itself, or
+    a single file's parent."""
+    p = Path(path)
+    return p if p.is_dir() else p.parent
+
+
 def load_config(path: str | Path) -> dict[str, str]:
     """Read `memomut.toml` next to the sources; missing file means empty config."""
-    p = Path(path)
-    cfg_path = (p if p.is_dir() else p.parent) / CONFIG_NAME
+    cfg_path = project_dir(path) / CONFIG_NAME
     if not cfg_path.is_file():
         return {}
     out: dict[str, str] = {}

@@ -58,7 +58,7 @@ def build_pipeline(
     criterion = ExpensivenessCriterion(tau=tau, tau_unit=tau_unit, limit_value=limit_value)
     candidates = select_candidates(profile, bundle.determinacy, criterion)
     raw = record_tables(program, bundle, candidates, profile, criterion=criterion, runtime=runtime)
-    db, _ = provisional_memoization(program, raw, profile, runtime=runtime)
+    db, _ = provisional_memoization(program, raw, profile, bundle.closure, runtime=runtime)
     pool = generate_mutants(program)
     return Pipeline(
         name=name,

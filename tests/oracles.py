@@ -5,7 +5,9 @@ the package code: per-node BFS instead of the set-propagation fixpoint,
 a pattern-matching mutant enumerator instead of the generator, an
 exhaustive run-everything mutant runner instead of the covering-tests
 engine, a run-per-candidate recorder instead of one run per covering
-test, and a minimal step-counting evaluator for profiler arithmetic.
+test, a run-per-table provisional filter instead of one shared run per
+covering test, and a minimal step-counting evaluator for profiler
+arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import deque
 
 from memomut.lang import ast as A
 from memomut.lang.interp import Runtime, run_test
-from memomut.memo.builder import RecordHooks
+from memomut.memo.builder import KINDS, LookupHooks, RecordHooks
 from memomut.memo.db import Exclusion, MemoDB, MemoTable
 from memomut.memo.encoding import program_fingerprint
 from memomut.mutation import MutantPool, apply_mutant
@@ -171,6 +173,50 @@ def record_per_candidate(
         else:
             db.tables[fn] = table
     return db
+
+
+def provisional_per_table(
+    program, raw: MemoDB, profile: Profile, runtime: Runtime, factor: int = 10
+) -> tuple[MemoDB, dict[str, dict[str, int]]]:
+    """Provisional filtering that checks every table alone: its covering
+    tests run in name order with only its look-ups enabled, until one
+    regresses.  Returns the final database and each table's counts."""
+    final = MemoDB(
+        fingerprint=raw.fingerprint,
+        tau=raw.tau,
+        tau_unit=raw.tau_unit,
+        limit_value=raw.limit_value,
+        limit_is_pct=raw.limit_is_pct,
+        exclusions=dict(raw.exclusions),
+    )
+    per_method: dict[str, dict[str, int]] = {}
+    for fn in sorted(raw.tables):
+        table = raw.tables[fn]
+        hooks = LookupHooks({fn: table})
+        failed_test = None
+        for test in sorted(table.recorded_from):
+            baseline = profile.tests[test]
+            outcome, state = run_test(
+                program,
+                test,
+                hooks,
+                step_limit=profile.step_budget(test, factor),
+                rng=runtime.rng_for(f"provisional:{fn}:{test}"),
+                clock=runtime.clock_for(f"provisional:{fn}:{test}"),
+            )
+            if outcome.verdict != baseline.verdict or state.output != baseline.output:
+                failed_test = test
+                break
+        counts = per_method[fn] = hooks.per_method.get(fn, dict.fromkeys(KINDS, 0))
+        if failed_test is not None:
+            final.exclusions[fn] = Exclusion(reason="new_test_failure", detail=failed_test)
+        elif counts["misses"]:
+            final.exclusions[fn] = Exclusion(
+                reason="cache_miss_on_covering_test", detail=str(counts["misses"])
+            )
+        else:
+            final.tables[fn] = table
+    return final, per_method
 
 
 class _Halt(Exception):

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 from conftest import SMALL_TAU_NS, cached_pipeline
 from hypothesis import given, strategies as st
-from oracles import record_per_candidate
+from oracles import provisional_per_table, record_per_candidate
+from test_bench_flags import workloads
 
 from memomut import corpus_names, corpus_path
 from memomut.analysis import analyze_program
@@ -31,10 +32,10 @@ from memomut.memo.db import (
 )
 from memomut.memo.encoding import (
     DecodeError,
+    checksum64,
     decode_value,
     encode_key,
     encode_value,
-    fnv1a64,
     program_fingerprint,
 )
 from memomut.profiler import ExpensivenessCriterion, profile_suite, select_candidates
@@ -54,10 +55,13 @@ def test_encode_examples():
     assert encode_value(FnRef("f")) == b"\x05\x00\x00\x00\x01f"
 
 
-def test_fnv1a64_vectors():
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+def test_checksum64_vectors():
+    # CRC-32 in the high half, Adler-32 in the low half; "123456789" is
+    # CRC-32's standard check input, "Wikipedia" Adler-32's worked example.
+    assert checksum64(b"") == 1
+    assert checksum64(b"a") == 0xE8B7BE43_00620062
+    assert checksum64(b"123456789") == 0xCBF43926_091E01DE
+    assert checksum64(b"Wikipedia") == 0xADAAC02E_11E60398
 
 
 def test_decode_rejects_garbage():
@@ -122,7 +126,7 @@ def _pipeline_for(src, **kw):
     criterion = ExpensivenessCriterion(tau=kw.pop("tau", 0), limit_value=100.0)
     cands = select_candidates(profile, bundle.determinacy, criterion)
     raw = record_tables(program, bundle, cands, profile, criterion=criterion, runtime=runtime)
-    final, counts = provisional_memoization(program, raw, profile, runtime=runtime)
+    final, counts = provisional_memoization(program, raw, profile, bundle.closure, runtime=runtime)
     return program, profile, raw, final, counts
 
 
@@ -252,8 +256,76 @@ def test_record_runs_each_covering_test_once(monkeypatch):
     assert runs == sorted({t for c in pipe.candidates for t in c.covering_tests})
     assert len(runs) == 3
     runs.clear()
-    provisional_memoization(pipe.program, raw, pipe.profile, runtime=pipe.runtime)
-    assert len(runs) == 9
+    provisional_memoization(pipe.program, raw, pipe.profile, pipe.bundle.closure, runtime=pipe.runtime)
+    assert len(runs) == 3
+
+
+# Arrays that a cache hit hands back or writes back as copies, so their
+# aliases go stale: a returned argument, an argument returned by a callee,
+# an argument stored into a global, and a global passed as the argument.
+ALIAS_PROGRAMS = {
+    "returned_alias": """
+fn pick(a, n) { let i = 0; while (i < n) { i = i + 1; } return a; }
+fn first(x) { let arr = [x, 2, 3]; let b = pick(arr, 300); b[0] = b[0] + 0; return arr[0]; }
+fn test_first() { assert(first(1) == 1); assert(first(7) == 7); }
+""",
+    "callee_return": """
+fn pick(a) { return a; }
+fn f(a, n) { let i = 0; while (i < n) { i = i + 1; } let b = pick(a); b[0] = n; }
+fn test_f() { let a = [0]; f(a, 300); assert(a[0] == 300); }
+""",
+    "array_in_global": """
+global G = 0;
+fn f(a) { G = a; }
+fn g(n) { let i = 0; while (i < n) { i = i + 1; } G[0] = n; }
+fn h(a, n) { f(a); g(n); }
+fn test_h() { let a = [0]; h(a, 300); assert(a[0] == 300); }
+""",
+    "global_as_argument": """
+global G = 0;
+fn f(a, n) { let i = 0; while (i < n) { i = i + 1; } G[0] = n; }
+fn test_f() { G = [0]; f(G, 300); assert(G[0] == 300); }
+""",
+}
+
+
+# Tests that draw `rand` or read the clock for the argument of their
+# second table by name, so that the table's own run, under its own label,
+# draws another stream.
+RAND_AROUND_A_TABLE = """
+fn a_sq(n) { return n * n; }
+fn y_pick(n) { let i = 0; while (i < n) { i = i + 1; } return i; }
+fn z_pick(n) { let i = 0; while (i < n) { i = i + 1; } return i; }
+fn test_a() { assert(a_sq(3) == 9); let r = rand(4); assert(y_pick(r) == r); }
+fn test_b() { assert(a_sq(2) == 4); let t = time_now() % 4; assert(z_pick(t) == t); }
+"""
+
+
+def _provisional_programs():
+    yield from _recording_programs()
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 5):
+            yield f"{workload}:{seed}", parse(workloads.generate(workload, seed).source)
+    for name, src in ALIAS_PROGRAMS.items():
+        yield name, parse(src)
+    yield "rand_around_a_table", parse(RAND_AROUND_A_TABLE)
+
+
+def test_provisional_matches_a_check_per_table():
+    """Shared runs keep the tables, entries, exclusions, details and
+    counts that checking every table alone keeps."""
+    for name, program in _provisional_programs():
+        runtime = Runtime(seed=0, fake_time=True)
+        profile = profile_suite(program, runtime=runtime)
+        bundle = analyze_program(program)
+        for tau, limit in ((1000, 20.0), (1, 100.0)):
+            criterion = ExpensivenessCriterion(tau=tau, tau_unit="steps", limit_value=limit)
+            cands = select_candidates(profile, bundle.determinacy, criterion)
+            raw = record_tables(program, bundle, cands, profile, criterion=criterion, runtime=runtime)
+            got, got_counts = provisional_memoization(program, raw, profile, bundle.closure, runtime=runtime)
+            want, want_counts = provisional_per_table(program, raw, profile, runtime)
+            assert db_to_bytes(got) == db_to_bytes(want), (name, tau)
+            assert got_counts == want_counts, (name, tau)
 
 
 def test_provisional_drops_rand_argument_functions():
@@ -280,10 +352,53 @@ def test_provisional_drops_changed_output_log():
     assert final.exclusions["noisy"].detail == "test_a"
 
 
+def test_provisional_checks_the_guilty_table_alone():
+    # One test covers both tables; only noisy's hit drops a print.
+    src = (
+        "fn noisy(n){ print(n); return n + 1; } "
+        "fn quiet(n){ return n * 2; } "
+        "fn test_a(){ assert(noisy(1) == 2); assert(quiet(3) == 6); }"
+    )
+    _, _, raw, final, counts = _pipeline_for(src, time_rand_only=True)
+    assert set(raw.tables) == {"noisy", "quiet"}
+    assert set(final.tables) == {"quiet"}
+    assert final.exclusions["noisy"] == Exclusion(reason="new_test_failure", detail="test_a")
+    assert counts["quiet"] == {"hits": 1, "misses": 0, "gated": 0}
+
+
+def test_provisional_checks_a_nested_table_alone(monkeypatch):
+    # A hit on outer skips its body, so the shared run sees no look-up of
+    # inner; inner gets a run of its own.
+    src = (
+        "fn inner(n){ let i = 0; while (i < n) { i = i + 1; } return i; } "
+        "fn outer(n){ return inner(n) + inner(n + 1); } "
+        "fn test_a(){ assert(outer(3) == 7); }"
+    )
+    program, profile, raw, _, _ = _pipeline_for(src)
+    assert set(raw.tables) == {"inner", "outer"}
+    runs = []
+    run_test = builder.run_test
+
+    def counted(program, test, *args, **kwargs):
+        runs.append(test)
+        return run_test(program, test, *args, **kwargs)
+
+    monkeypatch.setattr(builder, "run_test", counted)
+    closure = analyze_program(program).closure
+    runtime = Runtime(seed=0, fake_time=True)
+    final, counts = provisional_memoization(program, raw, profile, closure, runtime=runtime)
+    assert runs == ["test_a", "test_a"]
+    assert set(final.tables) == {"inner", "outer"}
+    assert counts == {
+        "inner": {"hits": 2, "misses": 0, "gated": 0},
+        "outer": {"hits": 1, "misses": 0, "gated": 0},
+    }
+
+
 def test_provisional_zero_misses_on_retained(corpus_pipelines):
     for name, pipe in corpus_pipelines.items():
         final, counts = provisional_memoization(
-            pipe.program, pipe.raw, pipe.profile, runtime=pipe.runtime
+            pipe.program, pipe.raw, pipe.profile, pipe.bundle.closure, runtime=pipe.runtime
         )
         for fn in final.tables:
             assert counts[fn]["misses"] == 0, f"{name}:{fn}"
@@ -292,7 +407,9 @@ def test_provisional_zero_misses_on_retained(corpus_pipelines):
 def test_provisional_rejects_foreign_program(sample_pipeline):
     other = parse("fn f(){ return 1; } fn test_a(){ f(); }")
     with pytest.raises(FingerprintMismatch):
-        provisional_memoization(other, sample_pipeline.raw, sample_pipeline.profile)
+        provisional_memoization(
+            other, sample_pipeline.raw, sample_pipeline.profile, sample_pipeline.bundle.closure
+        )
 
 
 def test_lookup_hit_restores_state():
@@ -437,7 +554,7 @@ def test_unknown_exclusion_reason_rejected():
     body_start, tag_at = len(blob) - 8 - 14, len(blob) - 8 - 4 - 1
     assert blob[tag_at] == 3
     blob[tag_at] = 4
-    blob[-8:] = fnv1a64(bytes(blob[body_start:-8])).to_bytes(8, "big")
+    blob[-8:] = checksum64(bytes(blob[body_start:-8])).to_bytes(8, "big")
     with pytest.raises(CorruptDB, match="bad exclusion reason"):
         db_from_bytes(bytes(blob))
 
@@ -456,7 +573,7 @@ def test_corrupt_record_reported_at_its_file_offset():
     body_end = body_start + int.from_bytes(blob[header_end:body_start], "big")
     tag_at = blob.index(encode_value(5), body_start)
     blob[tag_at] = 9
-    blob[body_end : body_end + 8] = fnv1a64(bytes(blob[body_start:body_end])).to_bytes(8, "big")
+    blob[body_end : body_end + 8] = checksum64(bytes(blob[body_start:body_end])).to_bytes(8, "big")
     with pytest.raises(CorruptDB, match=f"^offset {tag_at}: unknown tag 0x9$") as info:
         db_from_bytes(bytes(blob))
     assert info.value.offset == tag_at
@@ -470,7 +587,7 @@ def test_tau_unit_round_trip_and_bad_unit_rejected():
     # the header checksum so only the unknown unit is wrong.
     unit_at, header_end = 4 + 2 + 8 + 8, 4 + 2 + 8 + 8 + 1 + 1 + 8 + 4
     blob[unit_at] = 9
-    blob[header_end : header_end + 8] = fnv1a64(bytes(blob[:header_end])).to_bytes(8, "big")
+    blob[header_end : header_end + 8] = checksum64(bytes(blob[:header_end])).to_bytes(8, "big")
     with pytest.raises(CorruptDB, match="bad tau unit"):
         db_from_bytes(bytes(blob))
 

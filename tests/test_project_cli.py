@@ -207,6 +207,16 @@ def test_cli_pipeline_writes_artifacts(tmp_path, capsys):
         assert (art / name).exists(), name
 
 
+def test_cli_pipeline_on_a_single_file(tmp_path, capsys):
+    # Without --artifact-dir, the artifacts go beside the file.
+    src = tmp_path / "fib.mini"
+    shutil.copyfile(corpus_path("fib") / "fib.mini", src)
+    assert main(["pipeline", str(src), "--fake-time"]) == 0
+    art = tmp_path / ".memomut"
+    for name in ("analysis.json", "profile.json", "mutants.json", "memo.db", "base.json", "memo.json"):
+        assert (art / name).exists(), name
+
+
 def test_cli_pipeline_step_tau_and_per_method_counts(tmp_path, capsys):
     proj = tmp_path / "proj"
     shutil.copytree(corpus_path("bench_expensive"), proj)
@@ -486,10 +496,10 @@ def test_cli_report_rejects_a_malformed_mutant(tmp_path, capsys, bench_reports, 
 _SRC = str(Path(memomut.__file__).resolve().parents[1])
 
 
-def _cli(*argv, cwd=None):
+def _python(*argv, cwd=None):
     path = os.environ.get("PYTHONPATH")
     return subprocess.run(
-        [sys.executable, "-m", "memomut.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -497,10 +507,39 @@ def _cli(*argv, cwd=None):
     )
 
 
+def _cli(*argv, cwd=None):
+    return _python("-m", "memomut.cli", *argv, cwd=cwd)
+
+
 def test_cli_version():
     r = _cli("--version")
     assert r.returncode == 0
-    assert "schema 2" in r.stdout
+    assert "schema 3" in r.stdout
+
+
+_DB_ROUND_TRIP = """
+import sys
+import memomut.cli
+from memomut.lang.parser import parse
+from memomut.memo.db import MemoDB, MemoTable, OutputRecord, load_db, save_db
+from memomut.memo.encoding import encode_key, program_fingerprint
+
+program = parse("fn f(n){ return n; } fn test_a(){ assert(f(1) == 1); }")
+table = MemoTable(fn="f", may_read=[], may_write=[], mut_args=[])
+table.entries[encode_key([1], [])] = OutputRecord(ret=1, written_globals={}, post_args={}, output_steps=3)
+db = MemoDB(fingerprint=program_fingerprint(program), tau=1, limit_value=1, limit_is_pct=False, tables={"f": table})
+save_db(db, sys.argv[1])
+assert load_db(sys.argv[1], program).tables["f"].entries == table.entries
+print("_hashlib" in sys.modules)
+"""
+
+
+def test_memo_db_round_trip_loads_no_openssl(tmp_path):
+    # `hashlib` would load OpenSSL's `_hashlib` into every process and raise
+    # its peak memory by megabytes; the memo db's checksums come from `zlib`.
+    r = _python("-c", _DB_ROUND_TRIP, str(tmp_path / "memo.db"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"
 
 
 def test_cli_usage_errors_exit_64():
