@@ -29,13 +29,8 @@ from .memo.db import (
 )
 from .mutation import StaleMutant, generate_mutants, pool_from_json, pool_to_json
 from .profiler import (
-    DEFAULT_STEP_LIMIT_FACTOR,
-    TAU_MODES,
     ExpensivenessCriterion,
     SuiteEmpty,
-    check_profile_reps,
-    check_step_limit_factor,
-    check_tau_mode,
     profile_from_json,
     profile_suite,
     profile_to_json,
@@ -94,7 +89,6 @@ class _Setting(NamedTuple):
     check: Callable | None  # checks a given value and returns what is used
     commands: str  # the subcommands that read it
     help: str
-    choices: tuple | None = None
 
 
 # Every setting: its --flag on each subcommand that reads it, and its
@@ -106,15 +100,9 @@ _SETTINGS = {
     "tau": _Setting(str, None, parse_tau, "memoize pipeline",
                     "expensiveness threshold: a step count (default 1000steps) or a duration (1ms)"),
     "limit": _Setting(str, None, parse_limit, "memoize pipeline", "candidates: a count or a percent (default 20%%)"),
-    "tau_mode": _Setting(str, None, check_tau_mode, "memoize pipeline",
-                         "compare tau with each function's mean or summed cost (default mean)", TAU_MODES),
     "time_rand_only": _Setting(bool, False, None, "analyze memoize pipeline",
                                "disable the print axiom and global-taint rule"),
-    "profile_reps": _Setting(int, 1, check_profile_reps, "profile pipeline", "profiling runs; times are medians"),
-    "step_limit_factor": _Setting(int, DEFAULT_STEP_LIMIT_FACTOR, check_step_limit_factor, "memoize run pipeline",
-                                  "a test's step budget: this times its profiled steps, plus 1000"),
     "workers": _Setting(int, 1, check_workers, "run pipeline", "processes that run mutants"),
-    "all_tests": _Setting(bool, False, None, "run pipeline", "run every passing test, not only covering ones"),
     "artifact_dir": _Setting(str, None, None, "pipeline",
                              "output directory (default .memomut in the project directory or a file's parent)"),
 }
@@ -170,7 +158,7 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("-o", "--output", default=None)
 
     for name, row in _SETTINGS.items():
-        kind = {"action": "store_true"} if row.kind is bool else {"type": row.kind, "choices": row.choices}
+        kind = {"action": "store_true"} if row.kind is bool else {"type": row.kind}
         for command in row.commands.split():
             commands[command].add_argument("--" + name.replace("_", "-"), default=None, help=row.help, **kind)
     return parser
@@ -182,10 +170,10 @@ class Settings(dict):
 
     def __init__(self, args: argparse.Namespace, config: dict[str, str]):
         super().__init__()
-        config = {key.replace("-", "_"): value for key, value in config.items()}
-        unknown = sorted(config.keys() - _SETTINGS.keys())
+        unknown = sorted(key for key in config if key.replace("-", "_") not in _SETTINGS)
         if unknown:
             raise ProjectError(f"unknown setting in {CONFIG_NAME}: {', '.join(unknown)}")
+        config = {key.replace("-", "_"): value for key, value in config.items()}
         for name, row in _SETTINGS.items():
             if args.command not in row.commands.split():
                 continue
@@ -205,16 +193,13 @@ class Settings(dict):
             fields["tau"], fields["tau_unit"] = self["tau"]
         if self["limit"] is not None:
             fields["limit_value"], fields["limit_is_pct"] = self["limit"]
-        if self["tau_mode"] is not None:
-            fields["tau_mode"] = self["tau_mode"]
         return ExpensivenessCriterion(**fields)
 
     def runtime(self) -> Runtime:
         return Runtime(seed=self["seed"], fake_time=self["fake_time"])
 
     def run_config(self, memo: bool) -> RunConfig:
-        return RunConfig(memo=memo, step_limit_factor=self["step_limit_factor"],
-                         all_tests=self["all_tests"], workers=self["workers"])
+        return RunConfig(memo=memo, workers=self["workers"])
 
 
 def _comparison_table(block: dict) -> str:
@@ -243,7 +228,7 @@ def _cmd_analyze(args, st: Settings) -> int:
 
 def _cmd_profile(args, st: Settings) -> int:
     program = load_project(args.project)
-    profile = profile_suite(program, runtime=st.runtime(), reps=st["profile_reps"])
+    profile = profile_suite(program, runtime=st.runtime())
     _write_json(profile_to_json(profile), args.output)
     return 0
 
@@ -256,16 +241,10 @@ def _cmd_mutate(args, st: Settings) -> int:
 
 
 def _build_db(program, profile, bundle, st: Settings):
-    criterion, runtime, factor = st.criterion(), st.runtime(), st["step_limit_factor"]
+    criterion, runtime = st.criterion(), st.runtime()
     candidates = select_candidates(profile, bundle.determinacy, criterion)
-    raw = record_tables(
-        program, bundle, candidates, profile,
-        criterion=criterion, step_limit_factor=factor, runtime=runtime,
-    )
-    final, _ = provisional_memoization(
-        program, raw, profile, bundle.closure,
-        step_limit_factor=factor, runtime=runtime,
-    )
+    raw = record_tables(program, bundle, candidates, profile, criterion=criterion, runtime=runtime)
+    final, _ = provisional_memoization(program, raw, profile, bundle.closure, runtime=runtime)
     return final
 
 
@@ -315,7 +294,7 @@ def _cmd_pipeline(args, st: Settings) -> int:
     bundle = analyze_program(program, time_rand_only=st["time_rand_only"])
     _write_json(bundle_to_json(bundle), str(art / "analysis.json"))
 
-    profile = profile_suite(program, runtime=runtime, reps=st["profile_reps"])
+    profile = profile_suite(program, runtime=runtime)
     _write_json(profile_to_json(profile), str(art / "profile.json"))
 
     pool = generate_mutants(program)

@@ -16,7 +16,7 @@ from ..analysis import AnalysisBundle
 from ..lang.ast import Program
 from ..lang.interp import ExecState, Hooks, Runtime, Substitute, run_test
 from ..lang.values import deep_copy
-from ..profiler import DEFAULT_STEP_LIMIT_FACTOR, Candidate, ExpensivenessCriterion, Profile
+from ..profiler import Candidate, ExpensivenessCriterion, Profile
 from .db import Exclusion, FingerprintMismatch, MemoDB, MemoTable, OutputRecord, encode_record
 from .encoding import encode_key, program_fingerprint
 
@@ -142,7 +142,6 @@ def record_tables(
     candidates: list[Candidate],
     profile: Profile,
     criterion: ExpensivenessCriterion | None = None,
-    step_limit_factor: int = DEFAULT_STEP_LIMIT_FACTOR,
     runtime: Runtime | None = None,
 ) -> MemoDB:
     """Raw memo-tables database recorded from the unmutated program."""
@@ -182,7 +181,7 @@ def record_tables(
             program,
             test,
             hooks,
-            step_limit=profile.step_budget(test, step_limit_factor),
+            step_limit=profile.step_budget(test),
             rng=runtime.rng_for(label),
             clock=runtime.clock_for(label),
         )
@@ -202,7 +201,6 @@ def provisional_memoization(
     raw: MemoDB,
     profile: Profile,
     closure: dict[str, set[str]],
-    step_limit_factor: int = DEFAULT_STEP_LIMIT_FACTOR,
     runtime: Runtime | None = None,
 ) -> tuple[MemoDB, dict[str, dict[str, int]]]:
     """Filter the raw database down to safely memoizable functions, and
@@ -247,7 +245,7 @@ def provisional_memoization(
             program,
             test,
             hooks,
-            step_limit=profile.step_budget(test, step_limit_factor),
+            step_limit=profile.step_budget(test),
             rng=runtime.rng_for(label),
             clock=runtime.clock_for(label),
         )

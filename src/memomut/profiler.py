@@ -9,7 +9,6 @@ their parents (nested expensive functions are double-counted).
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -20,7 +19,8 @@ from .memo.db import FingerprintMismatch
 from .memo.encoding import program_fingerprint
 from .project import typed
 
-DEFAULT_STEP_LIMIT_FACTOR = 10
+# A test's step budget is this many times its profiled steps, plus 1000.
+STEP_LIMIT_FACTOR = 10
 
 
 class SuiteEmpty(Exception):
@@ -53,28 +53,13 @@ class Profile:
     tests: dict[str, TestRecord]
     fingerprint: int  # of the profiled program
 
-    def passing_tests(self) -> list[str]:
-        return [t for t, rec in self.tests.items() if rec.verdict.passed]
-
     def covering_passing_tests(self, fn: str) -> list[str]:
         return sorted(
             t for t, rec in self.tests.items() if rec.verdict.passed and fn in rec.covered
         )
 
-    def step_budget(self, test: str, factor: int) -> int:
-        return self.tests[test].steps * factor + 1000
-
-
-def check_step_limit_factor(factor: int) -> int:
-    if factor < 2:
-        raise ValueError("step_limit_factor must be >= 2")
-    return factor
-
-
-def check_profile_reps(reps: int) -> int:
-    if reps < 1:
-        raise ValueError("profile reps must be >= 1")
-    return reps
+    def step_budget(self, test: str) -> int:
+        return self.tests[test].steps * STEP_LIMIT_FACTOR + 1000
 
 
 class ProfileHooks(Hooks):
@@ -99,80 +84,52 @@ class ProfileHooks(Hooks):
         st.inclusive_steps += state.steps - s0
 
 
-def profile_suite(
-    program: Program,
-    runtime: Runtime | None = None,
-    reps: int = 1,
-) -> Profile:
-    """Profile the whole suite; with reps > 1, timings are per-entry medians.
-
-    Coverage, verdicts, step counts, and output logs come from the first
-    repetition (they are deterministic up to the seeded RNG stream).
-    """
+def profile_suite(program: Program, runtime: Runtime | None = None) -> Profile:
+    """Profile the whole suite, running each test once."""
     if not program.tests:
         raise SuiteEmpty("program declares no tests")
     runtime = runtime or Runtime()
-    fingerprint = program_fingerprint(program)
-    runs: list[Profile] = []
-    for rep in range(check_profile_reps(reps)):
-        functions = {f: FunctionStats() for f in program.functions}
-        tests: dict[str, TestRecord] = {}
-        for test in program.tests:
-            hooks = ProfileHooks(functions)
-            outcome, state = run_test(
-                program,
-                test,
-                hooks,
-                rng=runtime.rng_for(f"profile:{rep}:{test}"),
-                clock=runtime.clock_for(f"profile:{rep}:{test}"),
-            )
-            tests[test] = TestRecord(
-                covered=hooks.covered,
-                verdict=outcome.verdict,
-                duration_ns=outcome.wall_ns,
-                steps=outcome.steps,
-                output=list(state.output),
-            )
-        runs.append(Profile(functions=functions, tests=tests, fingerprint=fingerprint))
-
-    base = runs[0]
-    if len(runs) > 1:
-        for f, st in base.functions.items():
-            st.inclusive_ns = int(statistics.median(r.functions[f].inclusive_ns for r in runs))
-        for t, rec in base.tests.items():
-            rec.duration_ns = int(statistics.median(r.tests[t].duration_ns for r in runs))
-    return base
+    functions = {f: FunctionStats() for f in program.functions}
+    tests: dict[str, TestRecord] = {}
+    for test in program.tests:
+        hooks = ProfileHooks(functions)
+        # The "0" once numbered repeated profiles; it stays so that every
+        # rand and clock stream, and so every artifact, stays the same.
+        label = f"profile:0:{test}"
+        outcome, state = run_test(
+            program, test, hooks, rng=runtime.rng_for(label), clock=runtime.clock_for(label)
+        )
+        tests[test] = TestRecord(
+            covered=hooks.covered,
+            verdict=outcome.verdict,
+            duration_ns=outcome.wall_ns,
+            steps=outcome.steps,
+            output=list(state.output),
+        )
+    return Profile(functions=functions, tests=tests, fingerprint=program_fingerprint(program))
 
 
 TAU_UNITS = ("ns", "steps")
-TAU_MODES = ("mean", "cumulative")
-
-
-def check_tau_mode(mode: str) -> str:
-    if mode not in TAU_MODES:
-        raise ValueError(f"unknown tau mode {mode!r}")
-    return mode
 
 
 @dataclass
 class ExpensivenessCriterion:
     """Which functions are expensive enough to memoize.
 
-    tau is a profiled cost in `tau_unit`: wall time ("ns") or executed
-    steps ("steps").  A step threshold picks the same functions on every
-    machine and at every interpreter speed.
+    A function is expensive when its mean inclusive cost per call is
+    above tau, a profiled cost in `tau_unit`: wall time ("ns") or
+    executed steps ("steps").  A step threshold picks the same functions
+    on every machine and at every interpreter speed.
     """
 
     tau: int = 1000
     tau_unit: str = "steps"
     limit_value: float = 20.0
     limit_is_pct: bool = True
-    tau_mode: str = "mean"  # or "cumulative"
 
     def __post_init__(self):
         if self.tau_unit not in TAU_UNITS:
             raise ValueError(f"unknown tau unit {self.tau_unit!r}")
-        check_tau_mode(self.tau_mode)
 
     def inclusive(self, st: FunctionStats) -> int:
         """A function's profiled inclusive cost, summed over its calls, in tau's unit."""
@@ -209,10 +166,8 @@ def select_candidates(
         if fn in tests or fn in determinacy.nondeterministic:
             continue
         inclusive = criterion.inclusive(st)
-        cost = inclusive
-        if criterion.tau_mode == "mean":
-            cost = inclusive / st.invocations if st.invocations else 0.0
-        if cost <= criterion.tau:
+        mean = inclusive / st.invocations if st.invocations else 0.0
+        if mean <= criterion.tau:
             continue
         covering = profile.covering_passing_tests(fn)
         if not covering:

@@ -106,12 +106,13 @@ def parse_tau(text: str) -> tuple[int, str]:
 def parse_limit(text: str) -> tuple[float, bool]:
     """Candidate limit: "20%" means a share, a bare integer a fixed count."""
     stripped = text.strip()
-    if stripped.endswith("%"):
-        value = float(stripped[:-1])
-        if not 0 < value <= 100:  # false for NaN too
-            raise ValueError(f"percent limit out of range: {text!r}")
-        return value, True
-    value = int(stripped)
-    if value < 1:
+    is_pct = stripped.endswith("%")
+    try:
+        value = float(stripped[:-1]) if is_pct else float(int(stripped))
+    except ValueError:
+        raise ValueError(f"bad limit {text!r}; expected a count (4) or a percent (20%)") from None
+    if is_pct and not 0 < value <= 100:  # false for NaN too
+        raise ValueError(f"percent limit out of range: {text!r}")
+    if not is_pct and value < 1:
         raise ValueError(f"count limit must be positive: {text!r}")
-    return float(value), False
+    return value, is_pct

@@ -24,7 +24,7 @@ from .memo.builder import KINDS, CountTotals, LookupHooks
 from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
 from .mutation import Mutant, MutantPool, apply_mutant
-from .profiler import DEFAULT_STEP_LIMIT_FACTOR, Profile, check_step_limit_factor
+from .profiler import Profile
 from .project import typed
 
 
@@ -72,12 +72,9 @@ def check_workers(workers: int) -> int:
 @dataclass
 class RunConfig:
     memo: bool = False
-    step_limit_factor: int = DEFAULT_STEP_LIMIT_FACTOR
-    all_tests: bool = False
     workers: int = 1
 
     def __post_init__(self):
-        check_step_limit_factor(self.step_limit_factor)
         check_workers(self.workers)
 
 
@@ -143,12 +140,6 @@ def _blocked_functions(db: MemoDB, closure: dict[str, set[str]], mutated_fn: str
     )
 
 
-def _select_tests(profile: Profile, fn: str, all_tests: bool) -> list[str]:
-    if all_tests:
-        return sorted(profile.passing_tests())
-    return profile.covering_passing_tests(fn)
-
-
 def _run_single_mutant(
     program: Program,
     mutant: Mutant,
@@ -158,7 +149,7 @@ def _run_single_mutant(
     cfg: RunConfig,
     runtime: Runtime,
 ) -> MutantResult:
-    tests = _select_tests(profile, mutant.fn, cfg.all_tests)
+    tests = profile.covering_passing_tests(mutant.fn)
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
     mutated = apply_mutant(program, mutant)
@@ -172,7 +163,7 @@ def _run_single_mutant(
             mutated,
             test,
             hooks,
-            step_limit=profile.step_budget(test, cfg.step_limit_factor),
+            step_limit=profile.step_budget(test),
             rng=runtime.rng_for(f"mutant:{mutant.id}:{test}"),
             clock=runtime.clock_for(f"mutant:{mutant.id}:{test}"),
         )
@@ -460,8 +451,8 @@ def _result_from_json(d: dict) -> MutantResult:
     return MutantResult(
         mutant_id=typed(d["id"], int),
         status=d["status"],
-        killing_test=d["killing_test"],
-        cause=d["cause"],
+        killing_test=typed(d["killing_test"], str, type(None)),
+        cause=typed(d["cause"], str, type(None)),
         tests_run=typed(d["tests_run"], int),
         steps=typed(d["steps"], int),
         wall_ns=typed(d["wall_ns"], int),
@@ -477,9 +468,9 @@ def report_from_json(doc: dict) -> MutationReport:
     are derived again; of `per_method` only the function names are read."""
     results = [_result_from_json(d) for d in doc["mutants"]]
     return MutationReport(
-        fingerprint=doc["fingerprint"],
-        memo_enabled=doc["memo_enabled"],
+        fingerprint=typed(doc["fingerprint"], int),
+        memo_enabled=typed(doc["memo_enabled"], bool),
         results=results,
         wall_ns=typed(doc["wall_ns"], int),
-        tables=tuple(doc.get("per_method", {})),
+        tables=tuple(typed(doc.get("per_method", {}), dict)),
     )

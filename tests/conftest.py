@@ -49,11 +49,10 @@ def build_pipeline(
     limit_value: float = 20.0,
     time_rand_only: bool = False,
     seed: int = 0,
-    reps: int = 1,
 ) -> Pipeline:
     program = load_project(corpus_path(name))
     runtime = Runtime(seed=seed, fake_time=True)
-    profile = profile_suite(program, runtime=runtime, reps=reps)
+    profile = profile_suite(program, runtime=runtime)
     bundle = analyze_program(program, time_rand_only=time_rand_only)
     criterion = ExpensivenessCriterion(tau=tau, tau_unit=tau_unit, limit_value=limit_value)
     candidates = select_candidates(profile, bundle.determinacy, criterion)

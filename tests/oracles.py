@@ -135,7 +135,6 @@ def record_per_candidate(
     profile: Profile,
     criterion: ExpensivenessCriterion,
     runtime: Runtime,
-    factor: int = 10,
 ) -> MemoDB:
     """Raw memo-tables database recorded by running every candidate's
     covering tests once for that candidate alone."""
@@ -162,7 +161,7 @@ def record_per_candidate(
                 program,
                 test,
                 hooks,
-                step_limit=profile.step_budget(test, factor),
+                step_limit=profile.step_budget(test),
                 rng=runtime.rng_for(f"record:{fn}:{test}"),
                 clock=runtime.clock_for(f"record:{fn}:{test}"),
             )
@@ -176,7 +175,7 @@ def record_per_candidate(
 
 
 def provisional_per_table(
-    program, raw: MemoDB, profile: Profile, runtime: Runtime, factor: int = 10
+    program, raw: MemoDB, profile: Profile, runtime: Runtime
 ) -> tuple[MemoDB, dict[str, dict[str, int]]]:
     """Provisional filtering that checks every table alone: its covering
     tests run in name order with only its look-ups enabled, until one
@@ -200,7 +199,7 @@ def provisional_per_table(
                 program,
                 test,
                 hooks,
-                step_limit=profile.step_budget(test, factor),
+                step_limit=profile.step_budget(test),
                 rng=runtime.rng_for(f"provisional:{fn}:{test}"),
                 clock=runtime.clock_for(f"provisional:{fn}:{test}"),
             )

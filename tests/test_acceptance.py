@@ -98,11 +98,8 @@ def test_criterion_02_designed_benchmark_speedup():
 def test_criterion_03_cost_breakdown():
     shares = []
     for _ in range(2):
-        prof = profile_suite(
-            cached_pipeline("bench_expensive").program,
-            runtime=Runtime(seed=0, fake_time=True),
-            reps=3,
-        )
+        program = cached_pipeline("bench_expensive").program
+        prof = profile_suite(program, runtime=Runtime(seed=0, fake_time=True))
         shares.append(cost_breakdown(prof, 0.2)[2])
     single = profile_suite(parse("fn test_only(){ assert(1 == 1); }"))
     _, _, single_share = cost_breakdown(single, 1.0)

@@ -113,6 +113,9 @@ def test_parse_limit():
     for bad in ("0%", "150%", "nan%", "0", "-2", "x"):
         with pytest.raises(ValueError):
             parse_limit(bad)
+    for bad in ("1.5", "abc", "abc%"):
+        with pytest.raises(ValueError, match=f"bad limit '{bad}'; expected a count"):
+            parse_limit(bad)
 
 
 # -- CLI (in-process) -------------------------------------------------------
@@ -254,7 +257,7 @@ def test_cli_report_exits_3_on_cancelling_flips(tmp_path, capsys):
     assert "verdicts differ for mutants 0, 1" in capsys.readouterr().err
 
 
-def test_cli_bad_step_limit_factor_rejected_before_any_stage(tmp_path, capsys):
+def test_cli_bad_setting_rejected_before_any_stage(tmp_path, capsys):
     proj = tmp_path / "proj"
     shutil.copytree(corpus_path("bench_expensive"), proj)
     prof = tmp_path / "profile.json"
@@ -262,24 +265,22 @@ def test_cli_bad_step_limit_factor_rejected_before_any_stage(tmp_path, capsys):
     db = tmp_path / "memo.db"
     argv = [
         "memoize", str(proj), "--fake-time", "--tau", "1000steps",
-        "--profile", str(prof), "--step-limit-factor", "0", "-o", str(db),
+        "--profile", str(prof), "--limit", "0", "-o", str(db),
     ]
     assert main(argv) == 1
     assert not db.exists()
-    assert "step_limit_factor must be >= 2" in capsys.readouterr().err
+    assert "count limit must be positive" in capsys.readouterr().err
     art = tmp_path / "artifacts"
     cases = [
-        (["--step-limit-factor", "1"], "step_limit_factor must be >= 2"),
         (["--workers", "0"], "workers must be >= 1"),
         (["--tau", "bogus"], "bad tau 'bogus'"),
         (["--limit", "0%"], "percent limit out of range"),
         (["--limit", "nan%"], "percent limit out of range"),
-        (["--profile-reps", "-3"], "profile reps must be >= 1"),
-        ([], "unknown tau mode 'men'"),  # from memomut.toml, which bypasses argparse
+        ([], "workers must be >= 1"),  # from memomut.toml, which bypasses argparse
     ]
     for flags, message in cases:
         if not flags:
-            (proj / "memomut.toml").write_text("tau_mode = men\n")
+            (proj / "memomut.toml").write_text("workers = 0\n")
         assert main(["pipeline", str(proj), *flags, "--artifact-dir", str(art)]) == 1, flags
         assert not art.exists(), flags
         assert message in capsys.readouterr().err, flags
@@ -323,11 +324,10 @@ def test_cli_config_bool_values(tmp_path, capsys):
         (proj / "memomut.toml").write_text(f"fake_time = {value}\n")
         assert main(["profile", str(proj), "-o", str(prof)]) == 1, value
         assert "bad fake-time" in capsys.readouterr().err, value
-    for key in ("all_tests", "time_rand_only"):
-        (proj / "memomut.toml").write_text(f"{key} = ture\n")
-        assert main(["pipeline", str(proj), "--artifact-dir", str(art)]) == 1, key
-        assert not art.exists(), key
-        assert "bad " in capsys.readouterr().err, key
+    (proj / "memomut.toml").write_text("time_rand_only = ture\n")
+    assert main(["pipeline", str(proj), "--artifact-dir", str(art)]) == 1
+    assert not art.exists()
+    assert "bad time-rand-only" in capsys.readouterr().err
 
 
 def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
@@ -337,12 +337,19 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     assert main(["pipeline", str(proj), "--artifact-dir", str(art)]) == 1
     assert not art.exists()
     assert "unknown setting in memomut.toml: tua" in capsys.readouterr().err
+    # Settings that were removed are unknown too, in either spelling.
+    removed = {"tau_mode": "mean", "profile_reps": "1", "all_tests": "off", "step_limit_factor": "10"}
+    for key, value in removed.items():
+        for spelled in (key, key.replace("_", "-")):
+            (proj / "memomut.toml").write_text(f"{spelled} = {value}\n")
+            assert main(["pipeline", str(proj), "--artifact-dir", str(art)]) == 1, spelled
+            assert not art.exists(), spelled
+            assert f"unknown setting in memomut.toml: {spelled}\n" in capsys.readouterr().err, spelled
     # Every key some subcommand reads is accepted by every subcommand,
     # spelled with '_' or '-'.
     (proj / "memomut.toml").write_text(
-        "seed = 3\nfake-time = yes\ntau = 1000steps\nlimit = 20%\ntau_mode = mean\n"
-        "time_rand_only = no\nprofile_reps = 1\nstep_limit_factor = 10\nworkers = 1\n"
-        "all_tests = off\nartifact_dir = elsewhere\n"
+        "seed = 3\nfake-time = yes\ntau = 1000steps\nlimit = 20%\n"
+        "time_rand_only = no\nworkers = 1\nartifact_dir = elsewhere\n"
     )
     assert main(["mutate", str(proj), "-o", str(tmp_path / "m.json")]) == 0
     (proj / "memomut.toml").write_text("just some words\n")
@@ -478,8 +485,10 @@ def _first_row(mutant):
         lambda m: _first_row(m).update(hits="1"),
         lambda m: m.update(status="skipped"),
         lambda m: m.update(steps="5"),
+        lambda m: m.update(killing_test=7),
+        lambda m: m.update(cause=7),
     ],
-    ids=["count-missing", "count-string", "status", "steps-string"],
+    ids=["count-missing", "count-string", "status", "steps-string", "killing-test-int", "cause-int"],
 )
 def test_cli_report_rejects_a_malformed_mutant(tmp_path, capsys, bench_reports, edit):
     memo = json.loads(json.dumps(bench_reports["memo"]))
@@ -487,6 +496,17 @@ def test_cli_report_rejects_a_malformed_mutant(tmp_path, capsys, bench_reports, 
     code, _, err = _report(tmp_path, capsys, bench_reports["base"], memo)
     assert code == 1
     assert f"{tmp_path / 'memo.json'}: malformed artifact" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("fingerprint", "abc"), ("memo_enabled", "false"), ("memo_enabled", 0), ("per_method", "abc")],
+)
+def test_cli_report_rejects_a_malformed_report_field(tmp_path, capsys, bench_reports, field, value):
+    base, memo = ({**bench_reports[name], field: value} for name in ("base", "memo"))
+    code, _, err = _report(tmp_path, capsys, base, memo)
+    assert code == 1
+    assert f"{tmp_path / 'base.json'}: malformed artifact" in err
 
 
 # -- CLI exit codes (subprocess, to observe real process behavior) ----------
