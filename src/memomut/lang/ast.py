@@ -156,11 +156,13 @@ _T = TypeVar("_T")
 def per_node(compute: Callable[[object], _T]) -> Callable[[object], _T]:
     """`compute(node)`, computed once per node object and dropped with it.
 
-    The value is kept beside the AST, keyed by `id`, so that copying,
-    printing, fingerprinting and pickling never see it.  This is sound
-    because a FunctionDef or Program never changes after parsing or
-    `apply_mutant`: a mutant is a new Program with a private copy of the
-    one function it changes.
+    The value is kept beside the AST, in the wrapper's `cache`, keyed by
+    `id`, so that copying, printing, fingerprinting and pickling never
+    see it.  This is sound because a FunctionDef or Program never changes
+    after parsing or `apply_mutant`.  Each entry costs a
+    `weakref.finalize`, so it is meant for the program a run works on,
+    not for every mutant: the runner builds a mutant's code from the
+    program's cached code and caches nothing for it.
     """
     cache: dict[int, _T] = {}
 
@@ -173,6 +175,7 @@ def per_node(compute: Callable[[object], _T]) -> Callable[[object], _T]:
             weakref.finalize(node, cache.pop, key, None)
         return value
 
+    cached.cache = cache
     return cached
 
 
@@ -202,21 +205,6 @@ def number_nodes(fn: FunctionDef) -> None:
         n.node_id = next_id
         next_id += 1
     fn.max_node_id = next_id - 1
-
-
-def replace_child(parent: Node, old: Node, new: Node) -> bool:
-    """Swap `old` for `new` among parent's direct children."""
-    for f in dataclasses.fields(parent):
-        v = getattr(parent, f.name)
-        if v is old:
-            setattr(parent, f.name, new)
-            return True
-        if isinstance(v, list):
-            for i, x in enumerate(v):
-                if x is old:
-                    v[i] = new
-                    return True
-    return False
 
 
 # ---------------------------------------------------------------------------

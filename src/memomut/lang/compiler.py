@@ -36,12 +36,24 @@ the call's own.  Otherwise each gets its closure, and a list display of
 their calls builds a list of up to three values (in CPython 3.11 a list
 comprehension is a call of its own) and a loop that appends builds a
 longer one.  `interp` builds executions on top of this module.
+
+There is one way to compile, `compile_function`, and it records the
+closure it built for every block, statement and expression node.  A
+mutant's function is compiled the same way with the code of the
+function `apply_mutant` copied it from as its parent: a node the two
+share is the parent's own object, so it gets the parent's closure back
+unchanged, and only the copied path down to the mutation and the nodes
+the mutation brings are compiled anew.  The mutant's literal slots start
+as the parent's table, and a literal the parent lacks (CRP's `k+1`,
+RVM's default) is appended after it, so every reused closure's frame
+slots stay valid.  A from-scratch compile is the same with no parent.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from typing import Optional
 
 from .ast import (
     ArrayLit,
@@ -60,6 +72,7 @@ from .ast import (
     Let,
     Name,
     Return,
+    Stmt,
     StrLit,
     Unary,
     While,
@@ -99,14 +112,18 @@ class StepLimit(Exception):
 class Code:
     """A compiled function: its arity, the frame past the parameters (the
     unset local slots, then the function's literals), and the closure of
-    its body block."""
+    its body block.  `consts` gives each literal its frame slot, and
+    `closures` holds the closure compiled for each node, by `id`, for the
+    compile of a mutant of the function to reuse."""
 
-    __slots__ = ("arity", "pad", "body")
+    __slots__ = ("arity", "pad", "body", "consts", "closures")
 
-    def __init__(self, arity: int, pad: list, body):
+    def __init__(self, arity: int, pad: list, body, consts: dict, closures: dict):
         self.arity = arity
         self.pad = pad
         self.body = body
+        self.consts = consts
+        self.closures = closures
 
 
 # -- the compiler -----------------------------------------------------------
@@ -131,9 +148,23 @@ def _limit(st) -> StepLimit:
 
 
 class _Compiler:
-    def __init__(self, nslots: int):
+    def __init__(self, nslots: int, parent: Optional[Code]):
         self.nslots = nslots
-        self.consts: dict[tuple, int] = {}  # (node type, value) -> frame slot
+        # (node type, value) -> frame slot: the parent's, then any new ones.
+        self.consts: dict[tuple, int] = {} if parent is None else dict(parent.consts)
+        # Closures by the `id` of their node (nodes compare by value, so
+        # they are unhashable); the parent's nodes live as long as it does.
+        self.reuse: dict[int, object] = {} if parent is None else parent.closures
+        self.closures: dict[int, object] = {}
+
+    def closure(self, node):
+        """The closure of a block, statement or expression node: the
+        parent's if the node is one of the parent's own, else a new one."""
+        key = id(node)
+        f = self.reuse.get(key)
+        if f is None:
+            f = self.closures[key] = (self._stmt if isinstance(node, Stmt) else self._expr)(node)
+        return f
 
     def _leaf(self, e):
         """The frame slot of a leaf operand, or None for any other node."""
@@ -148,12 +179,12 @@ class _Compiler:
     def _operand(self, e):
         """The frame slot of a leaf operand, or the closure of any other."""
         slot = self._leaf(e)
-        return self.expr(e) if slot is None else slot
+        return self.closure(e) if slot is None else slot
 
     # -- statements -----------------------------------------------------
 
-    def block(self, b: Block):
-        stmts = tuple(self.stmt(s) for s in b.stmts)
+    def _block(self, b: Block):
+        stmts = tuple(map(self.closure, b.stmts))
 
         def run(st, fr):
             st.steps = n = st.steps + 1
@@ -167,8 +198,10 @@ class _Compiler:
 
         return run
 
-    def stmt(self, s):
+    def _stmt(self, s):
         t = type(s)
+        if t is Block:
+            return self._block(s)
         if t is Let:
             return _LET(self._operand(s.value), s.slot)
         if t is Assign:
@@ -197,8 +230,8 @@ class _Compiler:
         return _ASSIGN(value, target.slot)
 
     def _if(self, s: If):
-        cond, then, nid = self.expr(s.cond), self.block(s.then), s.node_id
-        orelse = None if s.orelse is None else self.block(s.orelse)
+        cond, then, nid = self.closure(s.cond), self.closure(s.then), s.node_id
+        orelse = None if s.orelse is None else self.closure(s.orelse)
 
         def if_(st, fr):
             st.steps = n = st.steps + 1
@@ -216,7 +249,7 @@ class _Compiler:
         return if_
 
     def _while(self, s: While):
-        cond, body, nid = self.expr(s.cond), self.block(s.body), s.node_id
+        cond, body, nid = self.closure(s.cond), self.closure(s.body), s.node_id
 
         def while_(st, fr):
             st.steps = n = st.steps + 1
@@ -237,7 +270,7 @@ class _Compiler:
 
     # -- expressions ----------------------------------------------------
 
-    def expr(self, e):
+    def _expr(self, e):
         t = type(e)
         if t is IntLit or t is BoolLit or t is StrLit:
             return _CONST(e.value)
@@ -273,7 +306,7 @@ class _Compiler:
     def _call(self, e: Call):
         (argv, k), nid = self._args(e.args), e.node_id
         if e.callee is not None:
-            callee = self.expr(e.callee)
+            callee = self.closure(e.callee)
 
             def call_indirect(st, fr):
                 st.steps = n = st.steps + k
@@ -317,7 +350,7 @@ class _Compiler:
         that appends for more: no comprehension, which would be a function
         call of its own on every evaluation."""
         if not all(map(_is_leaf, exprs)):
-            args = tuple(self.expr(a) for a in exprs)
+            args = tuple(map(self.closure, exprs))
             if len(args) == 1:
                 (a0,) = args
                 return (lambda st, fr: [a0(st, fr)]), 1
@@ -347,7 +380,7 @@ class _Compiler:
     def _binary(self, e: Binary):
         op, nid = e.op, e.node_id
         if op == "&&" or op == "||":
-            left, right = self.expr(e.left), self.expr(e.right)
+            left, right = self.closure(e.left), self.closure(e.right)
             decisive = op == "||"  # the left value that decides the result
 
             def logic(st, fr):
@@ -531,10 +564,17 @@ _OPERATORS = {
 }
 
 
-@per_node
-def compiled(fn: FunctionDef) -> Code:
-    """The compiled code of `fn`, compiling it on first use."""
-    compiler = _Compiler(fn.nslots)
-    body = compiler.block(fn.body)
+def compile_function(fn: FunctionDef, parent: Optional[Code] = None) -> Code:
+    """The code of `fn`.  `parent` is the code of the function that
+    `apply_mutant` copied `fn` from, if any: each node `fn` shares with it
+    keeps the parent's closure, so only the copied path down to the
+    mutation and the mutation itself are compiled."""
+    compiler = _Compiler(fn.nslots, parent)
+    body = compiler.closure(fn.body)
     consts = [value for _, value in compiler.consts]
-    return Code(len(fn.params), [None] * (fn.nslots - len(fn.params)) + consts, body)
+    pad = [None] * (fn.nslots - len(fn.params)) + consts
+    return Code(len(fn.params), pad, body, compiler.consts, compiler.closures)
+
+
+# The code of a function of the program, compiled on first use.
+compiled = per_node(compile_function)

@@ -61,9 +61,9 @@ class ExecState:
     `globals`, `output` and `steps` are the observable state; the other
     fields are what the compiled code needs at run time: the step limit,
     the call depth, each function's compiled code, the hooks, and the
-    sources of nondeterminism.  Every function is compiled here, before
-    any timer in the caller starts.  Compiled code makes every call
-    through `invoke` or `call_builtin`.
+    sources of nondeterminism.  The code is `code`, or else the program's
+    `code_map`, compiled here before any timer in the caller starts.
+    Compiled code makes every call through `invoke` or `call_builtin`.
     """
 
     __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "rng", "clock")
@@ -73,17 +73,18 @@ class ExecState:
         program: Program,
         hooks: Optional[Hooks],
         limit: int,
-        rng: Optional[random.Random] = None,
+        rng: Optional[LazyRandom] = None,
         clock: Optional[Callable[[], int]] = None,
+        code: Optional[dict[str, Code]] = None,
     ):
         self.globals = {name: deep_copy(val) for name, val in program.globals}
         self.output: list[str] = []
         self.steps = 0
         self.limit = limit
         self.depth = 0
-        self.code = _code_map(program)
+        self.code = code_map(program) if code is None else code
         self.hooks = hooks
-        self.rng = rng if rng is not None else random.Random()
+        self.rng = rng if rng is not None else LazyRandom()
         self.clock = clock or _real_clock_ms
 
     def invoke(self, name: str, args: list, site: int) -> Value:
@@ -143,9 +144,9 @@ class ExecState:
         raise RuntimeErr("type_mismatch", site)
 
 
-# Shared by all of a program's executions.
 @per_node
-def _code_map(program: Program) -> dict[str, Code]:
+def code_map(program: Program) -> dict[str, Code]:
+    """Each function's code, shared by all of a program's executions."""
     return {name: compiled(fn) for name, fn in program.functions.items()}
 
 
@@ -186,6 +187,40 @@ def _real_clock_ms() -> int:
     return time.time_ns() // 1_000_000
 
 
+class LazyRandom:
+    """`random.Random(seed)`, made on the first draw, so that a run that
+    never calls `rand` seeds nothing."""
+
+    __slots__ = ("seed", "rng")
+
+    def __init__(self, seed: Optional[str] = None):
+        self.seed = seed
+        self.rng: Optional[random.Random] = None
+
+    def randrange(self, n: int) -> int:
+        if self.rng is None:
+            self.rng = random.Random(self.seed)
+        return self.rng.randrange(n)
+
+
+class FakeClock:
+    """A clock that reads one more on every reading, from a base drawn
+    from `random.Random(seed)` on the first, so that a run that never
+    calls `time_now` seeds nothing."""
+
+    __slots__ = ("seed", "now")
+
+    def __init__(self, seed: str):
+        self.seed = seed
+        self.now: Optional[int] = None
+
+    def __call__(self) -> int:
+        if self.now is None:
+            self.now = random.Random(self.seed).randrange(1 << 40)
+        self.now += 1
+        return self.now
+
+
 @dataclass
 class Runtime:
     """Seed policy for the nondeterminism sources.
@@ -198,29 +233,20 @@ class Runtime:
     seed: int = 0
     fake_time: bool = False
 
-    def rng_for(self, label: str) -> random.Random:
-        return random.Random(f"{self.seed}/{label}")
+    def rng_for(self, label: str) -> LazyRandom:
+        return LazyRandom(f"{self.seed}/{label}")
 
     def clock_for(self, label: str) -> Callable[[], int]:
         if not self.fake_time:
             return _real_clock_ms
-        base = random.Random(f"{self.seed}/clock/{label}").randrange(1 << 40)
-        counter = [0]
+        return FakeClock(f"{self.seed}/clock/{label}")
 
-        def clock() -> int:
-            counter[0] += 1
-            return base + counter[0]
-
-        return clock
-
-    def drew(self, label: str, state: ExecState) -> bool:
-        """Whether a run given `rng_for(label)` and `clock_for(label)` drew
-        a value from either, so that under another label it could have
-        gone otherwise.  Reads the run's clock once more; a real clock
+    def drew(self, state: ExecState) -> bool:
+        """Whether the run of `state`, given its streams by `rng_for` and
+        `clock_for`, drew a `rand` value or a fake clock reading, so that
+        under another label it could have gone otherwise.  A real clock
         reads the same under every label."""
-        return state.rng.getstate() != self.rng_for(label).getstate() or (
-            self.fake_time and state.clock() != self.clock_for(label)()
-        )
+        return state.rng.rng is not None or (self.fake_time and state.clock.now is not None)
 
 
 def _execute(state: ExecState, fn: str, args: list) -> tuple[Verdict, Value]:
@@ -240,15 +266,17 @@ def run_test(
     test: str,
     hooks: Optional[Hooks] = None,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    rng: Optional[random.Random] = None,
+    rng: Optional[LazyRandom] = None,
     clock: Optional[Callable[[], int]] = None,
+    code: Optional[dict[str, Code]] = None,
 ) -> tuple[TestOutcome, ExecState]:
-    """Run one test from a fresh state; failures become the verdict."""
+    """Run one test from a fresh state; failures become the verdict.
+    `code` stands in for `code_map(program)` where given."""
     if test not in program.tests:
         raise ValueError(f"not a test: {test!r}")
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
-    state = ExecState(program, hooks, step_limit, rng, clock)
+    state = ExecState(program, hooks, step_limit, rng, clock, code)
     t0 = time.perf_counter_ns()
     verdict, _ = _execute(state, test, [])
     wall = time.perf_counter_ns() - t0
@@ -262,7 +290,7 @@ def run_function(
     args: list,
     hooks: Optional[Hooks] = None,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    rng: Optional[random.Random] = None,
+    rng: Optional[LazyRandom] = None,
     clock: Optional[Callable[[], int]] = None,
 ) -> tuple[Value, ExecState]:
     """Call a single function from a fresh state; errors raise."""

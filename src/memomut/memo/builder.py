@@ -268,7 +268,7 @@ def provisional_memoization(
         if not kept or shared.misses != misses:
             alone.update(fns)
             continue
-        if runtime.drew(label, state):
+        if runtime.drew(state):
             alone.update(fns[1:])
         alone.update(fn for fn in fns if any(fn in closure[g] for g in fns if g != fn))
     per_method: dict[str, dict[str, int]] = {}

@@ -12,7 +12,6 @@ to the mutated node, and shares every other node with the program.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -33,9 +32,8 @@ from .lang.ast import (
     StrLit,
     Unary,
     While,
-    children,
     expr_str,
-    replace_child,
+    per_node,
     stmt_str,
     walk,
 )
@@ -173,10 +171,10 @@ def apply_mutant(program: Program, m: Mutant) -> Program:
     fn = program.functions.get(m.fn)
     if fn is None:
         raise StaleMutant(f"mutant {m.id}: function {m.fn!r} not in program")
-    path = _copy_path(fn.body, m.node_id)
+    path = _copy_path(fn, m.node_id)
     if path is None:
         raise StaleMutant(f"mutant {m.id}: node {m.node_id} not in {m.fn!r}")
-    new_fn = copy.copy(fn)
+    new_fn = _copy_node(fn)
     new_fn.body = path[0]
     _transform(new_fn, path, m)
     return Program(
@@ -186,32 +184,54 @@ def apply_mutant(program: Program, m: Mutant) -> Program:
     )
 
 
-def _copy_path(body, node_id: int) -> Optional[list]:
-    """The nodes from `body` down to node `node_id`, outermost first, or
-    None if there is no such node.  Each node above the last is a copy,
-    linked into the copy of its parent; the last is the program's own.
-    Node ids are preorder, so the target lies under the last child whose
-    id is not past it."""
-    node, path = body, []
-    while node.node_id != node_id:
-        below = [c for c in children(node) if c.node_id <= node_id]
-        if not below:
-            return None
+def _copy_path(fn: FunctionDef, node_id: int) -> Optional[list]:
+    """The nodes from `fn`'s body down to node `node_id`, outermost first,
+    or None if there is no such node.  Each node above the last is a copy,
+    linked into the copy of its parent; the last is the program's own."""
+    route = _routes(fn).get(node_id)
+    if route is None:
+        return None
+    node, path = fn.body, []
+    holder = key = None
+    for name, index in route:
         new = _copy_node(node)
         if path:
-            replace_child(path[-1], node, new)
+            holder[key] = new
         path.append(new)
-        node = below[-1]
+        holder, key = vars(new), name  # where the copy holds the next node down
+        if index is not None:
+            holder, key = holder[name], index
+        node = holder[key]
     path.append(node)
     return path
 
 
+@per_node
+def _routes(fn: FunctionDef) -> dict[int, tuple]:
+    """Node id -> the steps from `fn`'s body down to the node, each an
+    attribute name and, for a list of nodes, the index in it."""
+    routes = {}
+
+    def visit(node, route):
+        routes[node.node_id] = route
+        for name, value in vars(node).items():
+            if type(value) is list:  # of nodes: `stmts`, `args` or `items`
+                for i, item in enumerate(value):
+                    visit(item, route + ((name, i),))
+            elif isinstance(value, Node):
+                visit(value, route + ((name, None),))
+
+    visit(fn.body, ())
+    return routes
+
+
 def _copy_node(node):
     """A shallow copy of `node` with lists of its own (`stmts`, `args`, `items`)."""
-    new = copy.copy(node)
-    for name, value in vars(new).items():
+    new = object.__new__(type(node))
+    fields = new.__dict__ = node.__dict__.copy()
+    for name, value in fields.items():
         if type(value) is list:
-            setattr(new, name, list(value))
+            fields[name] = value[:]
     return new
 
 
@@ -225,13 +245,28 @@ def _transform(fn: FunctionDef, path: list, m: Mutant) -> None:
                 parent = path[-2]
             else:  # the rewrite lies below the node, so the node is copied too
                 parent = _copy_node(node)
-                replace_child(path[-2], node, parent)
-            if new is None:
-                parent.stmts.remove(old)
-            else:
-                replace_child(parent, old, new)
+                _replace(path[-2], node, parent)
+            _replace(parent, old, new)
             return
     raise StaleMutant(f"mutant {m.id}: no {m.op.value} variant {m.variant} at node {m.node_id} of {m.fn!r}")
+
+
+def _replace(parent, old, new) -> None:
+    """Put `new` in the place of `old` among `parent`'s children; None
+    deletes `old` from its list."""
+    fields = vars(parent)
+    for name, value in fields.items():
+        if value is old:
+            fields[name] = new
+            return
+        if type(value) is list:
+            for i, item in enumerate(value):
+                if item is old:
+                    if new is None:
+                        del value[i]
+                    else:
+                        value[i] = new
+                    return
 
 
 # -- JSON -------------------------------------------------------------------

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import NoReturn, Optional, Sequence
 
 from .lang.ast import Program
-from .lang.interp import Runtime, run_test
+from .lang.compiler import compile_function
+from .lang.interp import Runtime, code_map, run_test
 from .memo.builder import KINDS, CountTotals, LookupHooks
 from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
@@ -143,29 +144,34 @@ def _blocked_functions(db: MemoDB, closure: dict[str, set[str]], mutated_fn: str
 def _run_single_mutant(
     program: Program,
     mutant: Mutant,
+    tests: list[str],
+    tables: Optional[dict],
+    blocked: frozenset[str],
     profile: Profile,
-    closure: dict[str, set[str]],
-    db: Optional[MemoDB],
-    cfg: RunConfig,
     runtime: Runtime,
 ) -> MutantResult:
-    tests = profile.covering_passing_tests(mutant.fn)
+    """Run `mutant` against `tests`, the passing tests that cover its
+    function, with look-ups in `tables`, if any, but those `blocked`."""
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
     mutated = apply_mutant(program, mutant)
+    # The program's code with the one function swapped, which reuses the
+    # program's closures for every node the mutant did not copy.
+    code = code_map(program)
+    code = {**code, mutant.fn: compile_function(mutated.functions[mutant.fn], code[mutant.fn])}
     result = MutantResult(mutant_id=mutant.id, status="survived")
-    hooks = None
-    if cfg.memo and db is not None and db.tables:
-        hooks = LookupHooks(db.tables, blocked=_blocked_functions(db, closure, mutant.fn))
+    hooks = None if tables is None else LookupHooks(tables, blocked=blocked)
     t0 = time.perf_counter_ns()
     for test in tests:
+        label = f"mutant:{mutant.id}:{test}"
         outcome, _ = run_test(
             mutated,
             test,
             hooks,
             step_limit=profile.step_budget(test),
-            rng=runtime.rng_for(f"mutant:{mutant.id}:{test}"),
-            clock=runtime.clock_for(f"mutant:{mutant.id}:{test}"),
+            rng=runtime.rng_for(label),
+            clock=runtime.clock_for(label),
+            code=code,
         )
         result.tests_run += 1
         result.steps += outcome.steps
@@ -189,8 +195,10 @@ _RUN = None
 
 def _worker_run(index: int) -> MutantResult:
     """Run the current run's `index`-th mutant."""
-    program, pool, profile, closure, db, cfg, runtime = _RUN
-    return _run_single_mutant(program, pool.mutants[index], profile, closure, db, cfg, runtime)
+    program, pool, per_fn, tables, profile, runtime = _RUN
+    mutant = pool.mutants[index]
+    tests, blocked = per_fn[mutant.fn]
+    return _run_single_mutant(program, mutant, tests, tables, blocked, profile, runtime)
 
 
 # Bytes per chunk number in the queue pipe.  A write this small is atomic
@@ -354,7 +362,14 @@ def run_mutation_analysis(
         raise FingerprintMismatch("memo database does not match the program")
 
     global _RUN
-    _RUN = (program, pool, profile, closure, db, cfg, runtime)
+    tables = db.tables if cfg.memo and db is not None and db.tables else None
+    # What all mutants of one function share: the tests to run them
+    # against, and the tables their mutation gates off.
+    per_fn = {
+        fn: (profile.covering_passing_tests(fn), _blocked_functions(db, closure, fn) if tables else frozenset())
+        for fn in {m.fn for m in pool.mutants}
+    }
+    _RUN = (program, pool, per_fn, tables, profile, runtime)
     t0 = time.perf_counter_ns()
     try:
         results = _run_all(len(pool.mutants), cfg.workers)

@@ -1,5 +1,7 @@
 """Interpreter semantics: verdicts, step accounting, hooks, builtins."""
 
+import random
+
 import pytest
 
 from memomut.lang.interp import (
@@ -129,6 +131,34 @@ def test_fake_time_monotonic():
     p = parse("fn f(){ let a = time_now(); let b = time_now(); return b - a; }")
     rt = Runtime(seed=1, fake_time=True)
     assert run_function(p, "f", [], clock=rt.clock_for("t"))[0] > 0
+
+
+def test_rng_and_clock_are_seeded_on_first_use(monkeypatch):
+    made = []
+    real = random.Random
+
+    class Counted(real):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    rt = Runtime(seed=3, fake_time=True)
+    quiet = parse("fn test_a(){ assert(1 + 1 == 2); }")
+    outcome, state = run_test(quiet, "test_a", rng=rt.rng_for("q"), clock=rt.clock_for("q"))
+    assert outcome.verdict.passed and not rt.drew(state)
+    run_test(quiet, "test_a")  # the default stream is lazy too
+    assert made == []
+
+    src = "fn f(){ return [rand(1000), time_now(), rand(1000), time_now()]; }"
+    drawn, state = run_function(parse(src), "f", [], rng=rt.rng_for("d"), clock=rt.clock_for("d"))
+    assert rt.drew(state)
+    rng, base = real("3/d"), real("3/clock/d").randrange(1 << 40)
+    assert drawn == [rng.randrange(1000), base + 1, rng.randrange(1000), base + 2]
+    assert made == [("3/d",), ("3/clock/d",)]  # one seeding each, on first use
+    _, state = run_function(parse("fn f(){ return time_now(); }"), "f", [], rng=rt.rng_for("t"),
+                            clock=rt.clock_for("t"))
+    assert rt.drew(state)
 
 
 class _Recorder(Hooks):

@@ -531,6 +531,12 @@ def _cli(*argv, cwd=None):
     return _python("-m", "memomut.cli", *argv, cwd=cwd)
 
 
+def test_python_m_memomut_runs_the_cli():
+    r = _python("-m", "memomut", "--help")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: memomut")
+
+
 def test_cli_version():
     r = _cli("--version")
     assert r.returncode == 0

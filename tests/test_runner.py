@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 from memomut import runner
-from memomut.lang.interp import Substitute
+from memomut.lang import ast
+from memomut.lang.compiler import compiled
+from memomut.lang.interp import Substitute, code_map
 from memomut.memo.builder import LookupHooks
 from memomut.memo.db import FingerprintMismatch, MemoDB, MemoTable, OutputRecord
 from memomut.memo.encoding import encode_key
@@ -258,6 +260,28 @@ def test_run_config_needs_fork_for_workers(monkeypatch):
     with pytest.raises(ValueError, match="os.fork"):
         RunConfig(workers=2)
     RunConfig(workers=1)
+
+
+def test_a_run_caches_nothing_per_mutant(monkeypatch):
+    """A mutant's code is built from the program's: no `per_node` entry
+    and no `weakref.finalize` is made for it, even while it runs."""
+    pipe = cached_pipeline("sample")
+    run(pipe)  # the program's own code is cached by now
+    sizes = len(compiled.cache), len(code_map.cache)
+    seen, finalizers = set(), []
+    run_test = runner.run_test
+
+    def watched(*args, **kwargs):
+        seen.add((len(compiled.cache), len(code_map.cache)))
+        return run_test(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_test", watched)
+    monkeypatch.setattr(ast.weakref, "finalize", lambda *args: finalizers.append(args))
+    run(pipe)
+    run(pipe, memo=True)
+    assert seen == {sizes}
+    assert (len(compiled.cache), len(code_map.cache)) == sizes
+    assert finalizers == []
 
 
 def test_not_covered_mutants_counted():
