@@ -13,7 +13,8 @@ from .values import Value, literal_str
 
 @dataclass
 class Node:
-    # Preorder label within the enclosing function, assigned after parsing.
+    # Preorder label within the enclosing function, assigned after parsing;
+    # every other field is final when the parser builds the node.
     node_id: int = field(default=-1, init=False)
 
 
@@ -48,8 +49,8 @@ class ArrayLit(Expr):
 @dataclass
 class Name(Expr):
     ident: str
-    is_global: bool = False  # set by the resolver
-    slot: int = field(default=-1, init=False)  # a local's frame slot, set by the resolver
+    is_global: bool = False  # bound by the parser
+    slot: int = -1  # a local's frame slot, bound by the parser
 
 
 @dataclass
@@ -78,8 +79,8 @@ class Index(Expr):
 
 @dataclass
 class Call(Expr):
-    # Direct calls carry `name` (resolved function or builtin) and a None
-    # callee; indirect calls evaluate `callee` to a FnRef at runtime.
+    # Direct calls carry `name` (a function or builtin, bound by the parser)
+    # and a None callee; indirect calls evaluate `callee` to a FnRef at runtime.
     callee: Optional[Expr]
     name: Optional[str]
     args: list[Expr]
@@ -95,7 +96,7 @@ class Block(Stmt):
 class Let(Stmt):
     name: str
     value: Expr
-    slot: int = field(default=-1, init=False)  # set by the resolver
+    slot: int = -1  # frame slot, bound by the parser
 
 
 @dataclass
@@ -138,7 +139,7 @@ class FunctionDef:
     params: list[str]
     body: Block
     max_node_id: int = -1
-    nslots: int = field(default=0, init=False)  # params plus lets, set by the resolver
+    nslots: int = 0  # params plus lets, counted by the parser
 
 
 @dataclass
@@ -298,12 +299,6 @@ def _stmt_lines(s: Stmt, depth: int) -> list[str]:
     if t is While:
         lines = [f"{pad}while ({expr_str(s.cond)}) {{"]
         for st in s.body.stmts:
-            lines.extend(_stmt_lines(st, depth + 1))
-        lines.append(f"{pad}}}")
-        return lines
-    if t is Block:
-        lines = [f"{pad}{{"]
-        for st in s.stmts:
             lines.extend(_stmt_lines(st, depth + 1))
         lines.append(f"{pad}}}")
         return lines

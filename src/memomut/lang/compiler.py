@@ -3,8 +3,8 @@
 Each FunctionDef is compiled once into nested Python closures (Feeley &
 Lapalme, "Using closures for code generation", 1987) that run over a
 flat list of local slots per call.  Scope is not decided here: the
-parser's resolver has already given every parameter, `let` and local
-name its slot, and the compiler reads those slots from the AST.
+parser has already given every parameter, `let` and local name its
+slot, and the compiler reads those slots from the AST.
 
 Every evaluated AST node costs one step, charged at the point and in
 the order a tree walk over the AST would charge it, so step counts,

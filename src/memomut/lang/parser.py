@@ -1,4 +1,8 @@
-"""Lexer, recursive-descent parser, and name resolver for Mini source."""
+"""Lexer and recursive-descent parser for Mini source.
+
+The parser is the one owner of lexical scope: it binds every name as it
+builds the node, so each node leaves `parse` in its final form.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ from dataclasses import dataclass
 
 from . import ast
 from .ast import (
+    BUILTINS,
     PRECEDENCE,
     ArrayLit,
     Assert,
@@ -138,10 +143,21 @@ def tokenize(source: str) -> list[Token]:
     return toks
 
 
+def _declared(tokens: list[Token], kw: str) -> set[str]:
+    """Names that follow keyword `kw` anywhere in `tokens`."""
+    return {b.text for a, b in zip(tokens, tokens[1:]) if (a.kind, a.text, b.kind) == ("kw", kw, "ident")}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
+        # Functions and globals may be used before they are declared.
+        self.functions = _declared(tokens, "fn")
+        self.globals = _declared(tokens, "global")
+        # The enclosing function's scopes, innermost last: name -> frame slot.
+        self.scopes: list[dict[str, int]] = []
+        self.nslots = 0
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -252,17 +268,21 @@ class _Parser:
         params = self.comma_list(self.expect_ident, ")")
         if len(set(params)) != len(params):
             raise self.error(f"duplicate parameter in {name!r}")
+        self.scopes = [{p: i for i, p in enumerate(params)}]
+        self.nslots = len(params)
         body = self.block()
-        return FunctionDef(name=name, params=params, body=body)
+        return FunctionDef(name=name, params=params, body=body, nslots=self.nslots)
 
     # -- statements ---------------------------------------------------------
 
     def block(self) -> Block:
         self.expect_op("{")
+        self.scopes.append({})
         stmts: list[Stmt] = []
         while not self.at_op("}"):
             stmts.append(self.statement())
         self.expect_op("}")
+        self.scopes.pop()
         return Block(stmts=stmts)
 
     def statement(self) -> Stmt:
@@ -272,7 +292,12 @@ class _Parser:
             self.expect_op("=")
             value = self.expr()
             self.expect_op(";")
-            return Let(name=name, value=value)
+            scope = self.scopes[-1]
+            if name in scope:
+                raise ResolutionError(name, "duplicate let in the same scope")
+            scope[name] = self.nslots
+            self.nslots += 1
+            return Let(name=name, value=value, slot=scope[name])
         if self.at_kw("if"):
             self.next()
             self.expect_op("(")
@@ -366,10 +391,13 @@ class _Parser:
             return BoolLit(value=t.text == "true")
         if t.kind == "ident":
             self.next()
-            return Name(ident=t.text)
+            return self.name(t.text)
         if t.kind == "op" and t.text == "&":
             self.next()
-            return FnRefLit(name=self.expect_ident())
+            name = self.expect_ident()
+            if name not in self.functions and name not in BUILTINS:
+                raise ResolutionError(name)
+            return FnRefLit(name=name)
         if t.kind == "op" and t.text == "(":
             self.next()
             e = self.expr()
@@ -380,117 +408,24 @@ class _Parser:
             return ArrayLit(items=self.comma_list(self.expr, "]"))
         raise self.error(f"unexpected token {t.text!r}")
 
-
-class _Resolver:
-    """Binds names: marks globals, resolves call targets, checks declarations.
-
-    It is the one owner of lexical scope: each parameter and `let` gets
-    the next slot of its function's frame, and each local `Name` records
-    the slot of the declaration it refers to.
-    """
-
-    def __init__(self, program: Program):
-        self.program = program
-        self.global_names = {g for g, _ in program.globals}
-        self.nslots = 0
-
-    def run(self) -> None:
-        for fn in self.program.functions.values():
-            scopes: list[dict[str, int]] = [{p: i for i, p in enumerate(fn.params)}]
-            self.nslots = len(fn.params)
-            self.resolve_block(fn.body, scopes)
-            fn.nslots = self.nslots
-
-    def _slot(self, name: str, scopes) -> int | None:
-        for scope in reversed(scopes):
-            if name in scope:
-                return scope[name]
-        return None
-
-    def resolve_block(self, block: Block, scopes) -> None:
-        scopes.append({})
-        for st in block.stmts:
-            self.resolve_stmt(st, scopes)
-        scopes.pop()
-
-    def resolve_stmt(self, st: Stmt, scopes) -> None:
-        t = type(st)
-        if t is Let:
-            self.resolve_expr(st.value, scopes)
-            if st.name in scopes[-1]:
-                raise ResolutionError(st.name, "duplicate let in the same scope")
-            st.slot = scopes[-1][st.name] = self.nslots
-            self.nslots += 1
-        elif t is Assign:
-            self.resolve_expr(st.value, scopes)
-            self.resolve_expr(st.target, scopes)
-        elif t is If:
-            self.resolve_expr(st.cond, scopes)
-            self.resolve_block(st.then, scopes)
-            if st.orelse is not None:
-                self.resolve_block(st.orelse, scopes)
-        elif t is While:
-            self.resolve_expr(st.cond, scopes)
-            self.resolve_block(st.body, scopes)
-        elif t is Return:
-            if st.value is not None:
-                self.resolve_expr(st.value, scopes)
-        elif t is ExprStmt:
-            self.resolve_expr(st.expr, scopes)
-        elif t is Assert:
-            self.resolve_expr(st.cond, scopes)
-        else:
-            raise TypeError(f"unknown statement: {st!r}")
-
-    def resolve_expr(self, e: Expr, scopes) -> None:
-        t = type(e)
-        if t is Name:
-            slot = self._slot(e.ident, scopes)
-            if slot is not None:
-                e.is_global, e.slot = False, slot
-            elif e.ident in self.global_names:
-                e.is_global = True
-            else:
-                raise ResolutionError(e.ident)
-        elif t is FnRefLit:
-            if e.name not in self.program.functions and e.name not in ast.BUILTINS:
-                raise ResolutionError(e.name)
-        elif t is Call:
-            callee = e.callee
-            if isinstance(callee, Name) and self._slot(callee.ident, scopes) is None and callee.ident not in self.global_names:
-                # Syntactically direct call: the target must be declared.
-                name = callee.ident
-                if name in self.program.functions:
-                    e.callee, e.name = None, name
-                elif name in ast.BUILTINS:
-                    e.callee, e.name, e.is_builtin = None, name, True
-                else:
-                    raise ResolutionError(name)
-            else:
-                self.resolve_expr(callee, scopes)
-            for a in e.args:
-                self.resolve_expr(a, scopes)
-        elif t in (IntLit, BoolLit, StrLit):
-            pass
-        elif t is ArrayLit:
-            for x in e.items:
-                self.resolve_expr(x, scopes)
-        elif t is Unary:
-            self.resolve_expr(e.operand, scopes)
-        elif t is Binary:
-            self.resolve_expr(e.left, scopes)
-            self.resolve_expr(e.right, scopes)
-        elif t is Index:
-            self.resolve_expr(e.array, scopes)
-            self.resolve_expr(e.index, scopes)
-        else:
-            raise TypeError(f"unknown expression: {e!r}")
+    def name(self, ident: str) -> Expr:
+        """`ident` bound where it is parsed: a local's slot, a global, or,
+        before `(`, a direct call to a function or builtin."""
+        for scope in reversed(self.scopes):
+            if ident in scope:
+                return Name(ident=ident, slot=scope[ident])
+        if ident in self.globals:
+            return Name(ident=ident, is_global=True)
+        if self.at_op("(") and (ident in self.functions or ident in BUILTINS):
+            self.next()
+            args = self.comma_list(self.expr, ")")
+            return Call(callee=None, name=ident, args=args, is_builtin=ident not in self.functions)
+        raise ResolutionError(ident)
 
 
 def parse(source: str) -> Program:
-    """Parse, resolve, and number Mini source into a Program."""
+    """Parse and number Mini source into a Program."""
     program = _Parser(tokenize(source)).program()
-    _Resolver(program).run()
     for fn in program.functions.values():
         ast.number_nodes(fn)
     return program

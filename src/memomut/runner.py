@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import signal
 import time
 import traceback
@@ -201,37 +202,28 @@ def _worker_run(index: int) -> MutantResult:
     return _run_single_mutant(program, mutant, tests, tables, blocked, profile, runtime)
 
 
-# Bytes per chunk number in the queue pipe.  A write this small is atomic
-# and every read asks for exactly this much, so no reader gets part of one.
+# Bytes per chunk number in the queue pipe.  The whole queue is one atomic
+# write and every read asks for exactly this much, so no reader gets part
+# of one.
 _NUMBER_BYTES = 4
 
 
-def _run_chunk(k: int, size: int, n: int, out: list[MutantResult]) -> None:
-    out.extend(_worker_run(i) for i in range(k * size, min(k * size + size, n)))
-
-
 def _take_chunks(queue: int, size: int, n: int, out: list[MutantResult]) -> None:
-    """Run chunks read from `queue` until it is empty and every write end closed."""
+    """Run chunks read from `queue` until it is empty and its write end closed."""
     while number := os.read(queue, _NUMBER_BYTES):
-        _run_chunk(int.from_bytes(number, "little"), size, n, out)
+        k = int.from_bytes(number, "little")
+        out.extend(_worker_run(i) for i in range(k * size, min(k * size + size, n)))
 
 
-def _queue_chunks(feed: int, chunks: int, size: int, n: int, out: list[MutantResult]) -> None:
-    """Write chunk numbers 0..chunks-1 to `feed` without ever blocking.
+def _chunk_size(n: int, workers: int) -> int:
+    """Mutants per chunk of a run of `n` mutants on `workers` processes.
 
-    While the pipe is full, this process runs the last chunk not yet
-    queued itself, so a queue larger than the pipe cannot stall it even
-    when no other process is reading.
+    About 8 chunks per worker: few enough that the queue traffic stays
+    small next to the mutant runs, enough to even out slow mutants.  Never
+    more chunks than one atomic pipe write holds, so the whole queue is
+    written at once, before any worker starts.
     """
-    os.set_blocking(feed, False)
-    k = 0
-    while k < chunks:
-        try:
-            os.write(feed, k.to_bytes(_NUMBER_BYTES, "little"))
-            k += 1
-        except BlockingIOError:
-            chunks -= 1
-            _run_chunk(chunks, size, n, out)
+    return max(1, math.ceil(n / min(8 * workers, select.PIPE_BUF // _NUMBER_BYTES)))
 
 
 def _portable(exc: BaseException) -> Optional[BaseException]:
@@ -243,7 +235,7 @@ def _portable(exc: BaseException) -> Optional[BaseException]:
     return exc
 
 
-def _serve(queue: int, feed: int, reply: int, size: int, n: int) -> NoReturn:
+def _serve(queue: int, reply: int, size: int, n: int) -> NoReturn:
     """A forked worker: run chunks from `queue`, then send back its results,
     or the exception that stopped it and its traceback, pickled on `reply`.
 
@@ -252,7 +244,6 @@ def _serve(queue: int, feed: int, reply: int, size: int, n: int) -> NoReturn:
     """
     code = 1
     try:
-        os.close(feed)
         results: list[MutantResult] = []
         try:
             _take_chunks(queue, size, n, results)
@@ -284,14 +275,13 @@ def _run_all(n: int, workers: int) -> list[MutantResult]:
     """Results of the current run's `n` mutants, unordered.
 
     This process and up to `workers - 1` forked ones pull chunk numbers
-    from one pipe until it is empty.  Each child sends its results back on
-    a pipe of its own, which this process reads once its own chunks are
-    done.  If this process fails, it kills the children; either way it
-    reaps them all before it returns or raises.
+    from one pipe, filled and closed before the first fork, until it is
+    empty.  Each child sends its results back on a pipe of its own, which
+    this process reads once its own chunks are done.  If this process
+    fails, it kills the children; either way it reaps them all before it
+    returns or raises.
     """
-    # About 8 chunks per worker: few enough that the queue traffic stays
-    # small next to the mutant runs, enough to even out slow mutants.
-    size = max(1, math.ceil(n / (8 * workers)))
+    size = _chunk_size(n, workers)
     chunks = math.ceil(n / size)
     parent = os.getpid()
     results: list[MutantResult] = []
@@ -304,18 +294,16 @@ def _run_all(n: int, workers: int) -> list[MutantResult]:
         os.close(fd)
 
     try:
+        os.write(feed, b"".join(k.to_bytes(_NUMBER_BYTES, "little") for k in range(chunks)))
+        close(feed)
         for _ in range(min(workers, chunks) - 1):
             answer, reply = os.pipe()
             held += answer, reply
             pid = os.fork()
             if pid == 0:
-                _serve(queue, feed, reply, size, n)
+                _serve(queue, reply, size, n)
             children.append((pid, answer))
             close(reply)
-        # Queued after the forks, so the children already drain the pipe
-        # by the time it could fill up.
-        _queue_chunks(feed, chunks, size, n, results)
-        close(feed)
         _take_chunks(queue, size, n, results)
         blobs = []
         for _, answer in children:

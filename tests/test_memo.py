@@ -211,6 +211,19 @@ def test_conflicting_snapshots_flag_the_table():
     assert hooks.conflicted == {"f"}
 
 
+def test_aliased_arguments_record_conflicting_results():
+    # The key encodes argument values, not their identity, so `f(x, x)` and
+    # `f(y, z)` on equal fresh arrays share a key but return 1 and 0.
+    src = (
+        "fn f(a, b){ a[0] = 1; return b[0]; } "
+        "fn test_a(){ let x = [0]; assert(f(x, x) == 1); "
+        "let y = [0]; let z = [0]; assert(f(y, z) == 0); }"
+    )
+    _, _, raw, final, _ = _pipeline_for(src)
+    assert "f" not in raw.tables and "f" not in final.tables
+    assert raw.exclusions["f"] == Exclusion(reason="conflicted")
+
+
 def _recording_programs():
     for name in corpus_names():
         yield name, load_project(corpus_path(name))
@@ -494,6 +507,22 @@ def test_round_trip_preserves_exclusions(tmp_path):
     db.exclusions["g"] = Exclusion(reason="new_test_failure", detail="test_x")
     back = db_from_bytes(db_to_bytes(db))
     assert back.exclusions == db.exclusions
+
+
+def test_round_trip_keeps_argument_mutations():
+    src = (
+        "fn fill(a, v){ a[0] = v; push(a, v); } "
+        "fn test_a(){ let a = [0]; fill(a, 7); assert(a[1] == 7); "
+        "let b = [1, 2]; fill(b, 3); assert(b[2] == 3); }"
+    )
+    _, _, _, final, _ = _pipeline_for(src)
+    blob = db_to_bytes(final)
+    back = db_from_bytes(blob)
+    table = back.tables["fill"]
+    assert table.mut_args == [0]
+    assert sorted(rec.post_args[0] for rec in table.entries.values()) == [[3, 2, 3], [7, 7]]
+    assert _dbs_structurally_equal(final, back)
+    assert db_to_bytes(back) == blob
 
 
 def test_single_byte_corruption_detected(corpus_pipelines):

@@ -1,7 +1,9 @@
 """Mutation-analysis engine: verdicts, gating, scoring, comparison."""
 
 import json
+import math
 import os
+import select
 import signal
 import time
 from types import SimpleNamespace
@@ -9,13 +11,16 @@ from types import SimpleNamespace
 import pytest
 
 from memomut import runner
+from memomut.analysis import analyze_program
 from memomut.lang import ast
 from memomut.lang.compiler import compiled
-from memomut.lang.interp import Substitute, code_map
-from memomut.memo.builder import LookupHooks
+from memomut.lang.interp import Runtime, Substitute, code_map
+from memomut.lang.parser import parse
+from memomut.memo.builder import LookupHooks, provisional_memoization, record_tables
 from memomut.memo.db import FingerprintMismatch, MemoDB, MemoTable, OutputRecord
 from memomut.memo.encoding import encode_key
-from memomut.mutation import MutantPool
+from memomut.mutation import MutantPool, generate_mutants
+from memomut.profiler import ExpensivenessCriterion, profile_suite, select_candidates
 from memomut.runner import (
     EmptyPool,
     InvalidPool,
@@ -292,6 +297,48 @@ def test_not_covered_mutants_counted():
     assert t["mutants"] == len(pipe.pool.mutants)
 
 
+# `orphan` is called by no test and `broken` only by a failing one.
+UNCOVERED_SRC = """
+fn work(n) { let s = 0; let i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }
+fn orphan(a) { return a + 1; }
+fn broken(a) { return a * 2; }
+fn test_work() { assert(work(10) == 45); assert(work(4) == 6); }
+fn test_broken() { assert(broken(2) == 5); }
+"""
+
+
+def test_mutants_no_passing_test_covers_are_not_covered_in_both_runs():
+    program = parse(UNCOVERED_SRC)
+    runtime = Runtime(seed=0, fake_time=True)
+    profile = profile_suite(program, runtime=runtime)
+    bundle = analyze_program(program)
+    criterion = ExpensivenessCriterion(tau=0, limit_value=100.0)
+    candidates = select_candidates(profile, bundle.determinacy, criterion)
+    raw = record_tables(program, bundle, candidates, profile, criterion=criterion, runtime=runtime)
+    db, _ = provisional_memoization(program, raw, profile, bundle.closure, runtime=runtime)
+    assert "work" in db.tables
+    pool = generate_mutants(program)
+    uncovered = {m.id for m in pool.mutants if m.fn in ("orphan", "broken")}
+    assert uncovered and len(uncovered) < len(pool.mutants)
+    reports = [
+        run_mutation_analysis(
+            program, pool, profile, bundle.closure, db=db, cfg=RunConfig(memo=memo), runtime=runtime
+        )
+        for memo in (False, True)
+    ]
+    for report in reports:
+        for r in report.results:
+            if r.mutant_id in uncovered:
+                assert (r.status, r.tests_run, r.steps) == ("not_covered", 0, 0)
+            else:
+                assert r.status != "not_covered" and r.tests_run > 0
+        t = report.totals
+        assert t["not_covered"] == len(uncovered)
+        assert report.score == t["killed"] / len(pool.mutants)
+        assert t["killed"] <= len(pool.mutants) - len(uncovered)
+    compare_runs(*reports)
+
+
 # -- comparison block -------------------------------------------------------
 
 
@@ -479,25 +526,17 @@ def test_worker_failure_reaches_parent(monkeypatch, deadline, where, raised, exp
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_queueing_chunks_never_blocks(monkeypatch):
-    # Four bytes per chunk number: twice what a Linux or macOS pipe holds,
-    # with no other reader.  The overflow runs here instead of waiting.
-    monkeypatch.setattr(runner, "_worker_run", lambda index: index)
-    n = 1 << 15
-    queue, feed = os.pipe()
-    out = []
-    try:
-        runner._queue_chunks(feed, n, 1, n, out)
-        ran_while_queueing = len(out)
-        os.close(feed)
-        feed = None
-        runner._take_chunks(queue, 1, n, out)
-    finally:
-        os.close(queue)
-        if feed is not None:
-            os.close(feed)
-    assert ran_while_queueing > 0
-    assert sorted(out) == list(range(n))
+def test_the_chunk_queue_fits_one_pipe_write():
+    # Every chunk number is written to the queue pipe at once, before the
+    # first fork, so for any worker count the queue must fit one atomic
+    # write.  Up to 128 workers on Linux the chunks are about 8 per worker.
+    cap = select.PIPE_BUF // runner._NUMBER_BYTES
+    for workers in (1, 2, 3, 8, 127, 128, 129, 1000, 10**6):
+        for n in (1, 7, 103, 1024, 1025, 10**5, 10**7):
+            size = runner._chunk_size(n, workers)
+            assert math.ceil(n / size) * runner._NUMBER_BYTES <= select.PIPE_BUF
+            if 8 * workers <= cap:
+                assert size == max(1, math.ceil(n / (8 * workers)))
 
 
 def test_report_json_keeps_per_mutant_counts():
