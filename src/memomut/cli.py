@@ -211,6 +211,7 @@ def _comparison_table(block: dict) -> str:
         ("base steps", str(block["base_steps"])),
         ("memo steps", str(block["memo_steps"])),
         ("step saving", f"{block['step_saving_pct']:.2f}%"),
+        ("resumed steps", str(block["resumed_steps"])),
         ("cache hits", str(block["hits"])),
         ("cache misses", str(block["misses"])),
         ("gated executions", str(block["gated"])),

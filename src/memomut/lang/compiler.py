@@ -111,17 +111,20 @@ class StepLimit(Exception):
 
 class Code:
     """A compiled function: its arity, the frame past the parameters (the
-    unset local slots, then the function's literals), and the closure of
-    its body block.  `consts` gives each literal its frame slot, and
-    `closures` holds the closure compiled for each node, by `id`, for the
-    compile of a mutant of the function to reuse."""
+    unset local slots, then the function's literals), the closure of its
+    body block and, in `stmts`, those of the block's statements, which a
+    test resumed part way through its body runs from.  `consts` gives
+    each literal its frame slot, and `closures` holds the closure compiled
+    for each node, by `id`, for the compile of a mutant of the function to
+    reuse."""
 
-    __slots__ = ("arity", "pad", "body", "consts", "closures")
+    __slots__ = ("arity", "pad", "body", "stmts", "consts", "closures")
 
-    def __init__(self, arity: int, pad: list, body, consts: dict, closures: dict):
+    def __init__(self, arity: int, pad: list, body, stmts: tuple, consts: dict, closures: dict):
         self.arity = arity
         self.pad = pad
         self.body = body
+        self.stmts = stmts
         self.consts = consts
         self.closures = closures
 
@@ -571,9 +574,11 @@ def compile_function(fn: FunctionDef, parent: Optional[Code] = None) -> Code:
     mutation and the mutation itself are compiled."""
     compiler = _Compiler(fn.nslots, parent)
     body = compiler.closure(fn.body)
+    built, reused = compiler.closures, compiler.reuse
+    stmts = tuple(built.get(id(s)) or reused[id(s)] for s in fn.body.stmts)
     consts = [value for _, value in compiler.consts]
     pad = [None] * (fn.nslots - len(fn.params)) + consts
-    return Code(len(fn.params), pad, body, compiler.consts, compiler.closures)
+    return Code(len(fn.params), pad, body, stmts, compiler.consts, compiler.closures)
 
 
 # The code of a function of the program, compiled on first use.

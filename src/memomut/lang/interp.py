@@ -5,7 +5,8 @@ evaluated AST node costs one step, and the step counter doubles as the
 deterministic timeout mechanism.  Instrumentation hooks observe function
 entry/exit and builtin invocations, and may answer an entry event with a
 Substitute to skip the function body entirely.  Every execution runs on
-a fresh ExecState.
+a fresh ExecState, which a test run may start from a `Prefix`, a copy of
+the state part way through the test's body, instead of from the start.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .ast import Program, per_node
 from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled
-from .values import UNIT, Value, contains_array, deep_copy, format_value, wrap64
+from .values import UNIT, Value, contains_array, copy_shared, deep_copy, format_value, wrap64
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
@@ -55,6 +56,31 @@ class TestOutcome:
     wall_ns: int
 
 
+@dataclass
+class Prefix:
+    """A test's state just before the top-level statement `index` of its
+    body, inside the test's own call (depth 1): the globals, the test's
+    frame, the output and the steps so far."""
+
+    index: int
+    globals: dict[str, Value]
+    frame: list
+    output: list[str]
+    steps: int
+
+    def copy(self) -> Prefix:
+        """A copy sharing no list with this one.  Globals and frame are
+        copied together, so an array they share stays one array."""
+        memo: dict[int, list] = {}
+        return Prefix(
+            self.index,
+            {name: copy_shared(v, memo) for name, v in self.globals.items()},
+            [copy_shared(v, memo) for v in self.frame],
+            list(self.output),
+            self.steps,
+        )
+
+
 class ExecState:
     """The state of one execution, which hooks may read and write.
 
@@ -64,6 +90,8 @@ class ExecState:
     sources of nondeterminism.  The code is `code`, or else the program's
     `code_map`, compiled here before any timer in the caller starts.
     Compiled code makes every call through `invoke` or `call_builtin`.
+    A state made with a `start` takes over its globals, output and steps,
+    at depth 1, in place of the program's initial state.
     """
 
     __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "rng", "clock")
@@ -76,12 +104,16 @@ class ExecState:
         rng: Optional[LazyRandom] = None,
         clock: Optional[Callable[[], int]] = None,
         code: Optional[dict[str, Code]] = None,
+        start: Optional[Prefix] = None,
     ):
-        self.globals = {name: deep_copy(val) for name, val in program.globals}
-        self.output: list[str] = []
-        self.steps = 0
+        if start is None:
+            self.globals = {name: deep_copy(val) for name, val in program.globals}
+            self.output: list[str] = []
+            self.steps = 0
+            self.depth = 0
+        else:
+            self.globals, self.output, self.steps, self.depth = start.globals, start.output, start.steps, 1
         self.limit = limit
-        self.depth = 0
         self.code = code_map(program) if code is None else code
         self.hooks = hooks
         self.rng = rng if rng is not None else LazyRandom()
@@ -249,9 +281,25 @@ class Runtime:
         return state.rng.rng is not None or (self.fake_time and state.clock.now is not None)
 
 
-def _execute(state: ExecState, fn: str, args: list) -> tuple[Verdict, Value]:
+def _resume(state: ExecState, test: str, start: Prefix) -> Value:
+    """The rest of `test`'s body from `start`, ended as `invoke` ends a call."""
+    frame = start.frame
+    for stmt in state.code[test].stmts[start.index:]:
+        ret = stmt(state, frame)
+        if ret is not None:
+            break
+    else:
+        ret = UNIT
+    state.depth -= 1
+    if state.hooks is not None:
+        state.hooks.on_call_exit(test, ret, state)
+    return ret
+
+
+def _execute(state: ExecState, fn: str, args: list, start: Optional[Prefix] = None) -> tuple[Verdict, Value]:
+    """Call `fn`, or resume the test `fn` from `start`; failures become the verdict."""
     try:
-        ret = state.invoke(fn, args, -1)
+        ret = state.invoke(fn, args, -1) if start is None else _resume(state, fn, start)
         return PASS, ret
     except AssertFail as a:
         return Verdict("assert_fail", node_id=a.node_id), UNIT
@@ -269,19 +317,57 @@ def run_test(
     rng: Optional[LazyRandom] = None,
     clock: Optional[Callable[[], int]] = None,
     code: Optional[dict[str, Code]] = None,
+    start: Optional[Prefix] = None,
 ) -> tuple[TestOutcome, ExecState]:
-    """Run one test from a fresh state; failures become the verdict.
-    `code` stands in for `code_map(program)` where given."""
+    """Run one test on a fresh state; failures become the verdict.
+    `code` stands in for `code_map(program)` where given.
+
+    With a `start`, a prefix of this test that the caller knows this run
+    would reach, the run skips the prefix: it begins from a copy of the
+    prefix's state, at its statement, its steps count on from the
+    prefix's, and the hooks see only what follows.  The globals are not
+    copied from the program first, and `start` is left unchanged, so one
+    prefix can start any number of runs."""
     if test not in program.tests:
         raise ValueError(f"not a test: {test!r}")
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
-    state = ExecState(program, hooks, step_limit, rng, clock, code)
+    if start is not None:
+        start = start.copy()
+    state = ExecState(program, hooks, step_limit, rng, clock, code, start)
     t0 = time.perf_counter_ns()
-    verdict, _ = _execute(state, test, [])
+    verdict, _ = _execute(state, test, [], start)
     wall = time.perf_counter_ns() - t0
     outcome = TestOutcome(test=test, verdict=verdict, steps=state.steps, wall_ns=wall)
     return outcome, state
+
+
+def prefixes(program: Program, test: str, hooks: Optional[Hooks], step_limit: int) -> Iterator[Prefix]:
+    """Run `test` one top-level statement of its body at a time, yielding
+    before each a copy of the state so far.
+
+    The iteration ends where the test returns, fails or hits a limit; an
+    exception a hook raises passes to the caller.  The run's `rand` and
+    clock are unseeded, so a caller that needs a reproducible prefix stops
+    it, through its hooks, before either is called.
+    """
+    state = ExecState(program, hooks, step_limit)
+    code = state.code[test]
+    frame = list(code.pad)
+    try:
+        # The test's own entry, as `invoke` shows it to the hooks.
+        if hooks is not None and hooks.on_call_enter(test, [], state) is not None:
+            return
+        state.depth = 1
+        state.steps = 1  # the body block's own step
+        if step_limit <= 1:
+            return  # that step hits the limit
+        for index, stmt in enumerate(code.stmts):
+            yield Prefix(index, state.globals, frame, state.output, state.steps).copy()
+            if stmt(state, frame) is not None:
+                return
+    except (AssertFail, RuntimeErr, StepLimit):
+        return
 
 
 def run_function(

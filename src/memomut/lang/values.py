@@ -67,6 +67,20 @@ def deep_copy(v: Value) -> Value:
     return v
 
 
+def copy_shared(v: Value, memo: dict[int, list]) -> Value:
+    """Structural copy that keeps sharing: a list reached again, here or
+    in an earlier copy with the same `memo` (id -> copy), gets the same copy."""
+    if not isinstance(v, list):
+        return v
+    c = memo.get(id(v))
+    if c is None:
+        c = memo[id(v)] = v[:]
+        for i, x in enumerate(c):
+            if isinstance(x, list):
+                c[i] = copy_shared(x, memo)
+    return c
+
+
 def deep_equal(a: Value, b: Value) -> bool:
     """Structural equality; bool and int are distinct types."""
     if type(a) is not type(b):

@@ -5,6 +5,19 @@ optionally intercepting memoized functions for table look-up, and
 aggregates verdicts into a mutation score.  Interception is gated: a
 function that is mutated, or whose dependency closure contains the
 mutated function, always executes its body.
+
+The memo run also shares work among the mutants of one function.  A
+test runs exactly as on the unmutated program until it first enters the
+mutated function, as long as it draws no `rand` and reads no clock.  So
+the first mutant of a function to run a test, in each process, runs the
+test once on the unmutated program, with the look-ups the function's
+mutants make, and keeps the state before the top-level statement of the
+test's body in which it could first differ; every mutant of the
+function then resumes the test from a copy of that state (split-stream
+execution, as in King and Offutt's Mothra).  A resumed run reports the
+steps, counts and verdict a run from the start would.  The base run
+starts every test afresh: it is the plain reference that `compare_runs`
+checks the memo run against, mutant by mutant.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .lang.ast import Program
 from .lang.compiler import compile_function
-from .lang.interp import Runtime, code_map, run_test
+from .lang.interp import Hooks, Prefix, Runtime, code_map, prefixes, run_test
 from .memo.builder import KINDS, CountTotals, LookupHooks
 from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
@@ -91,6 +104,8 @@ class MutantResult(CountTotals):
     cause: Optional[str] = None  # "assert_fail" | "runtime_error" | "step_limit"
     tests_run: int = 0
     steps: int = 0
+    # Of `steps`, those of the test prefixes the memo run restored rather than executed.
+    resumed_steps: int = 0
     wall_ns: int = 0
     # fn -> {"hits": n, "misses": n, "gated": n} for each memoized function it called
     per_method: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -118,10 +133,7 @@ class MutationReport(CountTotals):
         """fn -> {"hits": n, "misses": n, "gated": n} summed over every mutant."""
         per_method = {fn: dict.fromkeys(KINDS, 0) for fn in self.tables}
         for r in self.results:
-            for fn, counts in r.per_method.items():
-                row = per_method.setdefault(fn, dict.fromkeys(KINDS, 0))
-                for kind in KINDS:
-                    row[kind] += counts[kind]
+            _add_counts(per_method, r.per_method)
         return per_method
 
     @property
@@ -132,14 +144,76 @@ class MutationReport(CountTotals):
             **{status: sum(1 for r in results if r.status == status) for status in STATUSES},
             "tests_run": sum(r.tests_run for r in results),
             "steps": sum(r.steps for r in results),
+            "resumed_steps": sum(r.resumed_steps for r in results),
             **self.count_totals(),
         }
+
+
+def _add_counts(into: dict[str, dict[str, int]], per_method: dict[str, dict[str, int]]) -> None:
+    for fn, counts in per_method.items():
+        row = into.setdefault(fn, dict.fromkeys(KINDS, 0))
+        for kind in KINDS:
+            row[kind] += counts[kind]
 
 
 def _blocked_functions(db: MemoDB, closure: dict[str, set[str]], mutated_fn: str) -> frozenset[str]:
     return frozenset(
         fn for fn in db.tables if fn == mutated_fn or mutated_fn in closure.get(fn, ())
     )
+
+
+class _PrefixEnd(Exception):
+    """Raised where a mutant's run of a test could first differ from the program's."""
+
+
+class _ProbeHooks(Hooks):
+    """The look-ups of `lookups`, if any, in a run that ends at the first
+    entry into `fn`, direct or through a reference, or at the first `rand`
+    or `time_now` call.  `LookupHooks` acts on entries alone."""
+
+    def __init__(self, fn: str, lookups: Optional[LookupHooks]):
+        self.fn = fn
+        self.lookups = lookups
+
+    def on_call_enter(self, fn, args, state):
+        if fn == self.fn:
+            raise _PrefixEnd()
+        return None if self.lookups is None else self.lookups.on_call_enter(fn, args, state)
+
+    def on_builtin(self, name, state):
+        if name == "rand" or name == "time_now":
+            raise _PrefixEnd()
+
+
+# A prefix every mutant of a function resumes a test from, with the
+# look-up counts of the steps it stands for.
+_Shared = Optional[tuple[Prefix, dict[str, dict[str, int]]]]
+
+
+def _probe(
+    program: Program, fn: str, test: str, tables: Optional[dict], blocked: frozenset[str], limit: int
+) -> _Shared:
+    """The prefix of `test` that the memo run shares among the mutants of
+    `fn`, or None.
+
+    It runs `test` on the unmutated program with the look-ups a mutant of
+    `fn` makes, up to the top-level statement of the test's body in which
+    the test first enters `fn` or calls `rand` or `time_now`.  Up to that
+    statement a mutant of `fn` runs the same code on the same state and
+    draws nothing, so it can start there.  There is no prefix if that is
+    the first statement, or if the test returns, fails or hits a limit
+    before it.
+    """
+    lookups = None if tables is None else LookupHooks(tables, blocked=blocked)
+    last: _Shared = None
+    try:
+        for prefix in prefixes(program, test, _ProbeHooks(fn, lookups), limit):
+            counts = {} if lookups is None else {f: dict(c) for f, c in lookups.per_method.items()}
+            last = prefix, counts
+    except _PrefixEnd:
+        if last is not None and last[0].index > 0:
+            return last
+    return None
 
 
 def _run_single_mutant(
@@ -150,9 +224,15 @@ def _run_single_mutant(
     blocked: frozenset[str],
     profile: Profile,
     runtime: Runtime,
+    shared: Optional[dict[tuple[str, str], _Shared]],
 ) -> MutantResult:
     """Run `mutant` against `tests`, the passing tests that cover its
-    function, with look-ups in `tables`, if any, but those `blocked`."""
+    function, with look-ups in `tables`, if any, but those `blocked`.
+
+    `shared` is the memo run's cache of prefixes by function and test
+    (None in the base run).  A test with a prefix resumes from it: the
+    prefix's counts and steps count as the run's own, and its steps as
+    `resumed_steps` too."""
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
     mutated = apply_mutant(program, mutant)
@@ -165,6 +245,16 @@ def _run_single_mutant(
     t0 = time.perf_counter_ns()
     for test in tests:
         label = f"mutant:{mutant.id}:{test}"
+        start = None
+        if shared is not None:
+            key = mutant.fn, test
+            if key not in shared:
+                shared[key] = _probe(program, mutant.fn, test, tables, blocked, profile.step_budget(test))
+            if shared[key] is not None:
+                start, counts = shared[key]
+                result.resumed_steps += start.steps
+                if hooks is not None:
+                    _add_counts(hooks.per_method, counts)
         outcome, _ = run_test(
             mutated,
             test,
@@ -173,6 +263,7 @@ def _run_single_mutant(
             rng=runtime.rng_for(label),
             clock=runtime.clock_for(label),
             code=code,
+            start=start,
         )
         result.tests_run += 1
         result.steps += outcome.steps
@@ -196,10 +287,10 @@ _RUN = None
 
 def _worker_run(index: int) -> MutantResult:
     """Run the current run's `index`-th mutant."""
-    program, pool, per_fn, tables, profile, runtime = _RUN
+    program, pool, per_fn, tables, profile, runtime, shared = _RUN
     mutant = pool.mutants[index]
     tests, blocked = per_fn[mutant.fn]
-    return _run_single_mutant(program, mutant, tests, tables, blocked, profile, runtime)
+    return _run_single_mutant(program, mutant, tests, tables, blocked, profile, runtime, shared)
 
 
 # Bytes per chunk number in the queue pipe.  The whole queue is one atomic
@@ -357,7 +448,9 @@ def run_mutation_analysis(
         fn: (profile.covering_passing_tests(fn), _blocked_functions(db, closure, fn) if tables else frozenset())
         for fn in {m.fn for m in pool.mutants}
     }
-    _RUN = (program, pool, per_fn, tables, profile, runtime)
+    # The memo run's shared prefixes, filled as each process needs them.
+    shared = {} if cfg.memo else None
+    _RUN = (program, pool, per_fn, tables, profile, runtime, shared)
     t0 = time.perf_counter_ns()
     try:
         results = _run_all(len(pool.mutants), cfg.workers)
@@ -409,6 +502,7 @@ def compare_runs(base: MutationReport, memo: MutationReport) -> dict:
         "base_steps": base_steps,
         "memo_steps": memo_steps,
         "step_saving_pct": round(step_saving * 100.0, 2),
+        "resumed_steps": memo.totals["resumed_steps"],
         **memo.count_totals(),
         "per_method": memo.per_method,
     }
@@ -439,6 +533,7 @@ def report_to_json(report: MutationReport) -> dict:
                 "cause": r.cause,
                 "tests_run": r.tests_run,
                 "steps": r.steps,
+                "resumed_steps": r.resumed_steps,
                 "wall_ns": r.wall_ns,
                 **r.count_totals(),
                 "per_method": _counts_to_json(r.per_method),
@@ -458,6 +553,7 @@ def _result_from_json(d: dict) -> MutantResult:
         cause=typed(d["cause"], str, type(None)),
         tests_run=typed(d["tests_run"], int),
         steps=typed(d["steps"], int),
+        resumed_steps=typed(d["resumed_steps"], int),
         wall_ns=typed(d["wall_ns"], int),
         per_method={
             fn: {kind: typed(counts[kind], int) for kind in KINDS}

@@ -96,6 +96,7 @@ def cancelling_flip_docs() -> tuple[dict, dict]:
                 "cause": "assert_fail" if status == "killed" else None,
                 "tests_run": 1,
                 "steps": 5,
+                "resumed_steps": 0,
                 "wall_ns": 5,
                 "hits": 0,
                 "misses": 0,

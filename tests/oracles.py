@@ -4,7 +4,8 @@ Deliberately written with different algorithms and data structures than
 the package code: per-node BFS instead of the set-propagation fixpoint,
 a pattern-matching mutant enumerator instead of the generator, an
 exhaustive run-everything mutant runner instead of the covering-tests
-engine, a run-per-candidate recorder instead of one run per covering
+engine, a memo run that starts every test of every mutant afresh instead
+of resuming from shared prefixes, a run-per-candidate recorder instead of one run per covering
 test, a run-per-table provisional filter instead of one shared run per
 covering test, and a minimal step-counting evaluator for profiler
 arithmetic.
@@ -126,6 +127,42 @@ def exhaustive_killed(
             if not outcome.verdict.passed:
                 killed.add(m.id)
     return killed
+
+
+def memo_run_unshared(program, pool: MutantPool, profile: Profile, closure, db, runtime: Runtime) -> dict:
+    """Each mutant's (status, killing_test, cause, tests_run, steps,
+    per_method) in a memo run that runs every test of every mutant from
+    a fresh state, on the mutant's whole program compiled anew."""
+    tables = db.tables if db is not None and db.tables else None
+    out = {}
+    for m in pool.mutants:
+        tests = profile.covering_passing_tests(m.fn)
+        if not tests:
+            out[m.id] = ("not_covered", None, None, 0, 0, {})
+            continue
+        hooks = None
+        if tables is not None:
+            blocked = frozenset(fn for fn in tables if fn == m.fn or m.fn in closure.get(fn, ()))
+            hooks = LookupHooks(tables, blocked=blocked)
+        mutated = apply_mutant(program, m)
+        status, killing_test, cause, tests_run, steps = "survived", None, None, 0, 0
+        for test in tests:
+            label = f"mutant:{m.id}:{test}"
+            outcome, _ = run_test(
+                mutated,
+                test,
+                hooks,
+                step_limit=profile.step_budget(test),
+                rng=runtime.rng_for(label),
+                clock=runtime.clock_for(label),
+            )
+            tests_run += 1
+            steps += outcome.steps
+            if not outcome.verdict.passed:
+                status, killing_test, cause = "killed", test, outcome.verdict.kind
+                break
+        out[m.id] = (status, killing_test, cause, tests_run, steps, {} if hooks is None else hooks.per_method)
+    return out
 
 
 def record_per_candidate(

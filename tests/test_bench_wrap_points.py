@@ -7,7 +7,10 @@ fails instead.  The traced benchmark also replaces `runner._worker_run`
 with a wrapper of one argument and moves the spans it records onto each
 result, so every mutant, in the parent and in each forked worker, must run
 through that module attribute, and what the wrapper sets on a result must
-come back with it.
+come back with it.  The benchmark's interpreter throughput is a run's
+steps over its time inside `runner.run_test`, so every test a mutant
+runs, resumed from a shared prefix or not, must be one call of that
+module attribute.
 """
 
 import importlib
@@ -72,3 +75,39 @@ def test_worker_run_wrapper_sees_every_mutant(monkeypatch, workers):
     assert [r.mutant_id for r in report.results] == [m.id for m in pipe.pool.mutants]
     pids = {r.traced_in for r in report.results}
     assert (pids == {parent}) == (workers == 1), pids
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_mutant_test_run_calls_run_test(monkeypatch, workers):
+    """A test the memo run resumes from a shared prefix is still one call
+    of `runner.run_test`, the span the benchmark times as the
+    interpreter's share of the run, in every process."""
+    pipe = cached_pipeline("bench_expensive", tau=1000, tau_unit="steps")
+    assert pipe.db.tables
+    calls = [0]
+    run_test, worker_run = runner.run_test, runner._worker_run
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return run_test(*args, **kwargs)
+
+    def traced(index):
+        calls[0] = 0
+        result = worker_run(index)
+        result.run_test_calls = calls[0]
+        return result
+
+    monkeypatch.setattr(runner, "run_test", counted)
+    monkeypatch.setattr(runner, "_worker_run", traced)
+    report = runner.run_mutation_analysis(
+        pipe.program,
+        pipe.pool,
+        pipe.profile,
+        pipe.bundle.closure,
+        db=pipe.db,
+        cfg=runner.RunConfig(memo=True, workers=workers),
+        runtime=pipe.runtime,
+    )
+    assert report.totals["resumed_steps"]
+    assert sum(r.run_test_calls for r in report.results) == report.totals["tests_run"]
+    assert all(r.run_test_calls == r.tests_run for r in report.results)

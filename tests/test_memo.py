@@ -189,9 +189,11 @@ def test_record_captures_argument_mutation():
 
 
 def test_conflicting_snapshots_flag_the_table():
-    # Two different results for the same recorded entry state. The
-    # analyses make this unreachable from real programs, so drive the
-    # hooks directly with a table whose tracked state is incomplete.
+    # Two different results for the same recorded entry state, with a
+    # recorded call of another table nested inside the first: the exits
+    # must close their own entries.  `test_aliased_arguments_record_
+    # conflicting_results` reaches a conflict from a real program, but not
+    # one with nested recorded exits, so drive the hooks directly here.
     from memomut.memo.builder import RecordHooks
 
     table = MemoTable(fn="f", may_read=[], may_write=[], mut_args=[])

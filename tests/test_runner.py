@@ -365,6 +365,7 @@ def _report(memo, wall_ns, statuses, steps=5, per_method=None):
             "cause": "assert_fail" if status == "killed" else None,
             "tests_run": 1,
             "steps": steps,
+            "resumed_steps": 0,
             "wall_ns": 1,
             "per_method": per_method or {},
         }
