@@ -6,18 +6,20 @@ aggregates verdicts into a mutation score.  Interception is gated: a
 function that is mutated, or whose dependency closure contains the
 mutated function, always executes its body.
 
-The memo run also shares work among the mutants of one function.  A
-test runs exactly as on the unmutated program until it first enters the
-mutated function, as long as it draws no `rand` and reads no clock.  So
-the first mutant of a function to run a test, in each process, runs the
-test once on the unmutated program, with the look-ups the function's
-mutants make, and keeps the state before the top-level statement of the
-test's body in which it could first differ; every mutant of the
-function then resumes the test from a copy of that state (split-stream
-execution, as in King and Offutt's Mothra).  A resumed run reports the
-steps, counts and verdict a run from the start would.  The base run
-starts every test afresh: it is the plain reference that `compare_runs`
-checks the memo run against, mutant by mutant.
+The memo run also shares work among the mutants that run one test.  A
+mutant's run of a test is the unmutated program's run, with the same
+look-ups, until the test first enters the mutated function or a table
+the mutation blocks, as long as it draws no `rand` and reads no clock.
+So the first mutant to run a test, in each process, runs the test once
+on the unmutated program with every table's look-ups and none gated,
+and keeps, for each function whose mutants run the test, the state
+before the top-level statement of the test's body in which that
+function's run could first differ; every mutant of the function then
+resumes the test from a copy of that state (split-stream execution, as
+in King and Offutt's Mothra).  A resumed run reports the steps, counts
+and verdict a run from the start would.  The base run starts every test
+afresh: it is the plain reference that `compare_runs` checks the memo
+run against, mutant by mutant.
 """
 
 from __future__ import annotations
@@ -163,26 +165,7 @@ def _blocked_functions(db: MemoDB, closure: dict[str, set[str]], mutated_fn: str
 
 
 class _PrefixEnd(Exception):
-    """Raised where a mutant's run of a test could first differ from the program's."""
-
-
-class _ProbeHooks(Hooks):
-    """The look-ups of `lookups`, if any, in a run that ends at the first
-    entry into `fn`, direct or through a reference, or at the first `rand`
-    or `time_now` call.  `LookupHooks` acts on entries alone."""
-
-    def __init__(self, fn: str, lookups: Optional[LookupHooks]):
-        self.fn = fn
-        self.lookups = lookups
-
-    def on_call_enter(self, fn, args, state):
-        if fn == self.fn:
-            raise _PrefixEnd()
-        return None if self.lookups is None else self.lookups.on_call_enter(fn, args, state)
-
-    def on_builtin(self, name, state):
-        if name == "rand" or name == "time_now":
-            raise _PrefixEnd()
+    """Raised where the probe of a test has every prefix it was asked for."""
 
 
 # A prefix every mutant of a function resumes a test from, with the
@@ -190,30 +173,100 @@ class _ProbeHooks(Hooks):
 _Shared = Optional[tuple[Prefix, dict[str, dict[str, int]]]]
 
 
-def _probe(
-    program: Program, fn: str, test: str, tables: Optional[dict], blocked: frozenset[str], limit: int
-) -> _Shared:
-    """The prefix of `test` that the memo run shares among the mutants of
-    `fn`, or None.
+class _ProbeHooks(Hooks):
+    """The look-ups of `lookups`, if any, in the probe of a test for the
+    functions of `targets`, each with the tables its mutants block.  A
+    function's prefix ends at the top-level statement `index` of the
+    test's body that first enters the function or one of those tables,
+    directly or through a reference, or calls `rand` or `time_now`;
+    `shared` then keeps for it the snapshot `before` that statement,
+    unless that is the first.  The run ends at the first draw, or once
+    every function's prefix has ended.  `LookupHooks` acts on entries
+    alone."""
 
-    It runs `test` on the unmutated program with the look-ups a mutant of
-    `fn` makes, up to the top-level statement of the test's body in which
-    the test first enters `fn` or calls `rand` or `time_now`.  Up to that
-    statement a mutant of `fn` runs the same code on the same state and
-    draws nothing, so it can start there.  There is no prefix if that is
-    the first statement, or if the test returns, fails or hits a limit
-    before it.
+    def __init__(self, lookups: Optional[LookupHooks], targets: dict[str, frozenset[str]]):
+        self.lookups = lookups
+        # function -> the targets whose prefix its first entry ends
+        self.ends: dict[str, list[str]] = {}
+        for fn, blocked in targets.items():
+            for g in blocked | {fn}:
+                self.ends.setdefault(g, []).append(fn)
+        self.open = set(targets)
+        self.shared: dict[str, _Shared] = dict.fromkeys(targets)
+        self.index = 0
+        self.before: _Shared = None
+
+    def _end(self, fns) -> None:
+        for fn in fns:
+            if fn in self.open:
+                self.open.remove(fn)
+                if self.index > 0:
+                    self.shared[fn] = self.before
+        if not self.open:
+            raise _PrefixEnd()
+
+    def on_call_enter(self, fn, args, state):
+        ends = self.ends.pop(fn, None)
+        if ends is not None:
+            self._end(ends)
+        return None if self.lookups is None else self.lookups.on_call_enter(fn, args, state)
+
+    def on_builtin(self, name, state):
+        if name == "rand" or name == "time_now":
+            self._end(list(self.open))
+
+
+def _probe(
+    program: Program, test: str, tables: Optional[dict], targets: dict[str, frozenset[str]], limit: int
+) -> dict[str, _Shared]:
+    """The prefix of `test` that the memo run shares among the mutants of
+    each function of `targets`, or None, by function.  `targets` maps each
+    function to the tables its mutants block.
+
+    It runs `test` once on the unmutated program, with the look-ups of
+    every table and none gated.  A function's prefix ends before the
+    top-level statement of the test's body in which the test first enters
+    the function or one of its blocked tables, or calls `rand` or
+    `time_now`.  Up to that statement a mutant of the function runs the
+    same code on the same state, draws nothing, and makes the same
+    look-ups with the same outcomes, since only a blocked table's would
+    differ; so it can start there, with the counts the probe had.  There
+    is no prefix if that is the first statement, or if the test returns,
+    fails or hits a limit before it.
     """
-    lookups = None if tables is None else LookupHooks(tables, blocked=blocked)
-    last: _Shared = None
+    lookups = None if tables is None else LookupHooks(tables)
+    hooks = _ProbeHooks(lookups, targets)
     try:
-        for prefix in prefixes(program, test, _ProbeHooks(fn, lookups), limit):
+        for prefix in prefixes(program, test, hooks, limit):
             counts = {} if lookups is None else {f: dict(c) for f, c in lookups.per_method.items()}
-            last = prefix, counts
+            hooks.index, hooks.before = prefix.index, (prefix, counts)
     except _PrefixEnd:
-        if last is not None and last[0].index > 0:
-            return last
-    return None
+        pass
+    return hooks.shared
+
+
+class _SharedPrefixes:
+    """The memo run's shared prefixes by test and function.  Each process
+    probes a test once, when its first mutant runs it, for every function
+    whose mutants run that test."""
+
+    def __init__(self, program: Program, tables: Optional[dict], profile: Profile, per_fn: dict):
+        self.program = program
+        self.tables = tables
+        self.profile = profile
+        # test -> {function whose mutants run it: the tables they block}
+        self.targets: dict[str, dict[str, frozenset[str]]] = {}
+        for fn, (tests, blocked) in per_fn.items():
+            for test in tests:
+                self.targets.setdefault(test, {})[fn] = blocked
+        self.by_test: dict[str, dict[str, _Shared]] = {}
+
+    def get(self, fn: str, test: str) -> _Shared:
+        shared = self.by_test.get(test)
+        if shared is None:
+            budget = self.profile.step_budget(test)
+            shared = self.by_test[test] = _probe(self.program, test, self.tables, self.targets[test], budget)
+        return shared[fn]
 
 
 def _run_single_mutant(
@@ -224,15 +277,14 @@ def _run_single_mutant(
     blocked: frozenset[str],
     profile: Profile,
     runtime: Runtime,
-    shared: Optional[dict[tuple[str, str], _Shared]],
+    shared: Optional[_SharedPrefixes],
 ) -> MutantResult:
     """Run `mutant` against `tests`, the passing tests that cover its
     function, with look-ups in `tables`, if any, but those `blocked`.
 
-    `shared` is the memo run's cache of prefixes by function and test
-    (None in the base run).  A test with a prefix resumes from it: the
-    prefix's counts and steps count as the run's own, and its steps as
-    `resumed_steps` too."""
+    `shared` is the memo run's prefixes (None in the base run).  A test
+    with a prefix resumes from it: the prefix's counts and steps count as
+    the run's own, and its steps as `resumed_steps` too."""
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
     mutated = apply_mutant(program, mutant)
@@ -246,15 +298,12 @@ def _run_single_mutant(
     for test in tests:
         label = f"mutant:{mutant.id}:{test}"
         start = None
-        if shared is not None:
-            key = mutant.fn, test
-            if key not in shared:
-                shared[key] = _probe(program, mutant.fn, test, tables, blocked, profile.step_budget(test))
-            if shared[key] is not None:
-                start, counts = shared[key]
-                result.resumed_steps += start.steps
-                if hooks is not None:
-                    _add_counts(hooks.per_method, counts)
+        found = None if shared is None else shared.get(mutant.fn, test)
+        if found is not None:
+            start, counts = found
+            result.resumed_steps += start.steps
+            if hooks is not None:
+                _add_counts(hooks.per_method, counts)
         outcome, _ = run_test(
             mutated,
             test,
@@ -448,8 +497,7 @@ def run_mutation_analysis(
         fn: (profile.covering_passing_tests(fn), _blocked_functions(db, closure, fn) if tables else frozenset())
         for fn in {m.fn for m in pool.mutants}
     }
-    # The memo run's shared prefixes, filled as each process needs them.
-    shared = {} if cfg.memo else None
+    shared = _SharedPrefixes(program, tables, profile, per_fn) if cfg.memo else None
     _RUN = (program, pool, per_fn, tables, profile, runtime, shared)
     t0 = time.perf_counter_ns()
     try:

@@ -5,10 +5,11 @@ the package code: per-node BFS instead of the set-propagation fixpoint,
 a pattern-matching mutant enumerator instead of the generator, an
 exhaustive run-everything mutant runner instead of the covering-tests
 engine, a memo run that starts every test of every mutant afresh instead
-of resuming from shared prefixes, a run-per-candidate recorder instead of one run per covering
-test, a run-per-table provisional filter instead of one shared run per
-covering test, and a minimal step-counting evaluator for profiler
-arithmetic.
+of resuming from shared prefixes, a probe per (mutated function, test)
+with that function's look-ups instead of one probe per test, a
+run-per-candidate recorder instead of one run per covering test, a
+run-per-table provisional filter instead of one shared run per covering
+test, and a minimal step-counting evaluator for profiler arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 
 from memomut.lang import ast as A
-from memomut.lang.interp import Runtime, run_test
+from memomut.lang.interp import Hooks, Runtime, prefixes, run_test
 from memomut.memo.builder import KINDS, LookupHooks, RecordHooks
 from memomut.memo.db import Exclusion, MemoDB, MemoTable
 from memomut.memo.encoding import program_fingerprint
@@ -163,6 +164,53 @@ def memo_run_unshared(program, pool: MutantPool, profile: Profile, closure, db, 
                 break
         out[m.id] = (status, killing_test, cause, tests_run, steps, {} if hooks is None else hooks.per_method)
     return out
+
+
+class _PrefixEnd(Exception):
+    """Raised where a mutant's run of a test could first differ from the program's."""
+
+
+class _ProbeHooks(Hooks):
+    """The look-ups of `lookups`, if any, in a run that ends at the first
+    entry into `fn`, direct or through a reference, or at the first `rand`
+    or `time_now` call.  `LookupHooks` acts on entries alone."""
+
+    def __init__(self, fn, lookups):
+        self.fn = fn
+        self.lookups = lookups
+
+    def on_call_enter(self, fn, args, state):
+        if fn == self.fn:
+            raise _PrefixEnd()
+        return None if self.lookups is None else self.lookups.on_call_enter(fn, args, state)
+
+    def on_builtin(self, name, state):
+        if name == "rand" or name == "time_now":
+            raise _PrefixEnd()
+
+
+def probe_per_function(program, fn: str, test: str, tables, blocked: frozenset[str], limit: int):
+    """The prefix of `test` that the memo run shares among the mutants of
+    `fn`, as (Prefix, counts), or None.
+
+    It runs `test` on the unmutated program with the look-ups a mutant of
+    `fn` makes, up to the top-level statement of the test's body in which
+    the test first enters `fn` or calls `rand` or `time_now`.  Up to that
+    statement a mutant of `fn` runs the same code on the same state and
+    draws nothing, so it can start there.  There is no prefix if that is
+    the first statement, or if the test returns, fails or hits a limit
+    before it.
+    """
+    lookups = None if tables is None else LookupHooks(tables, blocked=blocked)
+    last = None
+    try:
+        for prefix in prefixes(program, test, _ProbeHooks(fn, lookups), limit):
+            counts = {} if lookups is None else {f: dict(c) for f, c in lookups.per_method.items()}
+            last = prefix, counts
+    except _PrefixEnd:
+        if last is not None and last[0].index > 0:
+            return last
+    return None
 
 
 def record_per_candidate(

@@ -5,17 +5,30 @@ the mutants of a function, and gets what starting every test afresh gets.
 each mutant runs from a fresh state on the mutant's program.  Every
 mutant's status, killing test, cause, tests run, steps and per-function
 counts must match it, serial and with two workers.
+
+`oracles.probe_per_function` is the probe the memo run made before it
+probed each test once: one run per (mutated function, test), with that
+function's look-ups.  Every prefix must match it, or end earlier where
+the test enters a table the function's mutants block.
+
+Run this file to print, per workload and seed, the memo run's probes,
+their steps and CPU time, and its resumed and charged steps:
+
+    PYTHONPATH=src:tests python tests/test_prefix.py
 """
 
 import importlib.util
+import os
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from memomut import corpus_names, corpus_path
+from memomut import corpus_names, corpus_path, runner
 from memomut.analysis import analyze_program
-from memomut.lang.interp import Runtime
+from memomut.lang.interp import Hooks, Runtime
 from memomut.lang.parser import parse
 from memomut.memo.builder import provisional_memoization, record_tables
 from memomut.mutation import generate_mutants
@@ -23,7 +36,7 @@ from memomut.profiler import ExpensivenessCriterion, profile_suite, select_candi
 from memomut.project import load_project
 from memomut.runner import RunConfig, _probe, _blocked_functions, run_mutation_analysis
 
-from oracles import memo_run_unshared
+from oracles import memo_run_unshared, probe_per_function
 
 TESTS = Path(__file__).resolve().parent
 WORKLOADS = TESTS.parent / "benchmarks" / "workloads.py"
@@ -109,10 +122,13 @@ def prefix_runs():
     return {tau: _Run(_mini("prefix"), tau, limit, is_pct) for tau, limit, is_pct in CRITERIA}
 
 
+def _blocked(run, fn):
+    return _blocked_functions(run.db, run.bundle.closure, fn) if run.db.tables else frozenset()
+
+
 def _shared(run, fn, test):
-    blocked = _blocked_functions(run.db, run.bundle.closure, fn) if run.db.tables else frozenset()
     tables = run.db.tables or None
-    return _probe(run.program, fn, test, tables, blocked, run.profile.step_budget(test))
+    return _probe(run.program, test, tables, {fn: _blocked(run, fn)}, run.profile.step_budget(test))[fn]
 
 
 @pytest.mark.parametrize("tau", [tau for tau, _, _ in CRITERIA])
@@ -147,6 +163,139 @@ def test_prefix_ends_where_the_mutant_could_differ(prefix_runs):
 def test_prefix_counts_add_up(prefix_runs):
     run = prefix_runs[1]
     assert {"leaf", "maybe", "other"} <= set(run.db.tables)
+    # `maybe` can call `leaf`, so its mutants block it: the prefix ends
+    # before the call of `maybe` that does not enter `leaf`.
     prefix, counts = _shared(run, "leaf", "test_counts")
-    assert prefix.index == 2
-    assert counts == {"other": {"hits": 1, "misses": 0, "gated": 0}, "maybe": {"hits": 0, "misses": 0, "gated": 1}}
+    assert prefix.index == 1
+    assert counts == {"other": {"hits": 1, "misses": 0, "gated": 0}}
+
+
+def test_probe_matches_per_function_probes():
+    """Each function's prefix from one probe of a test equals the prefix
+    of a probe of that function alone, or ends earlier at the first entry
+    into a table its mutants block, which that table's own probe, with the
+    function's look-ups, finds."""
+    earlier = set()
+    for name, program, criteria in _programs():
+        for tau, limit, is_pct in criteria:
+            run = _Run(program, tau, limit, is_pct)
+            tables = run.db.tables or None
+            blocked = {fn: _blocked(run, fn) for fn in program.functions}
+            targets = {}
+            for fn in program.functions:
+                for test in run.profile.covering_passing_tests(fn):
+                    targets.setdefault(test, {})[fn] = blocked[fn]
+            for test, fns in targets.items():
+                budget = run.profile.step_budget(test)
+                got = _probe(program, test, tables, fns, budget)
+                assert got.keys() == fns.keys()
+                for fn, found in got.items():
+                    want = probe_per_function(program, fn, test, tables, blocked[fn], budget)
+                    if found == want:
+                        continue
+                    where = name, tau, fn, test
+                    assert found is None or want is None or found[0].index < want[0].index, where
+                    assert any(
+                        found == probe_per_function(program, g, test, tables, blocked[fn], budget)
+                        for g in blocked[fn] - {fn}
+                    ), where
+                    earlier.add((name, fn, test))
+    # A test calls a blocked table, `maybe` or `apply`, in a statement
+    # before the one in which that table, or the test, enters the function.
+    assert earlier == {
+        ("prefix", "leaf", "test_counts"),
+        ("indirect", "triple", "test_apply"),
+        ("indirect", "triple", "test_sum_with"),
+    }
+
+
+class _Seen(Hooks):
+    """`hooks`, and the state of the run they last saw."""
+
+    def __init__(self, hooks):
+        self.hooks = hooks
+        self.state = None
+
+    def on_call_enter(self, fn, args, state):
+        self.state = state
+        return self.hooks.on_call_enter(fn, args, state)
+
+    def on_call_exit(self, fn, ret, state):
+        self.hooks.on_call_exit(fn, ret, state)
+
+    def on_builtin(self, name, state):
+        self.hooks.on_builtin(name, state)
+
+
+def _probed_memo_run(run, workers=1):
+    """`run`'s memo run, each of whose results carries in `probes` the
+    (process id, test, steps, CPU ns) of each probe its mutant made."""
+    prefixes, worker_run = runner.prefixes, runner._worker_run
+    probes = []
+
+    def counted(program, test, hooks, limit):
+        seen = _Seen(hooks)
+        t0 = time.process_time_ns()
+        try:
+            yield from prefixes(program, test, seen, limit)
+        finally:
+            probes.append((os.getpid(), test, seen.state.steps, time.process_time_ns() - t0))
+
+    def traced(index):
+        probes.clear()
+        result = worker_run(index)
+        result.probes = list(probes)
+        return result
+
+    runner.prefixes, runner._worker_run = counted, traced
+    try:
+        return run.memo(workers)
+    finally:
+        runner.prefixes, runner._worker_run = prefixes, worker_run
+
+
+def _tests_run(run, report):
+    """Every test some mutant of the report ran."""
+    ran = set()
+    for r in report.results:
+        ran.update(run.profile.covering_passing_tests(run.pool.mutants[r.mutant_id].fn)[: r.tests_run])
+    return ran
+
+
+def _workload_run(workload, seed):
+    project = workloads.generate(workload, seed)
+    return _Run(parse(project.source), 1000, project.limit, False)
+
+
+@pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
+def test_one_probe_per_test(workload):
+    run = _workload_run(workload, 0)
+    report = _probed_memo_run(run)
+    probed = Counter(test for r in report.results for _, test, _, _ in r.probes)
+    assert set(probed.values()) == {1}
+    assert set(probed) == _tests_run(run, report)
+    assert len(probed) == {"array-state": 8, "uncached": 8, "hot-kernels-par": 12}[workload]
+    # Each process probes a test at most once.
+    report = _probed_memo_run(run, workers=2)
+    probed = Counter((pid, test) for r in report.results for pid, test, _, _ in r.probes)
+    assert set(probed.values()) == {1}
+    assert {test for _, test in probed} == _tests_run(run, report)
+
+
+if __name__ == "__main__":
+    print("workload:seed      probes  probe steps  resumed steps  memo steps  probe ms  memo ms")
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 5):
+            run = _workload_run(workload, seed)
+            runs = []  # the fastest of three, the first of which warms the caches
+            for _ in range(3):
+                t0 = time.process_time_ns()
+                report = _probed_memo_run(run)
+                runs.append((time.process_time_ns() - t0, report))
+            memo_ns, report = min(runs, key=lambda timed: timed[0])
+            probes = [p for r in report.results for p in r.probes]
+            print(
+                f"{workload + ':' + str(seed):18} {len(probes):6} {sum(p[2] for p in probes):12,}"
+                f" {report.totals['resumed_steps']:14,} {report.totals['steps']:11,}"
+                f" {sum(p[3] for p in probes) / 1e6:9.1f} {memo_ns / 1e6:8.1f}"
+            )
