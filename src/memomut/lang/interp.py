@@ -273,13 +273,6 @@ class Runtime:
             return _real_clock_ms
         return FakeClock(f"{self.seed}/clock/{label}")
 
-    def drew(self, state: ExecState) -> bool:
-        """Whether the run of `state`, given its streams by `rng_for` and
-        `clock_for`, drew a `rand` value or a fake clock reading, so that
-        under another label it could have gone otherwise.  A real clock
-        reads the same under every label."""
-        return state.rng.rng is not None or (self.fake_time and state.clock.now is not None)
-
 
 def _resume(state: ExecState, test: str, start: Prefix) -> Value:
     """The rest of `test`'s body from `start`, ended as `invoke` ends a call."""

@@ -174,9 +174,7 @@ def record_tables(
     for test in sorted(covered):
         fns = covered[test]
         hooks = RecordHooks({fn: tables[fn] for fn in fns})
-        # Named after the test's first candidate, so that a test with one
-        # candidate draws the stream a run for that candidate alone would.
-        label = f"record:{min(fns)}:{test}"
+        label = f"record:{test}"
         run_test(
             program,
             test,
@@ -211,19 +209,17 @@ def provisional_memoization(
     output) or incur any cache miss.
 
     Each covering test first runs once with every table it covers
-    enabled, its rng and clock labelled `provisional:{fn}:{test}` after
-    the first of those tables by name.  A table passes on these runs
-    alone if, on every one of its tests, the run kept its baseline, no
-    table missed, no other table of the test has the function in its
-    dependency `closure` (a hit on that outer function would hide the
-    inner one's look-ups), and the table is the first by name or the run
-    drew no `rand` value or fake clock reading (its own run would draw
-    another stream).  Every other table is checked alone: its
-    tests run in name order with only its look-ups enabled, each
-    labelled after it, until one regresses.  The counts of a table kept
-    on the shared runs are summed over them, where no other table's hit
-    can hide one of its calls; a table checked alone has the counts of
-    its own runs.
+    enabled.  A table passes on these runs alone if, on every one of its
+    tests, the run kept its baseline, no table missed, and no other table
+    of the test has the function in its dependency `closure` (a hit on
+    that outer function would hide the inner one's look-ups).  Every
+    other table is checked alone: its tests run in name order with only
+    its look-ups enabled, until one regresses.  Every run of a test has
+    its rng and clock labelled `provisional:{test}`, and a memoized
+    function draws nothing, so a table's own run draws what the shared
+    run drew.  The counts of a table kept on the shared runs are summed
+    over them, where no other table's hit can hide one of its calls; a
+    table checked alone has the counts of its own runs.
     """
     if raw.fingerprint != program_fingerprint(program):
         raise FingerprintMismatch("raw database was recorded from a different program")
@@ -237,10 +233,11 @@ def provisional_memoization(
         exclusions=dict(raw.exclusions),
     )
 
-    def check(test: str, hooks: LookupHooks, label: str) -> tuple[bool, ExecState]:
+    def check(test: str, hooks: LookupHooks) -> bool:
         """Runs `test` with look-ups through `hooks`: whether it kept the
-        verdict and printed output it had when profiled, and its state."""
+        verdict and printed output it had when profiled."""
         baseline = profile.tests[test]
+        label = f"provisional:{test}"
         outcome, state = run_test(
             program,
             test,
@@ -249,7 +246,7 @@ def provisional_memoization(
             rng=runtime.rng_for(label),
             clock=runtime.clock_for(label),
         )
-        return outcome.verdict == baseline.verdict and state.output == baseline.output, state
+        return outcome.verdict == baseline.verdict and state.output == baseline.output
 
     covered: dict[str, list[str]] = {}
     for fn in sorted(raw.tables):
@@ -263,13 +260,9 @@ def provisional_memoization(
         fns = covered[test]
         shared.tables = {fn: raw.tables[fn] for fn in fns}
         misses = shared.misses
-        label = f"provisional:{fns[0]}:{test}"
-        kept, state = check(test, shared, label)
-        if not kept or shared.misses != misses:
+        if not check(test, shared) or shared.misses != misses:
             alone.update(fns)
             continue
-        if runtime.drew(state):
-            alone.update(fns[1:])
         alone.update(fn for fn in fns if any(fn in closure[g] for g in fns if g != fn))
     per_method: dict[str, dict[str, int]] = {}
     for fn in sorted(raw.tables):
@@ -278,8 +271,7 @@ def provisional_memoization(
         if fn in alone:
             hooks = LookupHooks({fn: table})
             for test in sorted(table.recorded_from):
-                kept, _ = check(test, hooks, f"provisional:{fn}:{test}")
-                if not kept:
+                if not check(test, hooks):
                     failed_test = test
                     break
         else:

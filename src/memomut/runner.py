@@ -10,16 +10,17 @@ The memo run also shares work among the mutants that run one test.  A
 mutant's run of a test is the unmutated program's run, with the same
 look-ups, until the test first enters the mutated function or a table
 the mutation blocks, as long as it draws no `rand` and reads no clock.
-So the first mutant to run a test, in each process, runs the test once
-on the unmutated program with every table's look-ups and none gated,
-and keeps, for each function whose mutants run the test, the state
-before the top-level statement of the test's body in which that
-function's run could first differ; every mutant of the function then
-resumes the test from a copy of that state (split-stream execution, as
-in King and Offutt's Mothra).  A resumed run reports the steps, counts
-and verdict a run from the start would.  The base run starts every test
-afresh: it is the plain reference that `compare_runs` checks the memo
-run against, mutant by mutant.
+So before any mutant runs, in the process that forks the workers, the
+memo run probes each test once: it runs the test on the unmutated
+program with every table's look-ups and none gated, and keeps, for each
+function whose mutants run the test, the state before the top-level
+statement of the test's body in which that function's run could first
+differ.  Every mutant of the function, in any process, then resumes the
+test from a copy of that state (split-stream execution, as in King and
+Offutt's Mothra).  A resumed run reports the steps, counts and verdict a
+run from the start would.  The base run starts every test afresh: it is
+the plain reference that `compare_runs` checks the memo run against,
+mutant by mutant.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ class _PrefixEnd(Exception):
 
 # A prefix every mutant of a function resumes a test from, with the
 # look-up counts of the steps it stands for.
-_Shared = Optional[tuple[Prefix, dict[str, dict[str, int]]]]
+_Start = tuple[Prefix, dict[str, dict[str, int]]]
 
 
 class _ProbeHooks(Hooks):
@@ -192,9 +193,9 @@ class _ProbeHooks(Hooks):
             for g in blocked | {fn}:
                 self.ends.setdefault(g, []).append(fn)
         self.open = set(targets)
-        self.shared: dict[str, _Shared] = dict.fromkeys(targets)
+        self.shared: dict[str, Optional[_Start]] = dict.fromkeys(targets)
         self.index = 0
-        self.before: _Shared = None
+        self.before: Optional[_Start] = None
 
     def _end(self, fns) -> None:
         for fn in fns:
@@ -218,7 +219,7 @@ class _ProbeHooks(Hooks):
 
 def _probe(
     program: Program, test: str, tables: Optional[dict], targets: dict[str, frozenset[str]], limit: int
-) -> dict[str, _Shared]:
+) -> dict[str, Optional[_Start]]:
     """The prefix of `test` that the memo run shares among the mutants of
     each function of `targets`, or None, by function.  `targets` maps each
     function to the tables its mutants block.
@@ -245,46 +246,22 @@ def _probe(
     return hooks.shared
 
 
-class _SharedPrefixes:
-    """The memo run's shared prefixes by test and function.  Each process
-    probes a test once, when its first mutant runs it, for every function
-    whose mutants run that test."""
-
-    def __init__(self, program: Program, tables: Optional[dict], profile: Profile, per_fn: dict):
-        self.program = program
-        self.tables = tables
-        self.profile = profile
-        # test -> {function whose mutants run it: the tables they block}
-        self.targets: dict[str, dict[str, frozenset[str]]] = {}
-        for fn, (tests, blocked) in per_fn.items():
-            for test in tests:
-                self.targets.setdefault(test, {})[fn] = blocked
-        self.by_test: dict[str, dict[str, _Shared]] = {}
-
-    def get(self, fn: str, test: str) -> _Shared:
-        shared = self.by_test.get(test)
-        if shared is None:
-            budget = self.profile.step_budget(test)
-            shared = self.by_test[test] = _probe(self.program, test, self.tables, self.targets[test], budget)
-        return shared[fn]
-
-
 def _run_single_mutant(
     program: Program,
     mutant: Mutant,
     tests: list[str],
     tables: Optional[dict],
     blocked: frozenset[str],
+    starts: dict[str, _Start],
     profile: Profile,
     runtime: Runtime,
-    shared: Optional[_SharedPrefixes],
 ) -> MutantResult:
     """Run `mutant` against `tests`, the passing tests that cover its
     function, with look-ups in `tables`, if any, but those `blocked`.
 
-    `shared` is the memo run's prefixes (None in the base run).  A test
-    with a prefix resumes from it: the prefix's counts and steps count as
-    the run's own, and its steps as `resumed_steps` too."""
+    A test with a prefix in `starts` resumes from it: the prefix's counts
+    and steps count as the run's own, and its steps as `resumed_steps`
+    too.  The base run has no prefixes."""
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
     mutated = apply_mutant(program, mutant)
@@ -297,10 +274,8 @@ def _run_single_mutant(
     t0 = time.perf_counter_ns()
     for test in tests:
         label = f"mutant:{mutant.id}:{test}"
-        start = None
-        found = None if shared is None else shared.get(mutant.fn, test)
-        if found is not None:
-            start, counts = found
+        start, counts = starts.get(test, (None, None))
+        if start is not None:
             result.resumed_steps += start.steps
             if hooks is not None:
                 _add_counts(hooks.per_method, counts)
@@ -336,10 +311,10 @@ _RUN = None
 
 def _worker_run(index: int) -> MutantResult:
     """Run the current run's `index`-th mutant."""
-    program, pool, per_fn, tables, profile, runtime, shared = _RUN
+    program, pool, per_fn, tables, profile, runtime = _RUN
     mutant = pool.mutants[index]
-    tests, blocked = per_fn[mutant.fn]
-    return _run_single_mutant(program, mutant, tests, tables, blocked, profile, runtime, shared)
+    tests, blocked, starts = per_fn[mutant.fn]
+    return _run_single_mutant(program, mutant, tests, tables, blocked, starts, profile, runtime)
 
 
 # Bytes per chunk number in the queue pipe.  The whole queue is one atomic
@@ -492,14 +467,26 @@ def run_mutation_analysis(
     global _RUN
     tables = db.tables if cfg.memo and db is not None and db.tables else None
     # What all mutants of one function share: the tests to run them
-    # against, and the tables their mutation gates off.
+    # against, the tables their mutation gates off, and the prefixes the
+    # memo run resumes those tests from.
     per_fn = {
-        fn: (profile.covering_passing_tests(fn), _blocked_functions(db, closure, fn) if tables else frozenset())
+        fn: (profile.covering_passing_tests(fn), _blocked_functions(db, closure, fn) if tables else frozenset(), {})
         for fn in {m.fn for m in pool.mutants}
     }
-    shared = _SharedPrefixes(program, tables, profile, per_fn) if cfg.memo else None
-    _RUN = (program, pool, per_fn, tables, profile, runtime, shared)
     t0 = time.perf_counter_ns()
+    if cfg.memo:
+        # Each test is probed once, inside the timed run, for every function
+        # whose mutants run it; the workers `_run_all` forks inherit the
+        # prefixes.  test -> {function: the tables its mutants block}
+        targets: dict[str, dict[str, frozenset[str]]] = {}
+        for fn, (tests, blocked, _) in per_fn.items():
+            for test in tests:
+                targets.setdefault(test, {})[fn] = blocked
+        for test, fns in targets.items():
+            for fn, found in _probe(program, test, tables, fns, profile.step_budget(test)).items():
+                if found is not None:
+                    per_fn[fn][2][test] = found
+    _RUN = (program, pool, per_fn, tables, profile, runtime)
     try:
         results = _run_all(len(pool.mutants), cfg.workers)
     finally:

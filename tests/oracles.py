@@ -247,8 +247,8 @@ def record_per_candidate(
                 test,
                 hooks,
                 step_limit=profile.step_budget(test),
-                rng=runtime.rng_for(f"record:{fn}:{test}"),
-                clock=runtime.clock_for(f"record:{fn}:{test}"),
+                rng=runtime.rng_for(f"record:{test}"),
+                clock=runtime.clock_for(f"record:{test}"),
             )
             conflicted = conflicted or bool(hooks.conflicted)
             table.recorded_from.add(test)
@@ -285,8 +285,8 @@ def provisional_per_table(
                 test,
                 hooks,
                 step_limit=profile.step_budget(test),
-                rng=runtime.rng_for(f"provisional:{fn}:{test}"),
-                clock=runtime.clock_for(f"provisional:{fn}:{test}"),
+                rng=runtime.rng_for(f"provisional:{test}"),
+                clock=runtime.clock_for(f"provisional:{test}"),
             )
             if outcome.verdict != baseline.verdict or state.output != baseline.output:
                 failed_test = test

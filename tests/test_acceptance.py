@@ -145,8 +145,8 @@ def test_criterion_05_cache_miss_exclusion():
                     p.program,
                     test,
                     hooks,
-                    rng=p.runtime.rng_for(f"provisional:{fn}:{test}"),
-                    clock=p.runtime.clock_for(f"provisional:{fn}:{test}"),
+                    rng=p.runtime.rng_for(f"provisional:{test}"),
+                    clock=p.runtime.clock_for(f"provisional:{test}"),
                 )
             if hooks.misses:
                 ok = False

@@ -305,8 +305,8 @@ fn test_f() { G = [0]; f(G, 300); assert(G[0] == 300); }
 
 
 # Tests that draw `rand` or read the clock for the argument of their
-# second table by name, so that the table's own run, under its own label,
-# draws another stream.
+# second table by name: a table's own run, labelled after the test alone,
+# must draw what the shared run drew.
 RAND_AROUND_A_TABLE = """
 fn a_sq(n) { return n * n; }
 fn y_pick(n) { let i = 0; while (i < n) { i = i + 1; } return i; }
@@ -408,6 +408,38 @@ def test_provisional_checks_a_nested_table_alone(monkeypatch):
         "inner": {"hits": 2, "misses": 0, "gated": 0},
         "outer": {"hits": 1, "misses": 0, "gated": 0},
     }
+
+
+def test_provisional_draws_one_stream_per_test(monkeypatch):
+    # The test draws, and its two tables do not call each other: both are
+    # kept on the one shared run, whose draw their own runs would repeat.
+    program = parse(
+        "fn a(n){ let i = 0; while (i < n) { i = i + 1; } return i; } "
+        "fn b(n){ let i = 0; while (i < n) { i = i + 2; } return i; } "
+        "fn test_t(){ let r = rand(3); assert(a(50) == 50); assert(b(60) == 60); assert(r < 3); }"
+    )
+    runtime = Runtime(seed=0, fake_time=True)
+    profile = profile_suite(program, runtime=runtime)
+    bundle = analyze_program(program)
+    criterion = ExpensivenessCriterion(tau=1, tau_unit="steps", limit_value=100.0)
+    cands = select_candidates(profile, bundle.determinacy, criterion)
+    raw = record_tables(program, bundle, cands, profile, criterion=criterion, runtime=runtime)
+    assert set(raw.tables) == {"a", "b"}
+    runs = []
+    run_test = builder.run_test
+
+    def counted(program, test, *args, **kwargs):
+        runs.append(test)
+        return run_test(program, test, *args, **kwargs)
+
+    monkeypatch.setattr(builder, "run_test", counted)
+    final, counts = provisional_memoization(program, raw, profile, bundle.closure, runtime=runtime)
+    assert runs == ["test_t"]
+    assert set(final.tables) == {"a", "b"}
+    assert counts == {fn: {"hits": 1, "misses": 0, "gated": 0} for fn in ("a", "b")}
+    want, want_counts = provisional_per_table(program, raw, profile, runtime)
+    assert db_to_bytes(final) == db_to_bytes(want)
+    assert counts == want_counts
 
 
 def test_provisional_zero_misses_on_retained(corpus_pipelines):

@@ -11,6 +11,9 @@ probed each test once: one run per (mutated function, test), with that
 function's look-ups.  Every prefix must match it, or end earlier where
 the test enters a table the function's mutants block.
 
+The run probes each test its mutants run once, in the process that forks
+the workers, inside the time the memo report gives as its `wall_ns`.
+
 Run this file to print, per workload and seed, the memo run's probes,
 their steps and CPU time, and its resumed and charged steps:
 
@@ -228,8 +231,9 @@ class _Seen(Hooks):
 
 
 def _probed_memo_run(run, workers=1):
-    """`run`'s memo run, each of whose results carries in `probes` the
-    (process id, test, steps, CPU ns) of each probe its mutant made."""
+    """`run`'s memo run, and the (process id, test, steps, CPU ns) of each
+    probe it made.  A probe made while a mutant ran, in any process, comes
+    back on that mutant's result."""
     prefixes, worker_run = runner.prefixes, runner._worker_run
     probes = []
 
@@ -242,16 +246,18 @@ def _probed_memo_run(run, workers=1):
             probes.append((os.getpid(), test, seen.state.steps, time.process_time_ns() - t0))
 
     def traced(index):
-        probes.clear()
+        start = len(probes)
         result = worker_run(index)
-        result.probes = list(probes)
+        result.probes = probes[start:]
+        del probes[start:]
         return result
 
     runner.prefixes, runner._worker_run = counted, traced
     try:
-        return run.memo(workers)
+        report = run.memo(workers)
     finally:
         runner.prefixes, runner._worker_run = prefixes, worker_run
+    return report, probes + [p for r in report.results for p in r.probes]
 
 
 def _tests_run(run, report):
@@ -269,17 +275,31 @@ def _workload_run(workload, seed):
 
 @pytest.mark.parametrize("workload", list(workloads.WORKLOADS))
 def test_one_probe_per_test(workload):
+    """The run probes each test its mutants run once, before any mutant
+    runs, in the process that forks the workers."""
     run = _workload_run(workload, 0)
-    report = _probed_memo_run(run)
-    probed = Counter(test for r in report.results for _, test, _, _ in r.probes)
-    assert set(probed.values()) == {1}
-    assert set(probed) == _tests_run(run, report)
-    assert len(probed) == {"array-state": 8, "uncached": 8, "hot-kernels-par": 12}[workload]
-    # Each process probes a test at most once.
-    report = _probed_memo_run(run, workers=2)
-    probed = Counter((pid, test) for r in report.results for pid, test, _, _ in r.probes)
-    assert set(probed.values()) == {1}
-    assert {test for _, test in probed} == _tests_run(run, report)
+    for workers in (1, 2):
+        report, probes = _probed_memo_run(run, workers)
+        probed = Counter(test for _, test, _, _ in probes)
+        assert set(probed.values()) == {1}, workers
+        assert set(probed) == _tests_run(run, report), workers
+        assert len(probed) == {"array-state": 8, "uncached": 8, "hot-kernels-par": 12}[workload]
+        assert {pid for pid, _, _, _ in probes} == {os.getpid()}, workers
+
+
+def test_memo_wall_time_covers_the_probes(prefix_runs, monkeypatch):
+    run = prefix_runs[1]
+    probe, pause_ns, calls = runner._probe, 20_000_000, []
+
+    def slow(*args):
+        calls.append(args[1])
+        time.sleep(pause_ns / 1e9)
+        return probe(*args)
+
+    monkeypatch.setattr(runner, "_probe", slow)
+    report = run.memo()
+    # Serial, so the mutants' own times do not overlap the probes or each other.
+    assert calls and report.wall_ns >= len(calls) * pause_ns + sum(r.wall_ns for r in report.results)
 
 
 if __name__ == "__main__":
@@ -290,10 +310,9 @@ if __name__ == "__main__":
             runs = []  # the fastest of three, the first of which warms the caches
             for _ in range(3):
                 t0 = time.process_time_ns()
-                report = _probed_memo_run(run)
-                runs.append((time.process_time_ns() - t0, report))
-            memo_ns, report = min(runs, key=lambda timed: timed[0])
-            probes = [p for r in report.results for p in r.probes]
+                report, probes = _probed_memo_run(run)
+                runs.append((time.process_time_ns() - t0, report, probes))
+            memo_ns, report, probes = min(runs, key=lambda timed: timed[0])
             print(
                 f"{workload + ':' + str(seed):18} {len(probes):6} {sum(p[2] for p in probes):12,}"
                 f" {report.totals['resumed_steps']:14,} {report.totals['steps']:11,}"
