@@ -63,7 +63,8 @@ class Profile:
 
 
 class ProfileHooks(Hooks):
-    """Times every user-function call and records per-test coverage."""
+    """Times every user-function call and records per-test coverage.
+    `stats` has a row for every function of the program."""
 
     def __init__(self, stats: dict[str, FunctionStats]):
         self.stats = stats
@@ -71,7 +72,7 @@ class ProfileHooks(Hooks):
         self._open: list[tuple[str, int, int]] = []
 
     def on_call_enter(self, fn, args, state):
-        st = self.stats.setdefault(fn, FunctionStats())
+        st = self.stats[fn]
         st.invocations += 1
         self.covered.add(fn)
         self._open.append((fn, time.perf_counter_ns(), state.steps))

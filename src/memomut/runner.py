@@ -7,18 +7,18 @@ function that is mutated, or whose dependency closure contains the
 mutated function, always executes its body.
 
 The memo run also shares work among the mutants that run one test.  A
-mutant's run of a test is the unmutated program's run, with the same
-look-ups, until the test first enters the mutated function or a table
-the mutation blocks, as long as it draws no `rand` and reads no clock.
-So before any mutant runs, in the process that forks the workers, the
-memo run probes each test once: it runs the test on the unmutated
-program with every table's look-ups and none gated, and keeps, for each
-function whose mutants run the test, the state before the top-level
-statement of the test's body in which that function's run could first
-differ.  Every mutant of the function, in any process, then resumes the
-test from a copy of that state (split-stream execution, as in King and
-Offutt's Mothra).  A resumed run reports the steps, counts and verdict a
-run from the start would.  The base run starts every test afresh: it is
+mutant's run of a test is the unmutated program's run, looking nothing
+up, until the test first enters the mutated function or any function
+that holds a memo table, as long as it draws no `rand` and reads no
+clock.  So before any mutant runs, in the process that forks the
+workers, the memo run probes each test once: it runs the test on the
+unmutated program without look-ups, and keeps, for each function whose
+mutants run the test, the state before the top-level statement of the
+test's body in which that function's run could first differ.  Every
+mutant of the function, in any process, then resumes the test from a
+copy of that state (split-stream execution, as in King and Offutt's
+Mothra).  A resumed run reports the steps, counts and verdict a run
+from the start would.  The base run starts every test afresh: it is
 the plain reference that `compare_runs` checks the memo run against,
 mutant by mutant.
 """
@@ -169,48 +169,35 @@ class _PrefixEnd(Exception):
     """Raised where the probe of a test has every prefix it was asked for."""
 
 
-# A prefix every mutant of a function resumes a test from, with the
-# look-up counts of the steps it stands for.
-_Start = tuple[Prefix, dict[str, dict[str, int]]]
-
-
 class _ProbeHooks(Hooks):
-    """The look-ups of `lookups`, if any, in the probe of a test for the
-    functions of `targets`, each with the tables its mutants block.  A
-    function's prefix ends at the top-level statement `index` of the
-    test's body that first enters the function or one of those tables,
-    directly or through a reference, or calls `rand` or `time_now`;
-    `shared` then keeps for it the snapshot `before` that statement,
-    unless that is the first.  The run ends at the first draw, or once
-    every function's prefix has ended.  `LookupHooks` acts on entries
-    alone."""
+    """The probe of a test for the functions of `targets`.  A function's
+    prefix ends at the top-level statement `index` of the test's body
+    that first enters the function or any of `tables`, directly or
+    through a reference, or calls `rand` or `time_now`; `shared` then
+    keeps for it the prefix `before` that statement, unless that is the
+    first.  The run ends once every function's prefix has ended."""
 
-    def __init__(self, lookups: Optional[LookupHooks], targets: dict[str, frozenset[str]]):
-        self.lookups = lookups
-        # function -> the targets whose prefix its first entry ends
-        self.ends: dict[str, list[str]] = {}
-        for fn, blocked in targets.items():
-            for g in blocked | {fn}:
-                self.ends.setdefault(g, []).append(fn)
+    def __init__(self, tables: frozenset[str], targets: list[str]):
+        self.tables = tables
         self.open = set(targets)
-        self.shared: dict[str, Optional[_Start]] = dict.fromkeys(targets)
+        self.shared: dict[str, Prefix] = {}
         self.index = 0
-        self.before: Optional[_Start] = None
+        self.before: Optional[Prefix] = None
 
     def _end(self, fns) -> None:
         for fn in fns:
-            if fn in self.open:
-                self.open.remove(fn)
-                if self.index > 0:
-                    self.shared[fn] = self.before
+            self.open.remove(fn)
+            if self.index > 0:
+                self.shared[fn] = self.before
         if not self.open:
             raise _PrefixEnd()
 
     def on_call_enter(self, fn, args, state):
-        ends = self.ends.pop(fn, None)
-        if ends is not None:
-            self._end(ends)
-        return None if self.lookups is None else self.lookups.on_call_enter(fn, args, state)
+        if fn in self.tables:
+            self._end(list(self.open))
+        elif fn in self.open:
+            self._end([fn])
+        return None
 
     def on_builtin(self, name, state):
         if name == "rand" or name == "time_now":
@@ -218,29 +205,24 @@ class _ProbeHooks(Hooks):
 
 
 def _probe(
-    program: Program, test: str, tables: Optional[dict], targets: dict[str, frozenset[str]], limit: int
-) -> dict[str, Optional[_Start]]:
+    program: Program, test: str, tables: frozenset[str], targets: list[str], limit: int
+) -> dict[str, Prefix]:
     """The prefix of `test` that the memo run shares among the mutants of
-    each function of `targets`, or None, by function.  `targets` maps each
-    function to the tables its mutants block.
+    each function of `targets` that has one, by function.
 
-    It runs `test` once on the unmutated program, with the look-ups of
-    every table and none gated.  A function's prefix ends before the
-    top-level statement of the test's body in which the test first enters
-    the function or one of its blocked tables, or calls `rand` or
+    It runs `test` once on the unmutated program, without look-ups.  A
+    function's prefix ends before the top-level statement of the test's
+    body in which the test first enters the function or any function of
+    `tables`, the ones that hold memo tables, or calls `rand` or
     `time_now`.  Up to that statement a mutant of the function runs the
-    same code on the same state, draws nothing, and makes the same
-    look-ups with the same outcomes, since only a blocked table's would
-    differ; so it can start there, with the counts the probe had.  There
-    is no prefix if that is the first statement, or if the test returns,
-    fails or hits a limit before it.
+    same code on the same state, draws nothing and looks nothing up; so
+    it can start there.  There is no prefix if that is the first
+    statement, or if the test returns, fails or hits a limit before it.
     """
-    lookups = None if tables is None else LookupHooks(tables)
-    hooks = _ProbeHooks(lookups, targets)
+    hooks = _ProbeHooks(tables, targets)
     try:
         for prefix in prefixes(program, test, hooks, limit):
-            counts = {} if lookups is None else {f: dict(c) for f, c in lookups.per_method.items()}
-            hooks.index, hooks.before = prefix.index, (prefix, counts)
+            hooks.index, hooks.before = prefix.index, prefix
     except _PrefixEnd:
         pass
     return hooks.shared
@@ -252,16 +234,16 @@ def _run_single_mutant(
     tests: list[str],
     tables: Optional[dict],
     blocked: frozenset[str],
-    starts: dict[str, _Start],
+    starts: dict[str, Prefix],
     profile: Profile,
     runtime: Runtime,
 ) -> MutantResult:
     """Run `mutant` against `tests`, the passing tests that cover its
     function, with look-ups in `tables`, if any, but those `blocked`.
 
-    A test with a prefix in `starts` resumes from it: the prefix's counts
-    and steps count as the run's own, and its steps as `resumed_steps`
-    too.  The base run has no prefixes."""
+    A test with a prefix in `starts` resumes from it: the prefix's steps
+    count as the run's own, and as `resumed_steps` too.  The base run has
+    no prefixes."""
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
     mutated = apply_mutant(program, mutant)
@@ -274,11 +256,9 @@ def _run_single_mutant(
     t0 = time.perf_counter_ns()
     for test in tests:
         label = f"mutant:{mutant.id}:{test}"
-        start, counts = starts.get(test, (None, None))
+        start = starts.get(test)
         if start is not None:
             result.resumed_steps += start.steps
-            if hooks is not None:
-                _add_counts(hooks.per_method, counts)
         outcome, _ = run_test(
             mutated,
             test,
@@ -477,15 +457,15 @@ def run_mutation_analysis(
     if cfg.memo:
         # Each test is probed once, inside the timed run, for every function
         # whose mutants run it; the workers `_run_all` forks inherit the
-        # prefixes.  test -> {function: the tables its mutants block}
-        targets: dict[str, dict[str, frozenset[str]]] = {}
-        for fn, (tests, blocked, _) in per_fn.items():
+        # prefixes.  test -> the functions whose mutants run it
+        targets: dict[str, list[str]] = {}
+        for fn, (tests, _, _) in per_fn.items():
             for test in tests:
-                targets.setdefault(test, {})[fn] = blocked
+                targets.setdefault(test, []).append(fn)
+        memoized = frozenset(tables or ())
         for test, fns in targets.items():
-            for fn, found in _probe(program, test, tables, fns, profile.step_budget(test)).items():
-                if found is not None:
-                    per_fn[fn][2][test] = found
+            for fn, prefix in _probe(program, test, memoized, fns, profile.step_budget(test)).items():
+                per_fn[fn][2][test] = prefix
     _RUN = (program, pool, per_fn, tables, profile, runtime)
     try:
         results = _run_all(len(pool.mutants), cfg.workers)

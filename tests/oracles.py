@@ -6,7 +6,7 @@ a pattern-matching mutant enumerator instead of the generator, an
 exhaustive run-everything mutant runner instead of the covering-tests
 engine, a memo run that starts every test of every mutant afresh instead
 of resuming from shared prefixes, a probe per (mutated function, test)
-with that function's look-ups instead of one probe per test, a
+instead of one probe per test for all its mutated functions, a
 run-per-candidate recorder instead of one run per covering test, a
 run-per-table provisional filter instead of one shared run per covering
 test, and a minimal step-counting evaluator for profiler arithmetic.
@@ -171,44 +171,41 @@ class _PrefixEnd(Exception):
 
 
 class _ProbeHooks(Hooks):
-    """The look-ups of `lookups`, if any, in a run that ends at the first
-    entry into `fn`, direct or through a reference, or at the first `rand`
-    or `time_now` call.  `LookupHooks` acts on entries alone."""
+    """Ends a run at the first entry into `fn` or a function of `tables`,
+    direct or through a reference, or at the first `rand` or `time_now`
+    call."""
 
-    def __init__(self, fn, lookups):
+    def __init__(self, fn, tables):
         self.fn = fn
-        self.lookups = lookups
+        self.tables = tables
 
     def on_call_enter(self, fn, args, state):
-        if fn == self.fn:
+        if fn == self.fn or fn in self.tables:
             raise _PrefixEnd()
-        return None if self.lookups is None else self.lookups.on_call_enter(fn, args, state)
 
     def on_builtin(self, name, state):
         if name == "rand" or name == "time_now":
             raise _PrefixEnd()
 
 
-def probe_per_function(program, fn: str, test: str, tables, blocked: frozenset[str], limit: int):
+def probe_per_function(program, fn: str, test: str, tables, limit: int):
     """The prefix of `test` that the memo run shares among the mutants of
-    `fn`, as (Prefix, counts), or None.
+    `fn`, or None.
 
-    It runs `test` on the unmutated program with the look-ups a mutant of
-    `fn` makes, up to the top-level statement of the test's body in which
-    the test first enters `fn` or calls `rand` or `time_now`.  Up to that
-    statement a mutant of `fn` runs the same code on the same state and
-    draws nothing, so it can start there.  There is no prefix if that is
-    the first statement, or if the test returns, fails or hits a limit
-    before it.
+    It runs `test` on the unmutated program, looking nothing up, up to
+    the top-level statement of the test's body in which the test first
+    enters `fn` or a function that holds a memo table, or calls `rand` or
+    `time_now`.  Up to that statement a mutant of `fn` runs the same code
+    on the same state, draws nothing and looks nothing up, so it can
+    start there.  There is no prefix if that is the first statement, or
+    if the test returns, fails or hits a limit before it.
     """
-    lookups = None if tables is None else LookupHooks(tables, blocked=blocked)
     last = None
     try:
-        for prefix in prefixes(program, test, _ProbeHooks(fn, lookups), limit):
-            counts = {} if lookups is None else {f: dict(c) for f, c in lookups.per_method.items()}
-            last = prefix, counts
+        for last in prefixes(program, test, _ProbeHooks(fn, set(tables or ())), limit):
+            pass
     except _PrefixEnd:
-        if last is not None and last[0].index > 0:
+        if last is not None and last.index > 0:
             return last
     return None
 

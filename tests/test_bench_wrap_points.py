@@ -82,7 +82,7 @@ def test_every_mutant_test_run_calls_run_test(monkeypatch, workers):
     """A test the memo run resumes from a shared prefix is still one call
     of `runner.run_test`, the span the benchmark times as the
     interpreter's share of the run, in every process."""
-    pipe = cached_pipeline("bench_expensive", tau=1000, tau_unit="steps")
+    pipe = cached_pipeline("matrix", tau=1000, tau_unit="steps")
     assert pipe.db.tables
     calls = [0]
     run_test, worker_run = runner.run_test, runner._worker_run

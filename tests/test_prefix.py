@@ -6,16 +6,17 @@ each mutant runs from a fresh state on the mutant's program.  Every
 mutant's status, killing test, cause, tests run, steps and per-function
 counts must match it, serial and with two workers.
 
-`oracles.probe_per_function` is the probe the memo run made before it
-probed each test once: one run per (mutated function, test), with that
-function's look-ups.  Every prefix must match it, or end earlier where
-the test enters a table the function's mutants block.
+`oracles.probe_per_function` probes one (mutated function, test) at a
+time, ending at the first entry into that function or any memoized one,
+or at the first draw.  Every prefix of the memo run's one probe per test
+must equal it.
 
 The run probes each test its mutants run once, in the process that forks
 the workers, inside the time the memo report gives as its `wall_ns`.
 
 Run this file to print, per workload and seed, the memo run's probes,
-their steps and CPU time, and its resumed and charged steps:
+their steps and CPU time, its resumed and charged steps, and the steps
+it executed, probes included:
 
     PYTHONPATH=src:tests python tests/test_prefix.py
 """
@@ -37,7 +38,7 @@ from memomut.memo.builder import provisional_memoization, record_tables
 from memomut.mutation import generate_mutants
 from memomut.profiler import ExpensivenessCriterion, profile_suite, select_candidates
 from memomut.project import load_project
-from memomut.runner import RunConfig, _probe, _blocked_functions, run_mutation_analysis
+from memomut.runner import RunConfig, _probe, run_mutation_analysis
 
 from oracles import memo_run_unshared, probe_per_function
 
@@ -125,13 +126,8 @@ def prefix_runs():
     return {tau: _Run(_mini("prefix"), tau, limit, is_pct) for tau, limit, is_pct in CRITERIA}
 
 
-def _blocked(run, fn):
-    return _blocked_functions(run.db, run.bundle.closure, fn) if run.db.tables else frozenset()
-
-
 def _shared(run, fn, test):
-    tables = run.db.tables or None
-    return _probe(run.program, test, tables, {fn: _blocked(run, fn)}, run.profile.step_budget(test))[fn]
+    return _probe(run.program, test, frozenset(run.db.tables), [fn], run.profile.step_budget(test)).get(fn)
 
 
 @pytest.mark.parametrize("tau", [tau for tau, _, _ in CRITERIA])
@@ -139,9 +135,12 @@ def test_each_shape_matches_unshared_runs(prefix_runs, tau):
     run = prefix_runs[tau]
     report = run.memo()
     assert _outcomes(report) == run.unshared()
-    # Every function's mutants but those of `inc` resumed something.
+    # Every function's mutants but those of `inc` resumed something, and
+    # with every function memoized, those of `leaf` and `maybe` neither:
+    # their tests call another table first.
     fns = {run.pool.mutants[r.mutant_id].fn for r in report.results if r.resumed_steps}
-    assert fns == {"bump", "count", "grow", "leaf", "maybe", "spin", "sq"}
+    resumed = {"bump", "count", "grow", "spin", "sq"}
+    assert fns == (resumed if run.db.tables else resumed | {"leaf", "maybe"})
     # Both kinds of survivors the shapes are built around are there.
     survivors = {(run.pool.mutants[r.mutant_id].fn, run.pool.mutants[r.mutant_id].after)
                  for r in report.results if r.status == "survived"}
@@ -151,65 +150,45 @@ def test_each_shape_matches_unshared_runs(prefix_runs, tau):
 def test_prefix_ends_where_the_mutant_could_differ(prefix_runs):
     run = prefix_runs[1]
     # Before the `rand` draw, not before the call that uses it.
-    prefix, _ = _shared(run, "spin", "test_rand_first")
+    prefix = _shared(run, "spin", "test_rand_first")
     assert prefix.index == 1
     # A first statement that enters the function leaves nothing to share.
     assert _shared(run, "inc", "test_enter_first") is None
     # An entry through a reference ends it too.
-    prefix, _ = _shared(run, "sq", "test_ref")
+    prefix = _shared(run, "sq", "test_ref")
     assert prefix.index == 2
     # The prefix shares `G` with the test's `a`.
-    prefix, _ = _shared(run, "bump", "test_alias")
+    prefix = _shared(run, "bump", "test_alias")
     assert prefix.index == 3 and prefix.frame[0] is prefix.globals["G"]
 
 
-def test_prefix_counts_add_up(prefix_runs):
-    run = prefix_runs[1]
-    assert {"leaf", "maybe", "other"} <= set(run.db.tables)
-    # `maybe` can call `leaf`, so its mutants block it: the prefix ends
-    # before the call of `maybe` that does not enter `leaf`.
-    prefix, counts = _shared(run, "leaf", "test_counts")
-    assert prefix.index == 1
-    assert counts == {"other": {"hits": 1, "misses": 0, "gated": 0}}
+def test_prefix_ends_before_any_memoized_call(prefix_runs):
+    # `other` and `maybe` are not memoized at tau 1000: the prefix runs
+    # through their calls and ends before the first entry into `leaf`.
+    assert not {"leaf", "maybe", "other"} & set(prefix_runs[1000].db.tables)
+    assert _shared(prefix_runs[1000], "leaf", "test_counts").index == 2
+    # At tau 1 the first statement calls `other`, which holds a table.
+    assert {"leaf", "maybe", "other"} <= set(prefix_runs[1].db.tables)
+    assert _shared(prefix_runs[1], "leaf", "test_counts") is None
 
 
 def test_probe_matches_per_function_probes():
     """Each function's prefix from one probe of a test equals the prefix
-    of a probe of that function alone, or ends earlier at the first entry
-    into a table its mutants block, which that table's own probe, with the
-    function's look-ups, finds."""
-    earlier = set()
+    of a probe of that function alone."""
     for name, program, criteria in _programs():
         for tau, limit, is_pct in criteria:
             run = _Run(program, tau, limit, is_pct)
-            tables = run.db.tables or None
-            blocked = {fn: _blocked(run, fn) for fn in program.functions}
+            tables = frozenset(run.db.tables)
             targets = {}
             for fn in program.functions:
                 for test in run.profile.covering_passing_tests(fn):
-                    targets.setdefault(test, {})[fn] = blocked[fn]
+                    targets.setdefault(test, []).append(fn)
             for test, fns in targets.items():
                 budget = run.profile.step_budget(test)
                 got = _probe(program, test, tables, fns, budget)
-                assert got.keys() == fns.keys()
-                for fn, found in got.items():
-                    want = probe_per_function(program, fn, test, tables, blocked[fn], budget)
-                    if found == want:
-                        continue
-                    where = name, tau, fn, test
-                    assert found is None or want is None or found[0].index < want[0].index, where
-                    assert any(
-                        found == probe_per_function(program, g, test, tables, blocked[fn], budget)
-                        for g in blocked[fn] - {fn}
-                    ), where
-                    earlier.add((name, fn, test))
-    # A test calls a blocked table, `maybe` or `apply`, in a statement
-    # before the one in which that table, or the test, enters the function.
-    assert earlier == {
-        ("prefix", "leaf", "test_counts"),
-        ("indirect", "triple", "test_apply"),
-        ("indirect", "triple", "test_sum_with"),
-    }
+                for fn in fns:
+                    want = probe_per_function(program, fn, test, tables, budget)
+                    assert got.get(fn) == want, (name, tau, fn, test)
 
 
 class _Seen(Hooks):
@@ -303,7 +282,7 @@ def test_memo_wall_time_covers_the_probes(prefix_runs, monkeypatch):
 
 
 if __name__ == "__main__":
-    print("workload:seed      probes  probe steps  resumed steps  memo steps  probe ms  memo ms")
+    print("workload:seed      probes  probe steps  resumed steps  memo steps    executed  probe ms  memo ms")
     for workload in workloads.WORKLOADS:
         for seed in (0, 5):
             run = _workload_run(workload, seed)
@@ -313,8 +292,12 @@ if __name__ == "__main__":
                 report, probes = _probed_memo_run(run)
                 runs.append((time.process_time_ns() - t0, report, probes))
             memo_ns, report, probes = min(runs, key=lambda timed: timed[0])
+            probe_steps, totals = sum(p[2] for p in probes), report.totals
+            # The steps the run executed: its charged steps but those it
+            # resumed, and its probes'.
+            executed = totals["steps"] - totals["resumed_steps"] + probe_steps
             print(
-                f"{workload + ':' + str(seed):18} {len(probes):6} {sum(p[2] for p in probes):12,}"
-                f" {report.totals['resumed_steps']:14,} {report.totals['steps']:11,}"
+                f"{workload + ':' + str(seed):18} {len(probes):6} {probe_steps:12,}"
+                f" {totals['resumed_steps']:14,} {totals['steps']:11,} {executed:11,}"
                 f" {sum(p[3] for p in probes) / 1e6:9.1f} {memo_ns / 1e6:8.1f}"
             )
