@@ -257,21 +257,22 @@ class FakeClock:
 class Runtime:
     """Seed policy for the nondeterminism sources.
 
-    Each execution context gets its own RNG derived from the base seed
-    and a context label, so separate pipeline phases draw independent
-    but reproducible streams.
+    A test's `rand` stream and fake clock are seeded from the base seed
+    and the test's name alone.  Every run of the test, in every stage and
+    for every mutant, draws them, so it draws what the profiled run drew
+    until it makes a different sequence of draws.
     """
 
     seed: int = 0
     fake_time: bool = False
 
-    def rng_for(self, label: str) -> LazyRandom:
-        return LazyRandom(f"{self.seed}/{label}")
+    def rng_for(self, test: str) -> LazyRandom:
+        return LazyRandom(f"{self.seed}/{test}")
 
-    def clock_for(self, label: str) -> Callable[[], int]:
+    def clock_for(self, test: str) -> Callable[[], int]:
         if not self.fake_time:
             return _real_clock_ms
-        return FakeClock(f"{self.seed}/clock/{label}")
+        return FakeClock(f"{self.seed}/clock/{test}")
 
 
 def _resume(state: ExecState, test: str, start: Prefix) -> Value:

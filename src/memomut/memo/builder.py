@@ -174,14 +174,13 @@ def record_tables(
     for test in sorted(covered):
         fns = covered[test]
         hooks = RecordHooks({fn: tables[fn] for fn in fns})
-        label = f"record:{test}"
         run_test(
             program,
             test,
             hooks,
             step_limit=profile.step_budget(test),
-            rng=runtime.rng_for(label),
-            clock=runtime.clock_for(label),
+            rng=runtime.rng_for(test),
+            clock=runtime.clock_for(test),
         )
         conflicted |= hooks.conflicted
         for fn in fns:
@@ -214,10 +213,11 @@ def provisional_memoization(
     of the test has the function in its dependency `closure` (a hit on
     that outer function would hide the inner one's look-ups).  Every
     other table is checked alone: its tests run in name order with only
-    its look-ups enabled, until one regresses.  Every run of a test has
-    its rng and clock labelled `provisional:{test}`, and a memoized
-    function draws nothing, so a table's own run draws what the shared
-    run drew.  The counts of a table kept on the shared runs are summed
+    its look-ups enabled, until one regresses.  Every run of a test draws
+    the test's own rng and clock, as its recording run did, and a
+    memoized function draws nothing; so a run looks up only recorded
+    keys, even ones built from `rand`, unless a real clock or a fault
+    moves it.  The counts of a table kept on the shared runs are summed
     over them, where no other table's hit can hide one of its calls; a
     table checked alone has the counts of its own runs.
     """
@@ -237,14 +237,13 @@ def provisional_memoization(
         """Runs `test` with look-ups through `hooks`: whether it kept the
         verdict and printed output it had when profiled."""
         baseline = profile.tests[test]
-        label = f"provisional:{test}"
         outcome, state = run_test(
             program,
             test,
             hooks,
             step_limit=profile.step_budget(test),
-            rng=runtime.rng_for(label),
-            clock=runtime.clock_for(label),
+            rng=runtime.rng_for(test),
+            clock=runtime.clock_for(test),
         )
         return outcome.verdict == baseline.verdict and state.output == baseline.output
 

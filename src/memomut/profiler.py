@@ -94,11 +94,8 @@ def profile_suite(program: Program, runtime: Runtime | None = None) -> Profile:
     tests: dict[str, TestRecord] = {}
     for test in program.tests:
         hooks = ProfileHooks(functions)
-        # The "0" once numbered repeated profiles; it stays so that every
-        # rand and clock stream, and so every artifact, stays the same.
-        label = f"profile:0:{test}"
         outcome, state = run_test(
-            program, test, hooks, rng=runtime.rng_for(label), clock=runtime.clock_for(label)
+            program, test, hooks, rng=runtime.rng_for(test), clock=runtime.clock_for(test)
         )
         tests[test] = TestRecord(
             covered=hooks.covered,

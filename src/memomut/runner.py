@@ -4,7 +4,9 @@ Runs every mutant against the tests covering its mutated function,
 optionally intercepting memoized functions for table look-up, and
 aggregates verdicts into a mutation score.  Interception is gated: a
 function that is mutated, or whose dependency closure contains the
-mutated function, always executes its body.
+mutated function, always executes its body.  Every mutant's run of a
+test, in any process, draws the test's own `rand` stream and clock,
+the ones its profiled run drew.
 
 The memo run also shares work among the mutants that run one test.  A
 mutant's run of a test is the unmutated program's run, looking nothing
@@ -255,7 +257,6 @@ def _run_single_mutant(
     hooks = None if tables is None else LookupHooks(tables, blocked=blocked)
     t0 = time.perf_counter_ns()
     for test in tests:
-        label = f"mutant:{mutant.id}:{test}"
         start = starts.get(test)
         if start is not None:
             result.resumed_steps += start.steps
@@ -264,8 +265,8 @@ def _run_single_mutant(
             test,
             hooks,
             step_limit=profile.step_budget(test),
-            rng=runtime.rng_for(label),
-            clock=runtime.clock_for(label),
+            rng=runtime.rng_for(test),
+            clock=runtime.clock_for(test),
             code=code,
             start=start,
         )

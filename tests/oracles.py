@@ -10,6 +10,10 @@ instead of one probe per test for all its mutated functions, a
 run-per-candidate recorder instead of one run per covering test, a
 run-per-table provisional filter instead of one shared run per covering
 test, and a minimal step-counting evaluator for profiler arithmetic.
+
+Every run of a test here draws the test's own `rand` stream and clock,
+`Runtime.rng_for(test)` and `Runtime.clock_for(test)`, as every stage of
+the pipeline does, so an oracle draws what the code it checks draws.
 """
 
 from __future__ import annotations
@@ -122,8 +126,8 @@ def exhaustive_killed(
                 test,
                 None,
                 step_limit=limit,
-                rng=runtime.rng_for(f"mutant:{m.id}:{test}"),
-                clock=runtime.clock_for(f"mutant:{m.id}:{test}"),
+                rng=runtime.rng_for(test),
+                clock=runtime.clock_for(test),
             )
             if not outcome.verdict.passed:
                 killed.add(m.id)
@@ -148,14 +152,13 @@ def memo_run_unshared(program, pool: MutantPool, profile: Profile, closure, db, 
         mutated = apply_mutant(program, m)
         status, killing_test, cause, tests_run, steps = "survived", None, None, 0, 0
         for test in tests:
-            label = f"mutant:{m.id}:{test}"
             outcome, _ = run_test(
                 mutated,
                 test,
                 hooks,
                 step_limit=profile.step_budget(test),
-                rng=runtime.rng_for(label),
-                clock=runtime.clock_for(label),
+                rng=runtime.rng_for(test),
+                clock=runtime.clock_for(test),
             )
             tests_run += 1
             steps += outcome.steps
@@ -244,8 +247,8 @@ def record_per_candidate(
                 test,
                 hooks,
                 step_limit=profile.step_budget(test),
-                rng=runtime.rng_for(f"record:{test}"),
-                clock=runtime.clock_for(f"record:{test}"),
+                rng=runtime.rng_for(test),
+                clock=runtime.clock_for(test),
             )
             conflicted = conflicted or bool(hooks.conflicted)
             table.recorded_from.add(test)
@@ -282,8 +285,8 @@ def provisional_per_table(
                 test,
                 hooks,
                 step_limit=profile.step_budget(test),
-                rng=runtime.rng_for(f"provisional:{test}"),
-                clock=runtime.clock_for(f"provisional:{test}"),
+                rng=runtime.rng_for(test),
+                clock=runtime.clock_for(test),
             )
             if outcome.verdict != baseline.verdict or state.output != baseline.output:
                 failed_test = test

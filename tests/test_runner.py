@@ -184,7 +184,7 @@ def test_no_lookup_without_tables(monkeypatch):
         return doc
 
     for name in ("randarg", "nondet"):
-        pipe = cached_pipeline(name)
+        pipe = cached_pipeline(name, tau=1000, tau_unit="steps")
         assert not pipe.db.tables, name
         base = run(pipe)
         calls.clear()  # provisional filtering looked its raw tables up
