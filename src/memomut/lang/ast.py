@@ -6,7 +6,7 @@ import dataclasses
 import functools
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .values import Value, literal_str
 
@@ -180,23 +180,45 @@ def per_node(compute: Callable[[object], _T]) -> Callable[[object], _T]:
     return cached
 
 
+# Node class -> (name, holds a list) of each field that holds nodes, in
+# declaration order: the fields whose annotation names a node class.
+_CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {}
+
+
+def _child_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    fields = tuple(
+        (f.name, f.type.startswith("list["))
+        for f in dataclasses.fields(cls)
+        if any(kind in f.type for kind in ("Expr", "Stmt", "Block", "Name", "Index"))
+    )
+    _CHILD_FIELDS[cls] = fields
+    return fields
+
+
 def children(node: Node) -> list[Node]:
     """Direct child nodes in source order."""
     out: list[Node] = []
-    for f in dataclasses.fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, Node):
+    fields = _CHILD_FIELDS.get(type(node))
+    for name, many in _child_fields(type(node)) if fields is None else fields:
+        v = getattr(node, name)
+        if many:
+            out += v
+        elif v is not None:
             out.append(v)
-        elif isinstance(v, list):
-            out.extend(x for x in v if isinstance(x, Node))
     return out
 
 
-def walk(node: Node) -> Iterator[Node]:
-    """Preorder traversal."""
-    yield node
-    for c in children(node):
-        yield from walk(c)
+def walk(node: Node) -> list[Node]:
+    """The nodes of `node`'s subtree in preorder."""
+    out: list[Node] = []
+    _preorder(node, out)
+    return out
+
+
+def _preorder(node: Node, out: list[Node]) -> None:
+    out.append(node)
+    for child in children(node):
+        _preorder(child, out)
 
 
 def number_nodes(fn: FunctionDef) -> None:

@@ -1,99 +1,48 @@
-"""Compiles Mini functions into Python closures that charge steps exactly.
+"""Compiles each Mini function into Python source that charges steps exactly.
 
-Each FunctionDef is compiled once into nested Python closures (Feeley &
-Lapalme, "Using closures for code generation", 1987) that run over a
-flat list of local slots per call.  Scope is not decided here: the
-parser has already given every parameter, `let` and local name its
-slot, and the compiler reads those slots from the AST.
+Each FunctionDef is written out as the source of a Python function and
+compiled with `compile` and `exec`, one function at a time, as
+`dataclasses` and `collections.namedtuple` do.  Frame slot k (the parser
+gave every parameter and `let` its slot) is the local `vk`, literals are
+constants, and every node is inline code: the operators, with `/` and `%`
+truncating toward zero and the 64-bit wrap, index loads and stores, and
+`len` when no hook sees builtins.  Other calls go through the ExecState's
+`invoke` or `call_builtin`, which run the hooks (see `interp`).
 
-Every evaluated AST node costs one step, charged at the point and in
-the order a tree walk over the AST would charge it, so step counts,
-error nodes and the step limit do not depend on how the code was
-compiled.  Steps are charged together only where no observable event (a
-call, a hook, a builtin, an error or a store) can fall between them, and
-a merged charge that reaches the limit leaves the step count at the
-limit, as charging one step at a time would.
+Every evaluated AST node costs one step, charged in the order a tree walk
+would charge it, so step counts, error nodes and the step limit do not
+depend on how the code was compiled.  The count lives in the local `s`;
+the writer adds the steps it passes to it at once, checked against the
+limit, only where a run can observe the count: before a call, a store to
+a global or an array, a return, and at the end of a loop iteration.  In
+between only the call's own locals change, so a run that reaches the
+limit there raises StepLimit at the next such point, with the count left
+at the limit; an error raised in between is charged the steps counted up
+to it, or is a StepLimit if they reach the limit.  `st.steps` is stored
+before, and read back after, every call and error.
 
-Every operation with fixed operands (the operators but `&&` and `||`,
-index loads, array stores, `let`, assignments, `return`, expression
-statements, `assert`, unary `-` and `!`, name loads and literals) is
-written once, as a spec and a body.  The spec lists the node's own
-steps (`+`) and its operands in evaluation order: "+ a b" for an
-operator, "+ v + a b" for an array store (the statement, its value, the
-target, the array, the index).  A leaf operand (a local name or a
-literal) has no closure of its own (Proebsting's superoperators): its
-parent reads it from the frame, where literals sit after the locals.
-So an operation with n operands comes in 2^n shapes, and one rule
-writes them all: steps build up across the node's own steps and its
-leaf reads, and are charged just before a non-leaf operand's closure is
-called and before the body.  Each shape is compiled once, at import.
+A test is one function per top-level statement of its body, with the
+frame in a list and the count in `st.steps`, so that a test resumed part
+way through its body starts at one of them.
 
-Blocks, `if`, `while`, `&&`, `||`, calls and array literals are written
-by hand.  Their argument lists and items are built into a new list on
-every evaluation, left to right.  When all of them are leaves, it is
-read from their frame slots at once and their steps are charged with
-the call's own.  Otherwise each gets its closure, and a list display of
-their calls builds a list of up to three values (in CPython 3.11 a list
-comprehension is a call of its own) and a loop that appends builds a
-longer one.  `interp` builds executions on top of this module.
-
-There is one way to compile, `compile_function`, and it records the
-closure it built for every block, statement and expression node.  A
-mutant's function is compiled the same way with the code of the
-function `apply_mutant` copied it from as its parent: a node the two
-share is the parent's own object, so it gets the parent's closure back
-unchanged, and only the copied path down to the mutation and the nodes
-the mutation brings are compiled anew.  The mutant's literal slots start
-as the parent's table, and a literal the parent lacks (CRP's `k+1`,
-RVM's default) is appended after it, so every reused closure's frame
-slots stay valid.  A from-scratch compile is the same with no parent.
+A mutant's function is not compiled on its own.  `compile_schema` writes
+it once with every mutant in it (mutant schemata, Untch, Offutt and
+Harrold, ISSTA 1993): a node that has alternatives becomes `if m == i:
+<alternative i> ... else: <the node>`, each with its own charges, and a
+mutant's code only binds its index `m`.  Where an alternative swaps an
+operator, negates a comparison or changes a literal, only that differs.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
-from typing import Optional
+from typing import Callable, Optional
 
-from .ast import (
-    ArrayLit,
-    Assert,
-    Assign,
-    Binary,
-    Block,
-    BoolLit,
-    Call,
-    ExprStmt,
-    FnRefLit,
-    FunctionDef,
-    If,
-    Index,
-    IntLit,
-    Let,
-    Name,
-    Return,
-    Stmt,
-    StrLit,
-    Unary,
-    While,
-    per_node,
-)
-from .values import (
-    INT_MAX,
-    INT_MIN,
-    UNIT,
-    FnRef,
-    contains_array,
-    deep_equal,
-    trunc_div,
-    trunc_mod,
-    wrap64,
-)
+from .ast import (ArrayLit, Assert, Assign, Binary, Block, BoolLit, Call, ExprStmt, FnRefLit, FunctionDef, If,
+                  Index, IntLit, Let, Name, Return, Stmt, StrLit, Unary, While, per_node)
+from .values import INT_MAX, INT_MIN, UNIT, FnRef, contains_array, deep_equal, wrap64
 
 
-# Control-flow signals, caught where an execution ends.  A `return`
-# needs none: statement closures return None to fall through and the
-# returned value otherwise.
+# Control-flow signals, caught where an execution ends.
 class RuntimeErr(Exception):
     def __init__(self, kind: str, node_id: int):
         self.kind = kind
@@ -106,480 +55,530 @@ class AssertFail(Exception):
 
 
 class StepLimit(Exception):
-    pass
+    """The step limit was reached; the count is left at the limit."""
 
 
 class Code:
-    """A compiled function: its arity, the frame past the parameters (the
-    unset local slots, then the function's literals), the closure of its
-    body block and, in `stmts`, those of the block's statements, which a
-    test resumed part way through its body runs from.  `consts` gives
-    each literal its frame slot, and `closures` holds the closure compiled
-    for each node, by `id`, for the compile of a mutant of the function to
-    reuse."""
+    """A compiled function: its arity, its number of frame slots and
+    `body`, the Python function that runs it as `body(state, *args)`.  A
+    test's code also has `stmts`, one function per top-level statement of
+    its body, run in turn as `stmt(state, frame)` over a list of the
+    call's slots: each returns None to go on, else the returned value."""
 
-    __slots__ = ("arity", "pad", "body", "stmts", "consts", "closures")
+    __slots__ = ("arity", "nslots", "body", "stmts")
 
-    def __init__(self, arity: int, pad: list, body, stmts: tuple, consts: dict, closures: dict):
+    def __init__(self, arity: int, nslots: int, body, stmts: Optional[tuple] = None):
         self.arity = arity
-        self.pad = pad
+        self.nslots = nslots
         self.body = body
         self.stmts = stmts
-        self.consts = consts
-        self.closures = closures
 
 
-# -- the compiler -----------------------------------------------------------
-#
-# Every closure takes (st, fr): the ExecState, through whose `invoke` and
-# `call_builtin` it makes calls, and the current call's slot list.  Every
-# step charge is the same block:
-#
-#     st.steps = n = st.steps + 1
-#     if n >= st.limit:
-#         raise StepLimit()
-#
-# A charge of k > 1 steps at once raises `_limit(st)` instead.  `_shapes`
-# writes it for every operation with fixed operands; the closures of the
-# control flow and of calls, here in `_Compiler`, write it by hand.
+# -- what the generated code calls, with the count `n` a tree walk would
+# have charged by then ---------------------------------------------------
 
 
 def _limit(st) -> StepLimit:
-    """The StepLimit of a merged charge, with the steps left at the limit."""
     st.steps = st.limit
     return StepLimit()
 
 
-class _Compiler:
-    def __init__(self, nslots: int, parent: Optional[Code]):
-        self.nslots = nslots
-        # (node type, value) -> frame slot: the parent's, then any new ones.
-        self.consts: dict[tuple, int] = {} if parent is None else dict(parent.consts)
-        # Closures by the `id` of their node (nodes compare by value, so
-        # they are unhashable); the parent's nodes live as long as it does.
-        self.reuse: dict[int, object] = {} if parent is None else parent.closures
-        self.closures: dict[int, object] = {}
+def _charge(st, n: int) -> None:
+    if n >= st.limit:
+        raise _limit(st)
+    st.steps = n
 
-    def closure(self, node):
-        """The closure of a block, statement or expression node: the
-        parent's if the node is one of the parent's own, else a new one."""
-        key = id(node)
-        f = self.reuse.get(key)
-        if f is None:
-            f = self.closures[key] = (self._stmt if isinstance(node, Stmt) else self._expr)(node)
-        return f
 
-    def _leaf(self, e):
-        """The frame slot of a leaf operand, or None for any other node."""
-        if not _is_leaf(e):
-            return None
-        t = type(e)
-        if t is Name:
-            return e.slot
-        value = FnRef(e.name) if t is FnRefLit else e.value
-        return self.consts.setdefault((t, value), self.nslots + len(self.consts))
+def _call(st, n: int, name: str, args: list, nid: int):
+    """A call of function or builtin `name` from node `nid` (a declared
+    function hides a builtin of its name)."""
+    if n >= st.limit:
+        raise _limit(st)
+    st.steps = n
+    if name in st.code:
+        return st.invoke(name, args, nid)
+    return st.call_builtin(name, args, nid)
 
-    def _operand(self, e):
-        """The frame slot of a leaf operand, or the closure of any other."""
-        slot = self._leaf(e)
-        return self.closure(e) if slot is None else slot
 
-    # -- statements -----------------------------------------------------
+def _call_ref(st, n: int, target, args: list, nid: int):
+    if type(target) is not FnRef:
+        raise _err(st, n, "type_mismatch", nid)
+    return _call(st, n, target.name, args, nid)
 
-    def _block(self, b: Block):
-        stmts = tuple(map(self.closure, b.stmts))
 
-        def run(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            for s in stmts:
-                r = s(st, fr)
-                if r is not None:
-                    return r
-            return None
+def _err(st, n: int, kind: str, nid: int) -> Exception:
+    """The error `kind` at node `nid`, or the StepLimit that comes first."""
+    if n >= st.limit:
+        return _limit(st)
+    st.steps = n
+    return RuntimeErr(kind, nid)
 
-        return run
 
-    def _stmt(self, s):
+def _index_err(st, n: int, a, i, nid: int) -> Exception:
+    return _err(st, n, "type_mismatch" if type(a) is not list or type(i) is not int else "index_oob", nid)
+
+
+def _assert(st, n: int, c, nid: int) -> Exception:
+    e = _err(st, n, "type_mismatch", nid)
+    return AssertFail(nid) if c is False and type(e) is RuntimeErr else e
+
+
+_NAMESPACE = {"U": UNIT, **{f.__name__: f for f in (wrap64, deep_equal, contains_array, _limit, _charge, _call,
+                                                    _call_ref, _err, _index_err, _assert)}}
+
+# The static type of a value: a literal's, or an operation's result.
+_LITERALS = {IntLit: "int", BoolLit: "bool", StrLit: "str"}
+_SCALARS = ("int", "bool", "str")
+_TESTS = ("<", "<=", ">", ">=", "==", "!=")
+_BUILTINS = {"len": "int", "rand": "int", "time_now": "int", "print": "unit", "push": "unit"}
+_WRAP = f"if not {INT_MIN} <= {{t}} <= {INT_MAX}: {{t}} = wrap64({{t}})"
+
+
+# -- the writer: an expression is written as the code of its value, an atom
+# (a local, a temporary `tk`, a literal) or, in parentheses, a pure
+# expression over atoms that reads no array and cannot raise ---------------
+
+
+class _Writer:
+    def __init__(self, alternatives: dict, frame: bool):
+        self.alternatives = alternatives  # id(node) -> [(index, new node or None)]
+        self.switched = True  # alternatives apply here: not inside one
+        self.frame = frame  # slots in the list `fr`, the count in `st.steps`
+        self.s = "st.steps" if frame else "s"
+        self.slot = "fr[{}]".format if frame else "v{}".format  # frame slot k
+        self.refs: dict[str, FnRef] = {}
+        self.constants: list[str] = []  # lines of `make(m)` that bind a mutant's constants
+        self.known: dict[str, list[int]] = {}  # such a constant -> the values it can take
+        self.temps = 0
+
+    def begin(self, indent: int) -> None:
+        self.lines, self.indent, self.uses, self.live = [], indent, set(), True  # live: control gets here
+        self.set(0, True, {})
+
+    def set(self, pending: int, checked: bool, types: dict) -> None:
+        """The steps passed but not in the count yet, whether the count is
+        below the limit, and the types names are known to have."""
+        self.pending, self.checked, self.types = pending, checked, types
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.indent + text)
+
+    def temp(self, code: Optional[str] = None, ty: Optional[str] = None) -> str:
+        """A new temporary, assigned `code` of type `ty` if given."""
+        self.temps += 1
+        if code is not None:
+            self.line(f"t{self.temps} = {code}")
+            self.types[f"t{self.temps}"] = ty
+        return f"t{self.temps}"
+
+    def count(self) -> str:
+        return f"{self.s} + {self.pending}" if self.pending else self.s
+
+    def sync(self) -> None:
+        """Adds the pending steps to the count and checks it against the limit."""
+        if self.frame:
+            return self.charge()
+        if self.pending:
+            self.line(f"s += {self.pending}")
+            self.pending, self.checked = 0, False
+        if not self.checked:
+            self.uses.add("lim")
+            self.line("if s >= lim: raise _limit(st)")
+            self.checked = True
+
+    def charge(self) -> None:
+        """The count, checked, in `st.steps`, before a return."""
+        if self.pending or not self.checked:
+            self.line(f"_charge(st, {self.count()})")
+        elif not self.frame:
+            self.line("st.steps = s")
+        self.set(0, True, self.types)
+
+    def fail(self, cond: str, kind: str, nid: int) -> None:
+        self.line(f"if {cond}: raise _err(st, {self.count()}, {kind!r}, {nid})")
+
+    def value(self, e) -> tuple[str, Optional[str]]:
+        """`e`'s value as an atom, which can be read more than once."""
+        code, ty = self.expr(e)
+        return (self.temp(code, ty), ty) if code[0] == "(" else (code, ty or self.types.get(code))
+
+    def name(self, code: str, ty: Optional[str]) -> str:
+        """`code` as a name, for `is` and subscripts, which take no literal."""
+        return code if code.isidentifier() or code.startswith("fr[") else self.temp(code, ty)
+
+    def values(self, code: str) -> Optional[list[int]]:
+        """The ints atom `code` can be, if it is a literal or a mutant's constant."""
+        return [int(code)] if code.lstrip("-").isdigit() else self.known.get(code)
+
+    def branches(self, heads: list[str], bodies: list[Callable]) -> None:
+        """Writes each head and its body from the state here, and goes on where
+        they join: at the least pending count of the live bodies, each of
+        which adds the rest of its own, with the types they agree on."""
+        start, ends = (self.pending, self.checked, self.types), []
+        for head, body in zip(heads, bodies):
+            self.line(head)
+            self.indent += 1
+            self.set(start[0], start[1], dict(start[2]))
+            self.live, mark = True, len(self.lines)
+            body()
+            ends.append((mark, len(self.lines), self.indent, self.live, self.pending, self.checked, self.types))
+            self.indent -= 1
+        live = [end[4:] for end in ends if end[3]]
+        self.live = bool(live)
+        if live:
+            pending = min(end[0] for end in live)
+            types = {k: v for k, v in live[0][2].items() if all(end[2].get(k) == v for end in live)}
+            self.set(pending, all(end[1] and end[0] == pending for end in live), types)
+        for mark, stop, indent, alive, pending, _, _ in reversed(ends):
+            if alive and pending > self.pending:
+                self.lines.insert(stop, "    " * indent + f"{self.s} += {pending - self.pending}")
+            elif mark == stop and stop == len(self.lines) and heads[-1] == "else:":
+                del self.lines[mark - 1]  # an empty `else`
+            elif mark == stop:
+                self.lines.insert(stop, "    " * indent + "pass")
+
+    def switch(self, node, write, alternatives) -> Optional[tuple]:
+        """`write(node)`, or `write` of each of its `alternatives` behind a
+        switch on `m`; an expression's value lands in one temporary."""
+        if not alternatives:
+            return write(node)
+        result, types = None if isinstance(node, Stmt) else self.temp(), set()
+
+        def branch(new, switched):
+            def body():
+                saved, self.switched = self.switched, switched
+                if new is not None:
+                    got = write(new)
+                    if result is not None:
+                        self.line(f"{result} = {got[0]}")
+                        types.add(got[1])
+                self.switched = saved
+
+            return body
+
+        if all(new is None for _, new in alternatives):  # deletions
+            unless = " and ".join(f"m != {index}" for index, _ in alternatives)
+            return self.branches([f"if {unless}:", "else:"], [branch(node, True), lambda: None])
+        heads = [f"{'el' * bool(i)}if m == {index}:" for i, (index, _) in enumerate(alternatives)]
+        self.branches(heads + ["else:"], [branch(new, False) for _, new in alternatives] + [branch(node, True)])
+        if result is not None:
+            self.types[result] = types.pop() if len(types) == 1 else None
+            return result, self.types[result]
+
+    # -- statements -------------------------------------------------------
+
+    def stmt(self, s) -> None:
+        self.switch(s, self._stmt, self.switched and self.alternatives.get(id(s)))
+
+    def _stmt(self, s) -> None:
         t = type(s)
+        self.pending += 1
         if t is Block:
-            return self._block(s)
-        if t is Let:
-            return _LET(self._operand(s.value), s.slot)
-        if t is Assign:
-            return self._assign(s)
-        if t is If:
-            return self._if(s)
-        if t is While:
-            return self._while(s)
-        if t is Return:
-            if s.value is None:
-                return _CONST(UNIT)  # one step, then return unit
-            return _RETURN(self._operand(s.value))
-        if t is ExprStmt:
-            return _EXPR_STMT(self._operand(s.expr))
-        if t is Assert:
-            return _ASSERT(self._operand(s.cond), s.node_id)
-        raise TypeError(f"unknown statement: {s!r}")
+            for x in s.stmts:
+                if self.live:
+                    self.stmt(x)
+        elif t is Let:
+            code, self.types[self.slot(s.slot)] = self.expr(s.value)
+            self.line(f"{self.slot(s.slot)} = {code}")
+        elif t is Assign:
+            self._assign(s)
+        elif t is If:
+            c = self._cond(s.cond, s.node_id)
+            self.branches([f"if {c}:", "else:"], [lambda: self.stmt(s.then), lambda: s.orelse and self.stmt(s.orelse)])
+        elif t is While:
+            # The head, where entry and back edge meet: count checked, no type known.
+            self.sync()
+            self.line("while True:")
+            self.indent, self.types = self.indent + 1, {}
+            self.line(f"if not {self._cond(s.cond, s.node_id)}: break")
+            after = self.pending, self.checked, dict(self.types)
+            self.stmt(s.body)
+            if self.live:
+                self.sync()
+            self.indent, self.live = self.indent - 1, True
+            self.set(*after)
+        elif t is Return:
+            code = "U" if s.value is None else self.expr(s.value)[0]
+            self.charge()
+            self.line(f"return {code}")
+            self.live = False
+        elif t is ExprStmt:
+            self.expr(s.expr)
+        elif t is Assert:
+            c, ty = self.expr(s.cond)
+            c = c if ty == "bool" else self.name(c, ty)
+            test, arg = (f"not {c}", "False") if ty == "bool" else (f"{c} is not True", c)
+            self.line(f"if {test}: raise _assert(st, {self.count()}, {arg}, {s.node_id})")
+        else:
+            raise TypeError(f"unknown statement: {s!r}")
 
-    def _assign(self, s: Assign):
-        target, value = s.target, self._operand(s.value)
+    def _cond(self, e, nid: int) -> str:
+        """The code of condition `e`, checked to be a bool."""
+        c, ty = self.expr(e)
+        if ty != "bool":
+            c = self.name(c, ty)
+            if self.types.get(c) != "bool":
+                self.fail(f"{c} is not True and {c} is not False", "type_mismatch", nid)
+                self.types[c] = "bool"
+        return c
+
+    def _assign(self, s: Assign) -> None:
+        target = s.target
         if type(target) is Index:
-            array, index = self._operand(target.array), self._operand(target.index)
-            return _STORE(value, array, index, target.node_id)
+            v, tv = self.value(s.value)
+            self.pending += 1
+            a, i = self._index(target)
+            if tv not in (*_SCALARS, "unit", "ref"):
+                self.fail(f"type({v}) is list and contains_array({v}, {a})", "array_cycle", target.node_id)
+            self.sync()
+            self.line(f"{a}[{i}] = {v}")
+            return
+        v, ty = self.expr(s.value)
+        self.pending += 1
         if target.is_global:
-            return _ASSIGN_GLOBAL(value, target.ident)
-        return _ASSIGN(value, target.slot)
+            self.sync()
+            self.uses.add("g")
+            self.line(f"g[{target.ident!r}] = {v}")
+        else:
+            self.line(f"{self.slot(target.slot)} = {v}")
+            self.types[self.slot(target.slot)] = ty
 
-    def _if(self, s: If):
-        cond, then, nid = self.closure(s.cond), self.closure(s.then), s.node_id
-        orelse = None if s.orelse is None else self.closure(s.orelse)
+    # -- expressions ------------------------------------------------------
 
-        def if_(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            c = cond(st, fr)
-            if c is True:
-                return then(st, fr)
-            if c is not False:
-                raise RuntimeErr("type_mismatch", nid)
-            if orelse is not None:
-                return orelse(st, fr)
-            return None
+    def expr(self, e) -> tuple[str, Optional[str]]:
+        alternatives = self.switched and self.alternatives.get(id(e))
+        if alternatives and type(e) is Binary and e.op != "&&" and e.op != "||":
+            swaps = [(i, n) for i, n in alternatives if type(n) is Binary and n.left is e.left and n.right is e.right]
+            negations = [i for i, n in alternatives if type(n) is Unary and n.operand is e]
+            if len(swaps) + len(negations) == len(alternatives) and (not negations or e.op in _TESTS):
+                # A negated comparison (UOI_NEG) charges the `!` before the
+                # comparison's own steps, and its value is a bool.
+                for index in negations:
+                    self.line(f"if m == {index}: {self.s} += 1")
+                    self.checked = False
+                code, ty = self._binary(e, swaps)
+                for index in negations:
+                    code = f"({code} != (m == {index}))"  # negated for mutant `index`
+                return code, ty
+        if alternatives and type(e) is IntLit and all(type(n) is IntLit for _, n in alternatives):
+            # A constant per mutant: `make(m)` binds it once.
+            self.pending += 1
+            name, code = f"c{len(self.constants)}", repr(e.value)
+            for index, n in reversed(alternatives):
+                code = f"{n.value!r} if m == {index} else {code}"
+            self.constants.append(f"{name} = {code}")
+            self.known[name] = [e.value] + [n.value for _, n in alternatives]
+            return name, "int"
+        return self.switch(e, self._expr, alternatives)
 
-        return if_
-
-    def _while(self, s: While):
-        cond, body, nid = self.closure(s.cond), self.closure(s.body), s.node_id
-
-        def while_(st, fr):
-            st.steps = n = st.steps + 1
-            if n >= st.limit:
-                raise StepLimit()
-            while True:
-                c = cond(st, fr)
-                if c is True:
-                    r = body(st, fr)
-                    if r is not None:
-                        return r
-                elif c is False:
-                    return None
-                else:
-                    raise RuntimeErr("type_mismatch", nid)
-
-        return while_
-
-    # -- expressions ----------------------------------------------------
-
-    def _expr(self, e):
+    def _expr(self, e) -> tuple[str, Optional[str]]:
         t = type(e)
-        if t is IntLit or t is BoolLit or t is StrLit:
-            return _CONST(e.value)
-        if t is FnRefLit:
-            return _CONST(FnRef(e.name))
+        if t is Binary:
+            return self._binary(e, ())
+        self.pending += 1
+        if t in _LITERALS:
+            return repr(e.value), _LITERALS[t]
         if t is Name:
             if e.is_global:
-                return _LOAD_GLOBAL(e.ident)
-            return _LOAD(e.slot)
-        if t is Binary:
-            return self._binary(e)
+                self.uses.add("g")
+                return self.temp(f"g[{e.ident!r}]"), None
+            return self.slot(e.slot), None
         if t is Call:
             return self._call(e)
+        if t is Unary and e.op == "!":
+            return f"(not {self._cond(e.operand, e.node_id)})", "bool"
         if t is Unary:
-            return (_NEG if e.op == "-" else _NOT)(self._operand(e.operand), e.node_id)
+            a, ta = self.value(e.operand)
+            if ta != "int":
+                self.fail(f"type({a}) is not int", "type_mismatch", e.node_id)
+                self.types[a] = "int"
+            return self.temp(f"{a} if {a} == {INT_MIN} else -{a}", "int"), "int"
         if t is Index:
-            return _LOAD_ITEM(self._operand(e.array), self._operand(e.index), e.node_id)
+            return self.temp("{}[{}]".format(*self._index(e))), None
         if t is ArrayLit:
-            return self._array(e)
+            return f"([{', '.join(self.expr(x)[0] for x in e.items)}])", "list"
+        if t is FnRefLit:
+            self.refs[f"r{len(self.refs)}"] = FnRef(e.name)
+            return f"r{len(self.refs) - 1}", "ref"
         raise TypeError(f"unknown expression: {e!r}")
 
-    def _array(self, e: ArrayLit):
-        items, k = self._args(e.items)
+    def _index(self, e: Index) -> tuple[str, str]:
+        """The array and index of `e`, checked to be an array and an int within it."""
+        a, ta = self.value(e.array)
+        a = self.name(a, ta)
+        i, ti = self.value(e.index)
+        conds = [f"type({a}) is not list"] * (ta != "list") + [f"type({i}) is not int"] * (ti != "int")
+        conds.append(f"not 0 <= {i} < len({a})")
+        self.line(f"if {' or '.join(conds)}: raise _index_err(st, {self.count()}, {a}, {i}, {e.node_id})")
+        self.types[a], self.types[i] = "list", "int"
+        return a, i
 
-        def array(st, fr):
-            st.steps = n = st.steps + k
-            if n >= st.limit:
-                raise _limit(st)
-            return items(st, fr)
-
-        return array
-
-    def _call(self, e: Call):
-        (argv, k), nid = self._args(e.args), e.node_id
-        if e.callee is not None:
-            callee = self.closure(e.callee)
-
-            def call_indirect(st, fr):
-                st.steps = n = st.steps + k
-                if n >= st.limit:
-                    raise _limit(st)
-                args = argv(st, fr)
-                target = callee(st, fr)
-                if type(target) is not FnRef:
-                    raise RuntimeErr("type_mismatch", nid)
-                if target.name in st.code:
-                    return st.invoke(target.name, args, nid)
-                return st.call_builtin(target.name, args, nid)
-
-            return call_indirect
-        name = e.name
-        if e.is_builtin:
-
-            def call_builtin(st, fr):
-                st.steps = n = st.steps + k
-                if n >= st.limit:
-                    raise _limit(st)
-                return st.call_builtin(name, argv(st, fr), nid)
-
-            return call_builtin
-
-        def call(st, fr):
-            st.steps = n = st.steps + k
-            if n >= st.limit:
-                raise _limit(st)
-            return st.invoke(name, argv(st, fr), nid)
-
-        return call
-
-    def _args(self, exprs):
-        """A closure building a new list of the values of `exprs`, left to
-        right, and the steps its caller charges with its own: all of them
-        when every one is a leaf, read from the frame, and otherwise one.
-
-        With a non-leaf among them, every expression gets its closure, and
-        the list is a display of their calls for up to three and a loop
-        that appends for more: no comprehension, which would be a function
-        call of its own on every evaluation."""
-        if not all(map(_is_leaf, exprs)):
-            args = tuple(map(self.closure, exprs))
-            if len(args) == 1:
-                (a0,) = args
-                return (lambda st, fr: [a0(st, fr)]), 1
-            if len(args) == 2:
-                a0, a1 = args
-                return (lambda st, fr: [a0(st, fr), a1(st, fr)]), 1
-            if len(args) == 3:
-                a0, a1, a2 = args
-                return (lambda st, fr: [a0(st, fr), a1(st, fr), a2(st, fr)]), 1
-
-            def build(st, fr):
-                values = []
-                for a in args:
-                    values.append(a(st, fr))
-                return values
-
-            return build, 1
-        slots = [self._leaf(a) for a in exprs]
-        if len(slots) > 1:
-            get = operator.itemgetter(*slots)
-            return (lambda st, fr: list(get(fr))), 1 + len(slots)
-        if slots:
-            k = slots[0]
-            return (lambda st, fr: [fr[k]]), 2
-        return (lambda st, fr: []), 1
-
-    def _binary(self, e: Binary):
+    def _binary(self, e: Binary, swaps) -> tuple[str, Optional[str]]:
+        """Operator `e`, or each of the `swaps` behind a switch on `m`, on
+        operands evaluated once: AOR and ROR keep an operator's group
+        (arithmetic, order or equality), so its checks are made once too."""
         op, nid = e.op, e.node_id
+        self.pending += 1
         if op == "&&" or op == "||":
-            left, right = self.closure(e.left), self.closure(e.right)
+            a, r = self._cond(e.left, nid), self.temp()
             decisive = op == "||"  # the left value that decides the result
+            self.branches(
+                [f"if {'' if decisive else 'not '}{a}:", "else:"],
+                [lambda: self.line(f"{r} = {decisive}"), lambda: self.line(f"{r} = {self._cond(e.right, nid)}")],
+            )
+            return r, "bool"
+        (a, ta), (b, tb) = self.value(e.left), self.value(e.right)
+        ops = [n.op for _, n in swaps] + [op]
+        if op == "==" or op == "!=":
+            codes, ty = [self._equality(o, a, ta, b, tb) for o in ops], "bool"
+        else:
+            checks = [f"type({x}) is not int" for x, t in ((a, ta), (b, tb)) if t != "int"]
+            if checks:
+                self.fail(" or ".join(checks), "type_mismatch", nid)
+                self.types[a] = self.types[b] = "int"
+            codes, ty = [self._operate(o, a, b) for o in ops], "bool" if op in _TESTS else "int"
+        values = self.values(b)
+        nonzero = values is not None and 0 not in values
+        zero = [o in ("/", "%") and not nonzero for o in ops]
+        heads = [f"{'el' * bool(i)}if m == {index}:" for i, (index, _) in enumerate(swaps)] + ["else:"]
+        if not any(zero):
+            code = codes[-1]
+            for head, alternative in zip(reversed(heads[:-1]), reversed(codes[:-1])):
+                code = f"({alternative} {head[head.index('if'):-1]} else {code})"
+        elif not swaps:
+            self.fail(f"{b} == 0", "div_by_zero", nid)
+            code = codes[0]
+        else:
+            code = self.temp()
 
-            def logic(st, fr):
-                st.steps = n = st.steps + 1
-                if n >= st.limit:
-                    raise StepLimit()
-                a = left(st, fr)
-                if a is not True and a is not False:
-                    raise RuntimeErr("type_mismatch", nid)
-                if a is decisive:
-                    return a
-                b = right(st, fr)
-                if b is True or b is False:
-                    return b
-                raise RuntimeErr("type_mismatch", nid)
+            def apply(k):
+                def body():
+                    if zero[k]:
+                        self.fail(f"{b} == 0", "div_by_zero", nid)
+                    self.line(f"{code} = {codes[k]}")
 
-            return logic
-        return _OPERATORS[op](self._operand(e.left), self._operand(e.right), nid)
+                return body
 
+            self.branches(heads, [apply(k) for k in range(len(ops))])
+        if "deep_equal" in code:  # it reads arrays, so it is evaluated here
+            return self.temp(code, ty), ty
+        # `%` never leaves the 64-bit range, nor `/` by a literal other than -1.
+        if ty == "int" and any(o in "+-*" or o == "/" and (not nonzero or -1 in values) for o in ops):
+            r = code if code[0] != "(" else self.temp(code, "int")
+            self.line(_WRAP.format(t=r))
+            return r, "int"
+        return code, ty
 
-def _is_leaf(e) -> bool:
-    """A local name or a literal."""
-    t = type(e)
-    return (t is Name and not e.is_global) or t is IntLit or t is BoolLit or t is StrLit or t is FnRefLit
+    def _operate(self, op: str, a: str, b: str) -> str:
+        """The code of `op` on the ints `a` and `b`, which is not 0 for `/` and `%`."""
+        if op not in ("/", "%"):
+            return f"({a} {op} {b})"
+        # Truncating toward zero: by the quotient's sign, or, for `%`, the dividend's.
+        values = self.values(b)
+        same = f"{a} >= 0" if values and min(values) > 0 else f"({a} < 0) == ({b} < 0)"
+        if op == "/":
+            return f"({a} // {b} if {same} else -(-{a} // {b}))"
+        return f"({a} % {b} if {same} else {a} % -{b})"
 
+    def _equality(self, op: str, a: str, ta, b: str, tb) -> str:
+        """The code of `==` or `!=` on the atoms `a` and `b`."""
+        for ty, other in ((ta, b), (tb, a)) if not self.frame else ():  # a test's code: the shortest form
+            if ty in _SCALARS:
+                if ta == tb:
+                    return f"({a} {op} {b})"
+                if op == "==":
+                    return f"(type({other}) is {ty} and {a} == {b})"
+                return f"(type({other}) is not {ty} or {a} != {b})"
+        return f"({'' if op == '==' else 'not '}deep_equal({a}, {b}))"
 
-# -- operations with fixed operands ----------------------------------------
-#
-# An operation is a spec and a body, which uses the operand values by
-# their names in the spec.  `_shapes` writes the source of every shape,
-# each operand a frame slot `<x>k` or a closure `<x>_`, by the one charge
-# rule of the module docstring, and compiles it with `exec`, as
-# `dataclasses` and `namedtuple` do; the operation's values, the node's
-# operands and its own values are closure cells.
-
-
-def _charge(k: int) -> list[str]:
-    """The source lines that charge `k` steps: none for 0."""
-    if not k:
-        return []
-    raise_ = "raise StepLimit()" if k == 1 else "raise _limit(st)"
-    return [f"st.steps = n = st.steps + {k}", "if n >= st.limit:", f"    {raise_}"]
-
-
-def _shapes(name, spec, body, values="", node=""):
-    """The factory of an operation: `shapes(*values)` gives the function
-    that takes a node's operands of `spec`, each a frame slot or a
-    closure, then its `node` values, and makes the node's closure, named
-    `name`, in the shape its operands take."""
-    tokens = spec.split()
-    operands = [t for t in tokens if t != "+"]
-    src, makers = [f"def shapes({values}):"], []
-    for shape in itertools.product((False, True), repeat=len(operands)):
-        is_closure = dict(zip(operands, shape))
-        lines, steps, reads = [], 0, []
-        for t in tokens:
-            if t != "+" and is_closure[t]:
-                lines += _charge(steps) + reads + [f"{t} = {t}_(st, fr)"]
-                steps, reads = 0, []
-            else:
-                steps += 1
-                if t != "+":
-                    reads.append(f"{t} = fr[{t}k]")
-        lines += _charge(steps) + reads + body.splitlines()
-        params = [t + ("_" if is_closure[t] else "k") for t in operands] + ([node] if node else [])
-        makers.append(f"shape{len(makers)}")
-        src += [
-            f"    def {makers[-1]}({', '.join(params)}):",
-            f"        def {name}(st, fr):",
-            *("            " + line for line in lines),
-            f"        return {name}",
-        ]
-    if operands:
-        # The shape's index: one bit per operand, set for a closure.
-        n = len(operands)
-        index = " + ".join(f"{1 << (n - 1 - i)} * callable({t})" for i, t in enumerate(operands))
-        args = ", ".join(operands + ["*node"])
-        src += [
-            f"    makers = {', '.join(makers)}",
-            f"    def pick({args}):",
-            f"        return makers[{index}]({args})",
-            "    return pick",
-        ]
-    else:
-        src.append(f"    return {makers[0]}")
-    ns = {}
-    exec(compile("\n".join(src) + "\n", f"<{name} shapes>", "exec"), globals(), ns)
-    return ns["shapes"]
-
-
-# A binary operator on two ints: a ZeroDivisionError from `/` or `%` is
-# the node's div_by_zero, and results wrap to 64 bits unless they are
-# `exact`.  `mixed(a, b, nid)` answers for operands not both ints.
-_operator = _shapes("op", "+ a b", values="fn, exact, mixed", node="nid", body="""\
-if type(a) is not int or type(b) is not int:
-    return mixed(a, b, nid)
-try:
-    v = fn(a, b)
-except ZeroDivisionError:
-    raise RuntimeErr("div_by_zero", nid) from None
-return v if exact or INT_MIN <= v <= INT_MAX else wrap64(v)
-""")
-
-# An index load or store needs an array `a` and an int index `b` within it.
-_INDEX_CHECK = """\
-if type(a) is not list or type(b) is not int:
-    raise RuntimeErr("type_mismatch", nid)
-if b < 0 or b >= len(a):
-    raise RuntimeErr("index_oob", nid)
-"""
-
-_LOAD_ITEM = _shapes("load_item", "+ a b", _INDEX_CHECK + "return a[b]", node="nid")()
-
-# An array store evaluates its value under the statement's own step, then
-# the target's array and index under the target's.
-_STORE = _shapes("store", "+ v + a b", _INDEX_CHECK + """\
-if type(v) is list and contains_array(v, a):
-    raise RuntimeErr("array_cycle", nid)
-a[b] = v
-""", node="nid")()
-
-# An assignment to a name charges the name's step once its value is known.
-_ASSIGN = _shapes("assign", "+ v +", "fr[slot] = v", node="slot")()
-_ASSIGN_GLOBAL = _shapes("assign_global", "+ v +", "st.globals[ident] = v", node="ident")()
-_LET = _shapes("let", "+ v", "fr[slot] = v", node="slot")()
-_RETURN = _shapes("return_", "+ v", "return v")()
-_EXPR_STMT = _shapes("expr_stmt", "+ v", "")()
-
-_ASSERT = _shapes("assert_", "+ v", """\
-if v is True:
-    return None
-if v is False:
-    raise AssertFail(nid)
-raise RuntimeErr("type_mismatch", nid)
-""", node="nid")()
-
-_NEG = _shapes("neg", "+ v", """\
-if type(v) is not int:
-    raise RuntimeErr("type_mismatch", nid)
-return v if v == INT_MIN else -v
-""", node="nid")()
-
-_NOT = _shapes("not_", "+ v", """\
-if v is True:
-    return False
-if v is False:
-    return True
-raise RuntimeErr("type_mismatch", nid)
-""", node="nid")()
-
-_LOAD = _shapes("load", "+", "return fr[slot]", node="slot")()
-_LOAD_GLOBAL = _shapes("load_global", "+", "return st.globals[ident]", node="ident")()
-_CONST = _shapes("const", "+", "return value", node="value")()
+    def _call(self, e: Call) -> tuple[str, Optional[str]]:
+        args, nid = [self.expr(a)[0] for a in e.args], e.node_id
+        argv, ty = f"[{', '.join(args)}]", _BUILTINS.get(e.name) if e.is_builtin else None
+        if e.is_builtin and e.name == "len" and len(args) == 1 and not self.frame:
+            # Inline when no hook sees builtins; the count then goes on as
+            # through any pure operation, in `s` as on the other path.
+            a = self.name(args[0], None)
+            test = f"not hw and (type({a}) is list or type({a}) is str)"
+            self.uses.add("hw")
+            return self.temp(f"len({a}) if {test} else _call(st, {self.count()}, 'len', [{a}], {nid})", ty), ty
+        if e.callee is not None:
+            target = self.value(e.callee)[0]  # after the arguments
+            call = f"_call_ref(st, {self.count()}, {target}, {argv}, {nid})"
+        else:
+            call = f"_call(st, {self.count()}, {e.name!r}, {argv}, {nid})"
+        r = self.temp(call, ty)
+        self.set(0, True, self.types)
+        if not self.frame:
+            self.line("s = st.steps")
+        return r, ty
 
 
-def _type_mismatch(a, b, nid):
-    raise RuntimeErr("type_mismatch", nid)
+def _function(w: _Writer, head: str, node, end: Optional[str], indent: int) -> list[str]:
+    """The source of function `head`, which runs `node` and returns `end`
+    where it falls off, or, with no `end`, leaves the count in `st.steps`."""
+    w.begin(indent + 1)
+    w.stmt(node)
+    if w.live and end is None:
+        w.sync()
+    elif w.live:
+        w.charge()
+        w.line(f"return {end}")
+    prologue = [] if w.frame else ["s = st.steps"]
+    prologue += [f"{name} = st.{attr}" for name, attr in (("lim", "limit"), ("g", "globals"), ("hw", "watched"))
+                 if name in w.uses]
+    body = [*("    " * (indent + 1) + p for p in prologue), *w.lines] or ["    " * (indent + 1) + "pass"]
+    return ["    " * indent + head, *body]
 
 
-def _equal(a, b, nid):
-    return deep_equal(a, b)  # values of different types are unequal
+def _exec(fn: FunctionDef, lines: list[str], refs: dict) -> dict:
+    ns = {**_NAMESPACE, **refs}
+    exec(compile("\n".join(lines) + "\n", f"<mini {fn.name}>", "exec"), ns)
+    return ns
 
 
-def _unequal(a, b, nid):
-    return not deep_equal(a, b)
+def _head(fn: FunctionDef) -> str:
+    return f"def f({', '.join(['st'] + [f'v{k}' for k in range(len(fn.params))])}):"
 
 
-# `==` and `!=` compare ints directly and any other values by structure.
-_OPERATORS = {
-    "+": _operator(operator.add, False, _type_mismatch),
-    "-": _operator(operator.sub, False, _type_mismatch),
-    "*": _operator(operator.mul, False, _type_mismatch),
-    "/": _operator(trunc_div, False, _type_mismatch),
-    "%": _operator(trunc_mod, False, _type_mismatch),
-    "<": _operator(operator.lt, True, _type_mismatch),
-    "<=": _operator(operator.le, True, _type_mismatch),
-    ">": _operator(operator.gt, True, _type_mismatch),
-    ">=": _operator(operator.ge, True, _type_mismatch),
-    "==": _operator(operator.eq, True, _equal),
-    "!=": _operator(operator.ne, True, _unequal),
-}
+def compile_function(fn: FunctionDef) -> Code:
+    """The code of `fn`."""
+    w = _Writer({}, frame=False)
+    return Code(len(fn.params), fn.nslots, _exec(fn, _function(w, _head(fn), fn.body, "U", 0), w.refs)["f"])
 
 
-def compile_function(fn: FunctionDef, parent: Optional[Code] = None) -> Code:
-    """The code of `fn`.  `parent` is the code of the function that
-    `apply_mutant` copied `fn` from, if any: each node `fn` shares with it
-    keeps the parent's closure, so only the copied path down to the
-    mutation and the mutation itself are compiled."""
-    compiler = _Compiler(fn.nslots, parent)
-    body = compiler.closure(fn.body)
-    built, reused = compiler.closures, compiler.reuse
-    stmts = tuple(built.get(id(s)) or reused[id(s)] for s in fn.body.stmts)
-    consts = [value for _, value in compiler.consts]
-    pad = [None] * (fn.nslots - len(fn.params)) + consts
-    return Code(len(fn.params), pad, body, stmts, compiler.consts, compiler.closures)
+def compile_schema(fn: FunctionDef, alternatives: dict) -> Callable[[int], Code]:
+    """`code(i)`, the code of `fn` with the alternatives of index `i` in
+    place, from one compile.  `alternatives` maps the `id` of each node of
+    `fn` that has any to its (index, new node) pairs, None deleting a
+    statement."""
+    w = _Writer(alternatives, frame=False)
+    body = _function(w, _head(fn), fn.body, "U", 1)
+    make = _exec(fn, ["def make(m):", *("    " + c for c in w.constants), *body, "    return f"], w.refs)["make"]
+    arity, nslots = len(fn.params), fn.nslots
+    return lambda index: Code(arity, nslots, make(index))
 
 
-# The code of a function of the program, compiled on first use.
+def compile_test(fn: FunctionDef) -> Code:
+    """The code of test `fn`: its statements, each compiled on its own,
+    run in turn by `body` after the body block's own step."""
+    w, lines = _Writer({}, frame=True), []
+    for i, s in enumerate(fn.body.stmts):
+        lines += _function(w, f"def s{i}(st, fr):", s, None, 0)
+    ns = _exec(fn, lines, w.refs)
+    stmts, nslots = tuple(ns[f"s{i}"] for i in range(len(fn.body.stmts))), fn.nslots
+
+    def body(st, *args):
+        _charge(st, st.steps + 1)
+        frame = [*args] + [None] * (nslots - len(args))
+        for stmt in stmts:
+            ret = stmt(st, frame)
+            if ret is not None:
+                return ret
+        return UNIT
+
+    return Code(len(fn.params), nslots, body, stmts)
+
+
+# The code of a function or a test of the program, compiled on first use.
 compiled = per_node(compile_function)
+compiled_test = per_node(compile_test)

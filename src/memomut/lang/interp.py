@@ -1,10 +1,11 @@
 """Executions of Mini code with step accounting and hooks.
 
-Code runs as closures compiled once per function (see `compiler`); every
-evaluated AST node costs one step, and the step counter doubles as the
-deterministic timeout mechanism.  Instrumentation hooks observe function
-entry/exit and builtin invocations, and may answer an entry event with a
-Substitute to skip the function body entirely.  Every execution runs on
+Code runs as Python functions generated once per Mini function (see
+`compiler`); every evaluated AST node costs one step, and the step
+counter doubles as the deterministic timeout mechanism.  Instrumentation
+hooks observe function entry/exit and builtin invocations, and may
+answer an entry event with a Substitute to skip the function body
+entirely.  Every execution runs on
 a fresh ExecState, which a test run may start from a `Prefix`, a copy of
 the state part way through the test's body, instead of from the start.
 """
@@ -17,8 +18,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .ast import Program, per_node
-from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled
+from .ast import Call, Program, per_node, walk
+from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled, compiled_test
 from .values import UNIT, Value, contains_array, copy_shared, deep_copy, format_value, wrap64
 
 DEFAULT_STEP_LIMIT = 10_000_000
@@ -28,7 +29,8 @@ DEFAULT_STEP_LIMIT = 10_000_000
 # every run instead of exhausting the host stack.
 MAX_CALL_DEPTH = 200
 
-# Each Mini call nests about 8 host frames; keep room above MAX_CALL_DEPTH.
+# Each Mini call nests 3 host frames (4 through a function reference), and
+# values are formatted and copied recursively; keep room above both.
 if sys.getrecursionlimit() < 10_000:
     sys.setrecursionlimit(10_000)
 
@@ -86,15 +88,16 @@ class ExecState:
 
     `globals`, `output` and `steps` are the observable state; the other
     fields are what the compiled code needs at run time: the step limit,
-    the call depth, each function's compiled code, the hooks, and the
-    sources of nondeterminism.  The code is `code`, or else the program's
-    `code_map`, compiled here before any timer in the caller starts.
-    Compiled code makes every call through `invoke` or `call_builtin`.
+    the call depth, each function's compiled code, the hooks (and
+    whether they see builtin calls), and the sources of nondeterminism.
+    The code is `code`, or else the program's `code_map`, compiled here
+    before any timer in the caller starts.  Compiled code makes every
+    call through `invoke` or `call_builtin`, with `steps` up to date.
     A state made with a `start` takes over its globals, output and steps,
     at depth 1, in place of the program's initial state.
     """
 
-    __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "rng", "clock")
+    __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "watched", "rng", "clock")
 
     def __init__(
         self,
@@ -116,6 +119,9 @@ class ExecState:
         self.limit = limit
         self.code = code_map(program) if code is None else code
         self.hooks = hooks
+        # Whether a hook sees builtin calls; compiled code calls `len`
+        # inline where none does.
+        self.watched = hooks is not None and type(hooks).on_builtin is not Hooks.on_builtin
         self.rng = rng if rng is not None else LazyRandom()
         self.clock = clock or _real_clock_ms
 
@@ -135,11 +141,8 @@ class ExecState:
                     raise StepLimit()
                 return sub.value
         self.depth += 1
-        # The slots are a new list: hooks keep `args` as the call's arguments.
-        ret = code.body(self, args + code.pad)
+        ret = code.body(self, *args)
         self.depth -= 1
-        if ret is None:
-            ret = UNIT
         if hooks is not None:
             hooks.on_call_exit(name, ret, self)
         return ret
@@ -178,8 +181,10 @@ class ExecState:
 
 @per_node
 def code_map(program: Program) -> dict[str, Code]:
-    """Each function's code, shared by all of a program's executions."""
-    return {name: compiled(fn) for name, fn in program.functions.items()}
+    """Each function's code, shared by all of a program's executions.  A
+    test's code runs its body's statements one at a time (`Code.stmts`)."""
+    tests = set(program.tests)
+    return {name: (compiled_test if name in tests else compiled)(fn) for name, fn in program.functions.items()}
 
 
 @dataclass
@@ -336,9 +341,19 @@ def run_test(
     return outcome, state
 
 
+def _may_end_prefix(stmt) -> bool:
+    """Whether `stmt` can call a declared function, directly or through a
+    reference, or call `rand` or `time_now`."""
+    return any(type(n) is Call and (not n.is_builtin or n.name in ("rand", "time_now")) for n in walk(stmt))
+
+
 def prefixes(program: Program, test: str, hooks: Optional[Hooks], step_limit: int) -> Iterator[Prefix]:
     """Run `test` one top-level statement of its body at a time, yielding
-    before each a copy of the state so far.
+    a copy of the state so far before each statement that can call a
+    declared function, directly or through a reference, or call `rand`
+    or `time_now`: the statements in which a hook can first see an entry
+    or a draw.  There is no copy before the first statement, whose state
+    is the test's initial one.
 
     The iteration ends where the test returns, fails or hits a limit; an
     exception a hook raises passes to the caller.  The run's `rand` and
@@ -347,7 +362,8 @@ def prefixes(program: Program, test: str, hooks: Optional[Hooks], step_limit: in
     """
     state = ExecState(program, hooks, step_limit)
     code = state.code[test]
-    frame = list(code.pad)
+    frame = [None] * code.nslots
+    ends = [_may_end_prefix(stmt) for stmt in program.functions[test].body.stmts]
     try:
         # The test's own entry, as `invoke` shows it to the hooks.
         if hooks is not None and hooks.on_call_enter(test, [], state) is not None:
@@ -357,7 +373,8 @@ def prefixes(program: Program, test: str, hooks: Optional[Hooks], step_limit: in
         if step_limit <= 1:
             return  # that step hits the limit
         for index, stmt in enumerate(code.stmts):
-            yield Prefix(index, state.globals, frame, state.output, state.steps).copy()
+            if index and ends[index]:
+                yield Prefix(index, state.globals, frame, state.output, state.steps).copy()
             if stmt(state, frame) is not None:
                 return
     except (AssertFail, RuntimeErr, StepLimit):

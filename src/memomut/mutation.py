@@ -4,17 +4,19 @@ Eight operators over the AST; exactly one mutant per applicable
 (operator, node, variant) opportunity in every non-test function.  Each
 operator is written once, in `_mutations`, as a rewrite: the node it
 replaces and the node that takes its place.  The pool prints both for
-its `before` and `after` text, and `apply_mutant` splices the same
-rewrite into the program.  The shared Program stays immutable: applying
-a mutant copies only the nodes on the path from its function's body down
-to the mutated node, and shares every other node with the program.
+its `before` and `after` text, `apply_mutant` splices the same rewrite
+into the program, and `mutant_schema` compiles all of a function's
+rewrites into one function that runs any of its mutants.  The shared
+Program stays immutable: applying a mutant copies only the nodes on the
+path from its function's body down to the mutated node, and shares every
+other node with the program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .lang.ast import (
     ArrayLit,
@@ -37,6 +39,7 @@ from .lang.ast import (
     stmt_str,
     walk,
 )
+from .lang.compiler import Code, compile_schema
 from .lang.values import wrap64
 from .memo.encoding import program_fingerprint
 from .project import typed
@@ -182,6 +185,21 @@ def apply_mutant(program: Program, m: Mutant) -> Program:
         functions={**program.functions, m.fn: new_fn},
         tests=program.tests,
     )
+
+
+@per_node
+def mutant_schema(fn: FunctionDef) -> tuple[dict[tuple, int], Callable[[int], Code]]:
+    """Every mutant of `fn`, compiled once: (places, code), where
+    `places[(node_id, op, variant)]` is a mutant's index among `fn`'s, in
+    pool order, and `code(index)` its function's code.  The alternatives
+    are the rewrites `apply_mutant` splices in."""
+    places: dict[tuple, int] = {}
+    alternatives: dict[int, list] = {}
+    for node in walk(fn.body):
+        for op, variant, old, new in _mutations(node, fn.max_node_id + 1):
+            alternatives.setdefault(id(old), []).append((len(places), new))
+            places[node.node_id, op, variant] = len(places)
+    return places, compile_schema(fn, alternatives)
 
 
 def _copy_path(fn: FunctionDef, node_id: int) -> Optional[list]:

@@ -8,6 +8,12 @@ mutated function, always executes its body.  Every mutant's run of a
 test, in any process, draws the test's own `rand` stream and clock,
 the ones its profiled run drew.
 
+No mutant is compiled on its own.  Each mutated function's schema
+(`mutation.mutant_schema`) holds all of its mutants behind a switch on
+the mutant's index, and is compiled once per process, before the run
+forks its workers; a mutant's code is the program's code with that
+function bound to the mutant's index.
+
 The memo run also shares work among the mutants that run one test.  A
 mutant's run of a test is the unmutated program's run, looking nothing
 up, until the test first enters the mutated function or any function
@@ -38,12 +44,11 @@ from dataclasses import dataclass, field
 from typing import NoReturn, Optional, Sequence
 
 from .lang.ast import Program
-from .lang.compiler import compile_function
 from .lang.interp import Hooks, Prefix, Runtime, code_map, prefixes, run_test
 from .memo.builder import KINDS, CountTotals, LookupHooks
 from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
-from .mutation import Mutant, MutantPool, apply_mutant
+from .mutation import Mutant, MutantPool, apply_mutant, mutant_schema
 from .profiler import Profile
 from .project import typed
 
@@ -249,10 +254,10 @@ def _run_single_mutant(
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
     mutated = apply_mutant(program, mutant)
-    # The program's code with the one function swapped, which reuses the
-    # program's closures for every node the mutant did not copy.
-    code = code_map(program)
-    code = {**code, mutant.fn: compile_function(mutated.functions[mutant.fn], code[mutant.fn])}
+    # The program's code with the one function swapped for the mutant's,
+    # bound from the function's schema.
+    places, schema = mutant_schema(program.functions[mutant.fn])
+    code = {**code_map(program), mutant.fn: schema(places[mutant.node_id, mutant.op, mutant.variant])}
     result = MutantResult(mutant_id=mutant.id, status="survived")
     hooks = None if tables is None else LookupHooks(tables, blocked=blocked)
     t0 = time.perf_counter_ns()
@@ -454,6 +459,12 @@ def run_mutation_analysis(
         fn: (profile.covering_passing_tests(fn), _blocked_functions(db, closure, fn) if tables else frozenset(), {})
         for fn in {m.fn for m in pool.mutants}
     }
+    # Each mutated function's schema is compiled here, before the workers
+    # `_run_all` forks inherit it, and before the timed run, as the
+    # program's own code is compiled before any timer starts.
+    for fn, (tests, _, _) in per_fn.items():
+        if tests:
+            mutant_schema(program.functions[fn])
     t0 = time.perf_counter_ns()
     if cfg.memo:
         # Each test is probed once, inside the timed run, for every function

@@ -80,6 +80,21 @@ def test_truncating_division():
     assert run_function(p, "g", [-7, 2])[0] == -1
 
 
+def test_array_equality_is_read_before_later_operands_run():
+    # `a == b` compares the arrays before `g(a)` changes `a`: in an argument
+    # list, in an array literal, and inside a callee, as a tree walk would.
+    src = """
+    fn g(a) { a[0] = 9; return 0; }
+    fn f(x, y) { return x; }
+    fn h(a, b) { return f(a == b, g(a)); }
+    fn test_a() { let a = [1]; let b = [1]; assert(f(a == b, g(a))); }
+    fn test_b() { let a = [1]; let b = [1]; assert(h(a, b)); }
+    fn test_c() { let a = [1]; let b = [1]; let c = [a == b, g(a)]; assert(c[0]); }
+    """
+    for test in ("test_a", "test_b", "test_c"):
+        assert verdict_of(src, test)[0].passed, test
+
+
 def test_short_circuit():
     v, _, _ = verdict_of("fn test_a(){ assert(false && 1 / 0 == 0); }")
     assert v.kind == "assert_fail"  # rhs never evaluated

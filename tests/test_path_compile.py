@@ -1,36 +1,50 @@
-"""A mutant's function compiled along its mutated path runs as one
-compiled from scratch, and reuses every closure off that path.
+"""A mutant's code from its function's schema runs as the mutant's
+function compiled from scratch.
 
-The runner compiles a mutant's function with the program's code of that
-function as its parent (`compile_function(fn, parent)`): every node that
-`apply_mutant` did not copy keeps the parent's closure.  For every mutant
+The runner compiles no mutant on its own: it binds the mutant's index in
+the schema of the program's function (`mutation.mutant_schema`), which
+holds every mutant of that function behind a switch.  For every mutant
 of the corpus programs, `edges.mini`, `limits.mini` and the benchmark
 workloads at seeds 0 and 5, each test that covers the mutated function
-runs once with the path-compiled code and once with code compiled from
-scratch; the verdict, error node, steps, output and final globals must
-agree.  Every statement the mutant shares with the program must keep the
-parent's closure object, so the saving cannot silently regress.
+runs once with the schema's code and once with the mutant's function
+compiled from scratch (`compile_function(apply_mutant(...).functions[fn])`);
+the verdict, error node, steps, output and final globals must agree.
+For every mutant of `limits.mini` and `edges.mini`, the two also run at
+every step limit from 1 to the full count + 1, under a hook that logs
+every call entry and exit with the step count, and must agree there too.
+
+(The file and its first test keep the names they had when a mutant's
+function was compiled along its copied path.)
+
+Run this file to print, per workload and seed, the time to compile the
+program's code and its mutated functions' schemas, the memo run's fixed
+cost per mutant (what it spends outside the tests), and the steps per
+second the base and memo runs execute:
+
+    PYTHONPATH=src:tests python tests/test_path_compile.py
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from memomut import corpus_names, corpus_path
-from memomut.lang.ast import Stmt, children, walk
-from memomut.lang.compiler import compile_function
-from memomut.lang.interp import Runtime, code_map, run_test
+from memomut import corpus_names, corpus_path, runner
+from memomut.lang.compiler import compile_function, compile_test
+from memomut.lang import interp
+from memomut.lang.interp import PASS, Runtime, code_map, run_test
 from memomut.lang.parser import parse
 from memomut.lang.values import literal_str
-from memomut.mutation import apply_mutant, generate_mutants
+from memomut.mutation import apply_mutant, generate_mutants, mutant_schema
 from memomut.profiler import profile_suite
 from memomut.project import load_project
+from memomut.runner import RunConfig, run_mutation_analysis
 
-from test_equivalence import EDGES
+from test_equivalence import EDGES, _EventLog
 from test_step_limits import LIMITS
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
@@ -58,37 +72,28 @@ PROGRAMS = [
 ]
 
 
-def _embedded(f) -> list:
-    """The closures and other values closure `f` holds, tuples unpacked."""
-    out = []
-    for cell in f.__closure__ or ():
-        value = cell.cell_contents
-        out.extend(value if type(value) is tuple else (value,))
-    return out
+def _mutant_runs(program):
+    """(mutated program, test, the schema's code, the scratch code) for
+    each mutant of `program` and each test that covers its function,
+    and the profile."""
+    runtime = Runtime(seed=0, fake_time=True)
+    profile = profile_suite(program, runtime=runtime)
+    base = code_map(program)
+    runs = []
+    for m in generate_mutants(program).mutants:
+        mutated = apply_mutant(program, m)
+        places, schema = mutant_schema(program.functions[m.fn])
+        from_schema = {**base, m.fn: schema(places[m.node_id, m.op, m.variant])}
+        scratch = {**base, m.fn: compile_function(mutated.functions[m.fn])}
+        for test, record in profile.tests.items():
+            if m.fn in record.covered:
+                runs.append((m, mutated, test, from_schema, scratch))
+    return runs, profile, runtime
 
 
-def _assert_reuses_off_path(parent, code, fn, mutant_fn) -> None:
-    """Every statement of `mutant_fn` that is `fn`'s own keeps `parent`'s
-    closure, and the copied node above it holds that very closure."""
-    shared = {id(n) for n in walk(fn.body)}
-    for node in walk(mutant_fn.body):
-        if id(node) in shared:
-            continue  # the parent's own node: its whole subtree is reused
-        for child in children(node):
-            if isinstance(child, Stmt) and id(child) in shared:
-                assert id(child) not in code.closures
-                held = _embedded(code.closures[id(node)])
-                assert any(f is parent.closures[id(child)] for f in held)
-
-
-def _run(program, test, budget, label, runtime, code):
+def _run(program, test, limit, runtime, code, hooks=None):
     outcome, state = run_test(
-        program,
-        test,
-        step_limit=budget,
-        rng=runtime.rng_for(label),
-        clock=runtime.clock_for(label),
-        code=code,
+        program, test, hooks, step_limit=limit, rng=runtime.rng_for(test), clock=runtime.clock_for(test), code=code
     )
     v = outcome.verdict
     final = sorted((g, literal_str(value)) for g, value in state.globals.items())
@@ -98,22 +103,88 @@ def _run(program, test, budget, label, runtime, code):
 @pytest.mark.parametrize("load", PROGRAMS)
 def test_path_compiled_mutants_run_as_compiled_from_scratch(load):
     program = load()
-    runtime = Runtime(seed=0, fake_time=True)
-    profile = profile_suite(program, runtime=runtime)
-    base = code_map(program)
-    runs = 0
-    for m in generate_mutants(program).mutants:
-        mutated = apply_mutant(program, m)
-        fn, mutant_fn = program.functions[m.fn], mutated.functions[m.fn]
-        path_code = compile_function(mutant_fn, base[m.fn])
-        _assert_reuses_off_path(base[m.fn], path_code, fn, mutant_fn)
-        path = {**base, m.fn: path_code}
-        scratch = {**base, m.fn: compile_function(mutant_fn)}
-        for test, record in profile.tests.items():
-            if m.fn not in record.covered:
-                continue
-            label, budget = f"path:{m.id}:{test}", profile.step_budget(test)
-            got = _run(mutated, test, budget, label, runtime, path)
-            assert got == _run(mutated, test, budget, label, runtime, scratch), (m, test)
-            runs += 1
+    runs, profile, runtime = _mutant_runs(program)
+    for m, mutated, test, from_schema, scratch in runs:
+        budget = profile.step_budget(test)
+        got = _run(mutated, test, budget, runtime, from_schema)
+        assert got == _run(mutated, test, budget, runtime, scratch), (m, test)
     assert runs
+
+
+@pytest.mark.parametrize("path", [EDGES, LIMITS], ids=["edges", "limits"])
+def test_schema_cuts_every_step_limit_as_compiled_from_scratch(path):
+    program = load_project(path)
+    runs, profile, runtime = _mutant_runs(program)
+    for m, mutated, test, from_schema, scratch in runs:
+        full = _run(mutated, test, profile.step_budget(test), runtime, scratch)[3]
+        for limit in range(1, full + 2):
+            logs = _EventLog(), _EventLog()
+            got = _run(mutated, test, limit, runtime, from_schema, logs[0]) + (logs[0].events,)
+            want = _run(mutated, test, limit, runtime, scratch, logs[1]) + (logs[1].events,)
+            assert got == want, (m, test, limit)
+    assert runs
+
+
+# -- the per-layer numbers ----------------------------------------------------
+
+
+def _best_ms(f, rounds: int = 5) -> float:
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter_ns()
+        f()
+        best = min(best, time.perf_counter_ns() - t0)
+    return best / 1e6
+
+
+def _fixed_cost_us(run) -> float:
+    """The memo run's cost per mutant outside its tests: each mutant of
+    the pool runs its first covering test as a test run that does nothing."""
+    tests = {fn: run.profile.covering_passing_tests(fn)[:1] for fn in run.program.functions}
+    mutants = [m for m in run.pool.mutants if tests[m.fn]]
+    real = runner.run_test
+    runner.run_test = lambda *args, **kwargs: (interp.TestOutcome(args[1], PASS, 0, 0), None)
+    try:
+        def all_mutants():
+            for m in mutants:
+                runner._run_single_mutant(
+                    run.program, m, tests[m.fn], run.db.tables, frozenset(), {}, run.profile, run.runtime
+                )
+
+        return _best_ms(all_mutants) * 1000 / len(mutants)
+    finally:
+        runner.run_test = real
+
+
+if __name__ == "__main__":
+    from test_prefix import _workload_run
+
+    print("workload:seed      clean ms  schema ms  fixed us/mutant  base steps/s  memo steps/s")
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 5):
+            run = _workload_run(workload, seed)
+            program = run.program
+            tests = set(program.tests)
+            clean = _best_ms(
+                lambda: [(compile_test if n in tests else compile_function)(f) for n, f in program.functions.items()]
+            )
+            mutated = {m.fn for m in run.pool.mutants if run.profile.covering_passing_tests(m.fn)}
+            schemas = _best_ms(lambda: [mutant_schema.__wrapped__(program.functions[fn]) for fn in mutated])
+            rates = []
+            for memo in (False, True):
+                cfg = RunConfig(memo=memo)
+
+                def analysis():
+                    db = run.db if memo else None
+                    return run_mutation_analysis(
+                        program, run.pool, run.profile, run.bundle.closure, db=db, cfg=cfg, runtime=run.runtime
+                    )
+
+                report = min((analysis() for _ in range(3)), key=lambda r: r.wall_ns)
+                # The steps the run executed: those it resumed were not.
+                executed = report.totals["steps"] - report.totals["resumed_steps"]
+                rates.append(executed / report.wall_ns * 1e9)
+            print(
+                f"{workload + ':' + str(seed):18} {clean:8.1f} {schemas:10.1f} {_fixed_cost_us(run):16.1f}"
+                f" {rates[0]:13,.0f} {rates[1]:13,.0f}"
+            )
