@@ -6,8 +6,8 @@ compiled with `compile` and `exec`, one function at a time, as
 gave every parameter and `let` its slot) is the local `vk`, literals are
 constants, and every node is inline code: the operators, with `/` and `%`
 truncating toward zero and the 64-bit wrap, index loads and stores, and
-`len` when no hook sees builtins.  Other calls go through the ExecState's
-`invoke` or `call_builtin`, which run the hooks (see `interp`).
+`len` of one argument.  Other calls go through the ExecState's `invoke`,
+which runs the hooks (see `interp`), or `call_builtin`.
 
 Every evaluated AST node costs one step, charged in the order a tree walk
 would charge it, so step counts, error nodes and the step limit do not
@@ -25,12 +25,13 @@ A test is one function per top-level statement of its body, with the
 frame in a list and the count in `st.steps`, so that a test resumed part
 way through its body starts at one of them.
 
-A mutant's function is not compiled on its own.  `compile_schema` writes
-it once with every mutant in it (mutant schemata, Untch, Offutt and
-Harrold, ISSTA 1993): a node that has alternatives becomes `if m == i:
-<alternative i> ... else: <the node>`, each with its own charges, and a
-mutant's code only binds its index `m`.  Where an alternative swaps an
+Every function is written by `compile_schema`.  A mutated function is
+written once with all its mutants in it (mutant schemata, Untch, Offutt
+and Harrold, ISSTA 1993): a node that has alternatives becomes `if m ==
+i: <alternative i> ... else: <the node>`, each with its own charges, and
+a mutant's code only binds its index `m`.  Where an alternative swaps an
 operator, negates a comparison or changes a literal, only that differs.
+A function's own code is its schema with no alternatives.
 """
 
 from __future__ import annotations
@@ -494,13 +495,11 @@ class _Writer:
     def _call(self, e: Call) -> tuple[str, Optional[str]]:
         args, nid = [self.expr(a)[0] for a in e.args], e.node_id
         argv, ty = f"[{', '.join(args)}]", _BUILTINS.get(e.name) if e.is_builtin else None
-        if e.is_builtin and e.name == "len" and len(args) == 1 and not self.frame:
-            # Inline when no hook sees builtins; the count then goes on as
-            # through any pure operation, in `s` as on the other path.
+        if e.is_builtin and e.name == "len" and len(args) == 1:
+            # Inline: the count goes on as through any pure operation.
             a = self.name(args[0], None)
-            test = f"not hw and (type({a}) is list or type({a}) is str)"
-            self.uses.add("hw")
-            return self.temp(f"len({a}) if {test} else _call(st, {self.count()}, 'len', [{a}], {nid})", ty), ty
+            self.fail(f"type({a}) is not list and type({a}) is not str", "type_mismatch", nid)
+            return self.temp(f"len({a})", ty), ty
         if e.callee is not None:
             target = self.value(e.callee)[0]  # after the arguments
             call = f"_call_ref(st, {self.count()}, {target}, {argv}, {nid})"
@@ -524,8 +523,7 @@ def _function(w: _Writer, head: str, node, end: Optional[str], indent: int) -> l
         w.charge()
         w.line(f"return {end}")
     prologue = [] if w.frame else ["s = st.steps"]
-    prologue += [f"{name} = st.{attr}" for name, attr in (("lim", "limit"), ("g", "globals"), ("hw", "watched"))
-                 if name in w.uses]
+    prologue += [f"{name} = st.{attr}" for name, attr in (("lim", "limit"), ("g", "globals")) if name in w.uses]
     body = [*("    " * (indent + 1) + p for p in prologue), *w.lines] or ["    " * (indent + 1) + "pass"]
     return ["    " * indent + head, *body]
 
@@ -536,23 +534,14 @@ def _exec(fn: FunctionDef, lines: list[str], refs: dict) -> dict:
     return ns
 
 
-def _head(fn: FunctionDef) -> str:
-    return f"def f({', '.join(['st'] + [f'v{k}' for k in range(len(fn.params))])}):"
-
-
-def compile_function(fn: FunctionDef) -> Code:
-    """The code of `fn`."""
-    w = _Writer({}, frame=False)
-    return Code(len(fn.params), fn.nslots, _exec(fn, _function(w, _head(fn), fn.body, "U", 0), w.refs)["f"])
-
-
 def compile_schema(fn: FunctionDef, alternatives: dict) -> Callable[[int], Code]:
     """`code(i)`, the code of `fn` with the alternatives of index `i` in
     place, from one compile.  `alternatives` maps the `id` of each node of
     `fn` that has any to its (index, new node) pairs, None deleting a
     statement."""
     w = _Writer(alternatives, frame=False)
-    body = _function(w, _head(fn), fn.body, "U", 1)
+    head = f"def f({', '.join(['st'] + [f'v{k}' for k in range(len(fn.params))])}):"
+    body = _function(w, head, fn.body, "U", 1)
     make = _exec(fn, ["def make(m):", *("    " + c for c in w.constants), *body, "    return f"], w.refs)["make"]
     arity, nslots = len(fn.params), fn.nslots
     return lambda index: Code(arity, nslots, make(index))
@@ -577,6 +566,11 @@ def compile_test(fn: FunctionDef) -> Code:
         return UNIT
 
     return Code(len(fn.params), nslots, body, stmts)
+
+
+def compile_function(fn: FunctionDef) -> Code:
+    """The code of `fn`: its schema with no alternatives."""
+    return compile_schema(fn, {})(0)
 
 
 # The code of a function or a test of the program, compiled on first use.

@@ -3,11 +3,12 @@
 Code runs as Python functions generated once per Mini function (see
 `compiler`); every evaluated AST node costs one step, and the step
 counter doubles as the deterministic timeout mechanism.  Instrumentation
-hooks observe function entry/exit and builtin invocations, and may
-answer an entry event with a Substitute to skip the function body
-entirely.  Every execution runs on
-a fresh ExecState, which a test run may start from a `Prefix`, a copy of
-the state part way through the test's body, instead of from the start.
+hooks observe function entry and exit, and may answer an entry event
+with a Substitute to skip the function body entirely; a run's `rand`
+draws and clock readings go to the sources its caller hands it.  Every
+execution runs on a fresh ExecState, which a test run may start from a
+`Prefix`, a copy of the state part way through the test's body, instead
+of from the start.
 """
 
 from __future__ import annotations
@@ -88,16 +89,18 @@ class ExecState:
 
     `globals`, `output` and `steps` are the observable state; the other
     fields are what the compiled code needs at run time: the step limit,
-    the call depth, each function's compiled code, the hooks (and
-    whether they see builtin calls), and the sources of nondeterminism.
+    the call depth, each function's compiled code, the hooks, and the
+    sources of nondeterminism: `rng.randrange(n)` for `rand` and
+    `clock()` for `time_now`.
     The code is `code`, or else the program's `code_map`, compiled here
     before any timer in the caller starts.  Compiled code makes every
-    call through `invoke` or `call_builtin`, with `steps` up to date.
+    call but that of `len` through `invoke` or `call_builtin`, with
+    `steps` up to date.
     A state made with a `start` takes over its globals, output and steps,
     at depth 1, in place of the program's initial state.
     """
 
-    __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "watched", "rng", "clock")
+    __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "rng", "clock")
 
     def __init__(
         self,
@@ -119,9 +122,6 @@ class ExecState:
         self.limit = limit
         self.code = code_map(program) if code is None else code
         self.hooks = hooks
-        # Whether a hook sees builtin calls; compiled code calls `len`
-        # inline where none does.
-        self.watched = hooks is not None and type(hooks).on_builtin is not Hooks.on_builtin
         self.rng = rng if rng is not None else LazyRandom()
         self.clock = clock or _real_clock_ms
 
@@ -149,8 +149,6 @@ class ExecState:
 
     def call_builtin(self, name: str, args: list, site: int) -> Value:
         """Call builtin `name`; errors are reported at the call node `site`."""
-        if self.hooks is not None:
-            self.hooks.on_builtin(name, self)
         if name == "len":
             if len(args) != 1 or not isinstance(args[0], (list, str)):
                 raise RuntimeErr("type_mismatch", site)
@@ -207,17 +205,6 @@ class Hooks:
 
     def on_call_exit(self, fn: str, ret: Value, state: ExecState) -> None:
         pass
-
-    def on_builtin(self, name: str, state: ExecState) -> None:
-        pass
-
-
-class MiniExecutionError(Exception):
-    """Raised by run_function when the callee does not complete normally."""
-
-    def __init__(self, verdict: Verdict):
-        super().__init__(verdict)
-        self.verdict = verdict
 
 
 def _real_clock_ms() -> int:
@@ -295,17 +282,20 @@ def _resume(state: ExecState, test: str, start: Prefix) -> Value:
     return ret
 
 
-def _execute(state: ExecState, fn: str, args: list, start: Optional[Prefix] = None) -> tuple[Verdict, Value]:
-    """Call `fn`, or resume the test `fn` from `start`; failures become the verdict."""
+def _execute(state: ExecState, test: str, start: Optional[Prefix]) -> Verdict:
+    """Call `test`, or resume it from `start`; failures become the verdict."""
     try:
-        ret = state.invoke(fn, args, -1) if start is None else _resume(state, fn, start)
-        return PASS, ret
+        if start is None:
+            state.invoke(test, [], -1)
+        else:
+            _resume(state, test, start)
+        return PASS
     except AssertFail as a:
-        return Verdict("assert_fail", node_id=a.node_id), UNIT
+        return Verdict("assert_fail", node_id=a.node_id)
     except RuntimeErr as r:
-        return Verdict("runtime_error", node_id=r.node_id, error=r.kind), UNIT
+        return Verdict("runtime_error", node_id=r.node_id, error=r.kind)
     except StepLimit:
-        return STEP_LIMIT_VERDICT, UNIT
+        return STEP_LIMIT_VERDICT
 
 
 def run_test(
@@ -335,7 +325,7 @@ def run_test(
         start = start.copy()
     state = ExecState(program, hooks, step_limit, rng, clock, code, start)
     t0 = time.perf_counter_ns()
-    verdict, _ = _execute(state, test, [], start)
+    verdict = _execute(state, test, start)
     wall = time.perf_counter_ns() - t0
     outcome = TestOutcome(test=test, verdict=verdict, steps=state.steps, wall_ns=wall)
     return outcome, state
@@ -347,20 +337,25 @@ def _may_end_prefix(stmt) -> bool:
     return any(type(n) is Call and (not n.is_builtin or n.name in ("rand", "time_now")) for n in walk(stmt))
 
 
-def prefixes(program: Program, test: str, hooks: Optional[Hooks], step_limit: int) -> Iterator[Prefix]:
+def prefixes(
+    program: Program,
+    test: str,
+    hooks: Optional[Hooks],
+    step_limit: int,
+    rng: Optional[LazyRandom] = None,
+    clock: Optional[Callable[[], int]] = None,
+) -> Iterator[Prefix]:
     """Run `test` one top-level statement of its body at a time, yielding
     a copy of the state so far before each statement that can call a
     declared function, directly or through a reference, or call `rand`
-    or `time_now`: the statements in which a hook can first see an entry
-    or a draw.  There is no copy before the first statement, whose state
-    is the test's initial one.
+    or `time_now`: the statements in which the hooks can first see an
+    entry, or `rng` or `clock` a draw.  There is no copy before the first
+    statement, whose state is the test's initial one.
 
     The iteration ends where the test returns, fails or hits a limit; an
-    exception a hook raises passes to the caller.  The run's `rand` and
-    clock are unseeded, so a caller that needs a reproducible prefix stops
-    it, through its hooks, before either is called.
+    exception a hook or a source raises passes to the caller.
     """
-    state = ExecState(program, hooks, step_limit)
+    state = ExecState(program, hooks, step_limit, rng, clock)
     code = state.code[test]
     frame = [None] * code.nslots
     ends = [_may_end_prefix(stmt) for stmt in program.functions[test].body.stmts]
@@ -380,19 +375,3 @@ def prefixes(program: Program, test: str, hooks: Optional[Hooks], step_limit: in
     except (AssertFail, RuntimeErr, StepLimit):
         return
 
-
-def run_function(
-    program: Program,
-    fn: str,
-    args: list,
-    hooks: Optional[Hooks] = None,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-    rng: Optional[LazyRandom] = None,
-    clock: Optional[Callable[[], int]] = None,
-) -> tuple[Value, ExecState]:
-    """Call a single function from a fresh state; errors raise."""
-    state = ExecState(program, hooks, step_limit, rng, clock)
-    verdict, ret = _execute(state, fn, args)
-    if not verdict.passed:
-        raise MiniExecutionError(verdict)
-    return ret, state

@@ -49,17 +49,6 @@ def wrap64(n: int) -> int:
     return ((n - INT_MIN) % _U64) + INT_MIN
 
 
-def trunc_div(a: int, b: int) -> int:
-    """Division truncating toward zero (C-style)."""
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def trunc_mod(a: int, b: int) -> int:
-    """Remainder with the sign of the dividend, matching trunc_div."""
-    return a - trunc_div(a, b) * b
-
-
 def deep_copy(v: Value) -> Value:
     """Structural copy sharing no list references with the input."""
     if isinstance(v, list):

@@ -22,12 +22,14 @@ clock.  So before any mutant runs, in the process that forks the
 workers, the memo run probes each test once: it runs the test on the
 unmutated program without look-ups, and keeps, for each function whose
 mutants run the test, the state before the top-level statement of the
-test's body in which that function's run could first differ.  Every
-mutant of the function, in any process, then resumes the test from a
-copy of that state (split-stream execution, as in King and Offutt's
-Mothra).  A resumed run reports the steps, counts and verdict a run
-from the start would.  The base run starts every test afresh: it is
-the plain reference that `compare_runs` checks the memo run against,
+test's body in which that function's run could first differ.  The
+probe sees entries through its hooks, and draws through the `rand`
+stream and clock it hands the run, which end the run at the first draw.
+Every mutant of the function, in any process, then resumes the test
+from a copy of that state (split-stream execution, as in King and
+Offutt's Mothra).  A resumed run reports the steps, counts and verdict
+a run from the start would.  The base run starts every test afresh: it
+is the plain reference that `compare_runs` checks the memo run against,
 mutant by mutant.
 """
 
@@ -180,9 +182,11 @@ class _ProbeHooks(Hooks):
     """The probe of a test for the functions of `targets`.  A function's
     prefix ends at the top-level statement `index` of the test's body
     that first enters the function or any of `tables`, directly or
-    through a reference, or calls `rand` or `time_now`; `shared` then
-    keeps for it the prefix `before` that statement, unless that is the
-    first.  The run ends once every function's prefix has ended."""
+    through a reference, or draws from `rand` or reads the clock; `shared`
+    then keeps for it the prefix `before` that statement, unless that is
+    the first.  The run ends once every function's prefix has ended.  The
+    object is also the run's `rand` stream and clock, so that it sees
+    every draw."""
 
     def __init__(self, tables: frozenset[str], targets: list[str]):
         self.tables = tables
@@ -206,9 +210,11 @@ class _ProbeHooks(Hooks):
             self._end([fn])
         return None
 
-    def on_builtin(self, name, state):
-        if name == "rand" or name == "time_now":
-            self._end(list(self.open))
+    def randrange(self, n: int) -> NoReturn:
+        self._end(list(self.open))
+
+    def __call__(self) -> NoReturn:
+        self._end(list(self.open))
 
 
 def _probe(
@@ -228,7 +234,7 @@ def _probe(
     """
     hooks = _ProbeHooks(tables, targets)
     try:
-        for prefix in prefixes(program, test, hooks, limit):
+        for prefix in prefixes(program, test, hooks, limit, rng=hooks, clock=hooks):
             hooks.index, hooks.before = prefix.index, prefix
     except _PrefixEnd:
         pass

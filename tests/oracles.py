@@ -14,6 +14,9 @@ test, and a minimal step-counting evaluator for profiler arithmetic.
 Every run of a test here draws the test's own `rand` stream and clock,
 `Runtime.rng_for(test)` and `Runtime.clock_for(test)`, as every stage of
 the pipeline does, so an oracle draws what the code it checks draws.
+
+`call` and `run_function` call one function, for the tests that check a
+function alone rather than a test.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from __future__ import annotations
 from collections import deque
 
 from memomut.lang import ast as A
-from memomut.lang.interp import Hooks, Runtime, prefixes, run_test
+from memomut.lang.compiler import AssertFail, RuntimeErr, StepLimit
+from memomut.lang.interp import (DEFAULT_STEP_LIMIT, PASS, STEP_LIMIT_VERDICT, ExecState, Hooks, Runtime, Verdict,
+                                 prefixes, run_test)
+from memomut.lang.values import UNIT
 from memomut.memo.builder import KINDS, LookupHooks, RecordHooks
 from memomut.memo.db import Exclusion, MemoDB, MemoTable
 from memomut.memo.encoding import program_fingerprint
@@ -175,8 +181,8 @@ class _PrefixEnd(Exception):
 
 class _ProbeHooks(Hooks):
     """Ends a run at the first entry into `fn` or a function of `tables`,
-    direct or through a reference, or at the first `rand` or `time_now`
-    call."""
+    direct or through a reference, or, as the run's `rand` stream and
+    clock, at the first draw."""
 
     def __init__(self, fn, tables):
         self.fn = fn
@@ -186,9 +192,11 @@ class _ProbeHooks(Hooks):
         if fn == self.fn or fn in self.tables:
             raise _PrefixEnd()
 
-    def on_builtin(self, name, state):
-        if name == "rand" or name == "time_now":
-            raise _PrefixEnd()
+    def randrange(self, n):
+        raise _PrefixEnd()
+
+    def __call__(self):
+        raise _PrefixEnd()
 
 
 def probe_per_function(program, fn: str, test: str, tables, limit: int):
@@ -205,7 +213,8 @@ def probe_per_function(program, fn: str, test: str, tables, limit: int):
     """
     last = None
     try:
-        for last in prefixes(program, test, _ProbeHooks(fn, set(tables or ())), limit):
+        probe = _ProbeHooks(fn, set(tables or ()))
+        for last in prefixes(program, test, probe, limit, rng=probe, clock=probe):
             pass
     except _PrefixEnd:
         if last is not None and last.index > 0:
@@ -379,3 +388,34 @@ def count_body_steps(program, fn_name: str, args: list) -> int:
     except _Halt:
         pass
     return counter[0]
+
+
+class MiniExecutionError(Exception):
+    """Raised by run_function when the callee does not complete normally."""
+
+    def __init__(self, verdict: Verdict):
+        super().__init__(verdict)
+        self.verdict = verdict
+
+
+def call(state: ExecState, fn: str, args: list):
+    """(verdict, value) of calling `fn` on `state`; the value is unit
+    unless the call returns."""
+    try:
+        return PASS, state.invoke(fn, args, -1)
+    except AssertFail as a:
+        return Verdict("assert_fail", node_id=a.node_id), UNIT
+    except RuntimeErr as r:
+        return Verdict("runtime_error", node_id=r.node_id, error=r.kind), UNIT
+    except StepLimit:
+        return STEP_LIMIT_VERDICT, UNIT
+
+
+def run_function(program, fn: str, args: list, rng=None, clock=None):
+    """(value, state) of calling `fn` from a fresh state, with no hooks; a
+    call that does not return raises MiniExecutionError."""
+    state = ExecState(program, None, DEFAULT_STEP_LIMIT, rng, clock)
+    verdict, ret = call(state, fn, args)
+    if not verdict.passed:
+        raise MiniExecutionError(verdict)
+    return ret, state

@@ -9,7 +9,7 @@ import random
 import statistics
 import struct
 
-from memomut.lang.interp import ExecState, Hooks, Runtime, _execute, run_test
+from memomut.lang.interp import ExecState, Hooks, Runtime, run_test
 from memomut.lang.parser import parse
 from memomut.lang.values import deep_copy, deep_equal
 from memomut.memo.builder import LookupHooks, provisional_memoization
@@ -20,7 +20,7 @@ from memomut.profiler import cost_breakdown, profile_suite
 from memomut.runner import RunConfig, run_mutation_analysis
 
 from conftest import cached_pipeline
-from oracles import bfs_closure, enumerate_mutants, exhaustive_killed
+from oracles import bfs_closure, call, enumerate_mutants, exhaustive_killed
 
 CORPUS = [
     "sample",
@@ -34,9 +34,6 @@ CORPUS = [
     "nondet",
     "bench_expensive",
 ]
-
-NONDET_BUILTINS = ("rand", "time_now", "print")
-
 
 def _report(n, label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -164,25 +161,61 @@ def test_criterion_05_cache_miss_exclusion():
 
 
 class _ExtentWatch(Hooks):
-    """Flags nondeterministic builtins firing inside memoized functions."""
+    """Flags nondeterministic builtins firing inside memoized functions:
+    a draw from the `rand` stream `rng` or a reading of `clock`, which it
+    hands the run in their place, and output printed while a memoized
+    function is on the stack."""
 
-    def __init__(self, memoized):
+    def __init__(self, memoized, rng, clock):
         self.memoized = memoized
+        self.rng = rng
+        self.clock = clock
         self.depth = 0
+        self.printed = 0  # the output's length where the outermost memoized call began
         self.violations = []
+
+    def randrange(self, n):
+        self._drawn("rand")
+        return self.rng.randrange(n)
+
+    def __call__(self):
+        self._drawn("time_now")
+        return self.clock()
+
+    def _drawn(self, name):
+        if self.depth > 0:
+            self.violations.append((name, self.depth))
 
     def on_call_enter(self, fn, args, state):
         if fn in self.memoized:
+            if self.depth == 0:
+                self.printed = len(state.output)
             self.depth += 1
         return None
 
     def on_call_exit(self, fn, ret, state):
         if fn in self.memoized:
             self.depth -= 1
+            if self.depth == 0:
+                self.ended(state)
 
-    def on_builtin(self, name, state):
-        if self.depth > 0 and name in NONDET_BUILTINS:
-            self.violations.append((name, self.depth))
+    def ended(self, state):
+        """Flags output printed since the outermost memoized call began;
+        called where it returns, or where a run ends inside it."""
+        if len(state.output) > self.printed:
+            self.violations.append(("print", len(state.output) - self.printed))
+
+
+def _extent_violations(program, memoized, runtime) -> list:
+    """What `_ExtentWatch` flags over every test of `program`."""
+    violations = []
+    for test in program.tests:
+        watch = _ExtentWatch(memoized, runtime.rng_for(f"extent:{test}"), runtime.clock_for(f"extent:{test}"))
+        _, state = run_test(program, test, watch, rng=watch, clock=watch)
+        if watch.depth > 0:
+            watch.ended(state)
+        violations += [(test, *v) for v in watch.violations]
+    return violations
 
 
 def test_criterion_06_determinacy_exclusion():
@@ -195,20 +228,35 @@ def test_criterion_06_determinacy_exclusion():
             if cand.fn in nondet:
                 ok = False
                 detail.append(f"{name}:{cand.fn} static")
-        watch = _ExtentWatch(set(pipe.db.tables))
-        for test in pipe.program.tests:
-            watch.depth = 0
-            run_test(
-                pipe.program,
-                test,
-                watch,
-                rng=pipe.runtime.rng_for(f"extent:{test}"),
-                clock=pipe.runtime.clock_for(f"extent:{test}"),
-            )
-        if watch.violations:
+        violations = _extent_violations(pipe.program, set(pipe.db.tables), pipe.runtime)
+        if violations:
             ok = False
-            detail.append(f"{name}:{watch.violations}")
+            detail.append(f"{name}:{violations}")
     _report(6, "determinacy exclusion", ok, "; ".join(detail) or "no nondet in any extent")
+
+
+def test_criterion_06_watch_flags_planted_violations():
+    """The extent watch of criterion 06 flags each nondeterministic
+    builtin inside a memoized function, also where the run ends inside
+    it, and nothing outside one."""
+    program = parse("""
+        fn roll() { return rand(6); }
+        fn now() { return time_now(); }
+        fn say(x) { print(x); return x; }
+        fn say_then_fail(x) { print(x); return x / 0; }
+        fn quiet(x) { return x + 1; }
+        fn test_draws() { print(quiet(roll())); print(now() > 0); assert(say(1) == 1); }
+        fn test_ends_inside() { say_then_fail(2); }
+    """)
+    runtime = Runtime(seed=0, fake_time=True)
+    memoized = {"roll", "now", "say", "say_then_fail", "quiet"}
+    assert sorted(_extent_violations(program, memoized, runtime)) == [
+        ("test_draws", "print", 1),
+        ("test_draws", "rand", 1),
+        ("test_draws", "time_now", 1),
+        ("test_ends_inside", "print", 1),
+    ]
+    assert _extent_violations(program, {"quiet"}, runtime) == []
 
 
 def test_criterion_07_skip_gate_soundness():
@@ -283,7 +331,7 @@ def _decode_key(key):
 def _call(program, fn, args, globals_override, hooks):
     state = ExecState(program, hooks, 10_000_000)
     state.globals.update(deep_copy(dict(globals_override)))
-    verdict, ret = _execute(state, fn, args)
+    verdict, ret = call(state, fn, args)
     return verdict, ret, state
 
 

@@ -46,8 +46,8 @@ EXPECTED = {
     ('strings', True): '8ddbf3b02d89aed2467ee322f3fdbe2b865a920b3fa3548af339c6cd1f907e92',
     ('edges', False): '00f28ec567a55916d08e29bdaf70b65cc74f51d02b7ff956eb94d8b88460355b',
     ('edges', True): 'ceac43a44edf29b2cf6674553d12dbfae533216bf5137466e736b5130d619f2e',
-    ('limits', False): '5c441c62c001a444bc5bd06420dd2fb6cc023efb27761d07a8bd35805184d5fb',
-    ('limits', True): '90cf557dbe95c8af7cbe9b7e230187de0acefa9e4411a0098ca73cb873332491',
+    ('limits', False): 'd910b3db4ee9a5e94330fdedc5237afe292c3f82df65b64b89eb45dccc8ddd30',
+    ('limits', True): '493a91a0f59cb8ffc7a2bc2ce989277801213baf47c17867c5b8dadcefc0aa24',
 }
 
 

@@ -9,13 +9,12 @@ from memomut.lang.interp import (
     MAX_CALL_DEPTH,
     Runtime,
     Substitute,
-    run_function,
     run_test,
 )
 from memomut.lang.parser import parse
 from memomut.lang.values import UNIT, wrap64
 
-from oracles import count_body_steps
+from oracles import count_body_steps, run_function
 
 
 def verdict_of(src, test="test_a", **kw):

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from memomut.lang.ast import Program, children, print_program, walk
-from memomut.lang.interp import run_function
 from memomut.lang.parser import parse
 from memomut.mutation import (
     Mutant,
@@ -19,7 +18,7 @@ from memomut.mutation import (
     pool_to_json,
 )
 
-from oracles import enumerate_mutants
+from oracles import enumerate_mutants, run_function
 
 
 def keyset(pool):

@@ -139,7 +139,7 @@ def test_each_shape_matches_unshared_runs(prefix_runs, tau):
     # with every function memoized, those of `leaf` and `maybe` neither:
     # their tests call another table first.
     fns = {run.pool.mutants[r.mutant_id].fn for r in report.results if r.resumed_steps}
-    resumed = {"bump", "count", "grow", "spin", "sq"}
+    resumed = {"bump", "count", "grow", "roll", "spin", "sq", "tick", "wind"}
     assert fns == (resumed if run.db.tables else resumed | {"leaf", "maybe"})
     # Both kinds of survivors the shapes are built around are there.
     survivors = {(run.pool.mutants[r.mutant_id].fn, run.pool.mutants[r.mutant_id].after)
@@ -160,6 +160,10 @@ def test_prefix_ends_where_the_mutant_could_differ(prefix_runs):
     # The prefix shares `G` with the test's `a`.
     prefix = _shared(run, "bump", "test_alias")
     assert prefix.index == 3 and prefix.frame[0] is prefix.globals["G"]
+    # Before a clock reading, and before a call whose callee draws.
+    assert _shared(run, "tick", "test_clock_first").index == 1
+    assert "roll" not in run.db.tables
+    assert _shared(run, "wind", "test_draw_in_helper").index == 2
 
 
 def test_prefix_ends_before_any_memoized_call(prefix_runs):
@@ -205,9 +209,6 @@ class _Seen(Hooks):
     def on_call_exit(self, fn, ret, state):
         self.hooks.on_call_exit(fn, ret, state)
 
-    def on_builtin(self, name, state):
-        self.hooks.on_builtin(name, state)
-
 
 def _probed_memo_run(run, workers=1):
     """`run`'s memo run, and the (process id, test, steps, CPU ns) of each
@@ -216,11 +217,11 @@ def _probed_memo_run(run, workers=1):
     prefixes, worker_run = runner.prefixes, runner._worker_run
     probes = []
 
-    def counted(program, test, hooks, limit):
+    def counted(program, test, hooks, limit, rng=None, clock=None):
         seen = _Seen(hooks)
         t0 = time.process_time_ns()
         try:
-            yield from prefixes(program, test, seen, limit)
+            yield from prefixes(program, test, seen, limit, rng, clock)
         finally:
             probes.append((os.getpid(), test, seen.state.steps, time.process_time_ns() - t0))
 

@@ -1,4 +1,4 @@
-"""Value helpers: wrapping, truncation, copies, equality."""
+"""Value helpers: wrapping, copies, equality; and Mini's truncating `/` and `%`."""
 
 from hypothesis import given, strategies as st
 
@@ -11,10 +11,11 @@ from memomut.lang.values import (
     deep_equal,
     format_value,
     literal_str,
-    trunc_div,
-    trunc_mod,
     wrap64,
 )
+from memomut.lang.parser import parse
+
+from oracles import run_function
 
 INT_MIN = -(1 << 63)
 INT_MAX = (1 << 63) - 1
@@ -38,11 +39,14 @@ def test_wrap64_in_range_and_congruent(n):
     assert (w - n) % (1 << 64) == 0
 
 
+_DIV_MOD = parse("fn div_mod(a, b) { return [a / b, a % b]; }")
+
+
 @given(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=-1000, max_value=1000))
 def test_trunc_div_mod_identity(a, b):
     if b == 0:
         return
-    q, r = trunc_div(a, b), trunc_mod(a, b)
+    (q, r), _ = run_function(_DIV_MOD, "div_mod", [a, b])
     assert q * b + r == a
     assert abs(r) < abs(b)
     # sign follows the dividend
@@ -50,10 +54,11 @@ def test_trunc_div_mod_identity(a, b):
 
 
 def test_trunc_div_examples():
-    assert trunc_div(7, 2) == 3
-    assert trunc_div(-7, 2) == -3
-    assert trunc_div(7, -2) == -3
-    assert trunc_mod(-7, 2) == -1
+    # By literals and by arguments, which compile to different code.
+    literals, _ = run_function(parse("fn f() { return [7 / 2, -7 / 2, 7 / -2, -7 % 2]; }"), "f", [])
+    assert literals == [3, -3, -3, -1]
+    assert [run_function(_DIV_MOD, "div_mod", [a, b])[0] for a, b in ((7, 2), (-7, 2), (7, -2))] == [
+        [3, 1], [-3, -1], [-3, 1]]
 
 
 def test_deep_copy_shares_nothing():
