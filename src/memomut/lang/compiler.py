@@ -21,9 +21,12 @@ at the limit; an error raised in between is charged the steps counted up
 to it, or is a StepLimit if they reach the limit.  `st.steps` is stored
 before, and read back after, every call and error.
 
-A test is one function per top-level statement of its body, with the
-frame in a list and the count in `st.steps`, so that a test resumed part
-way through its body starts at one of them.
+A test is one function per top-level statement of its body, so that a
+test resumed part way through its body starts at one of them.  Each is
+written as every other function is, with its count in `s` and slot k in
+`vk`: it loads the slots it uses from the test's frame, a list, when it
+starts, and stores them back where it falls off its end; a return or an
+error ends the test, so that leaves them.
 
 Every function is written by `compile_schema`.  A mutated function is
 written once with all its mutants in it (mutant schemata, Untch, Offutt
@@ -39,7 +42,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .ast import (ArrayLit, Assert, Assign, Binary, Block, BoolLit, Call, ExprStmt, FnRefLit, FunctionDef, If,
-                  Index, IntLit, Let, Name, Return, Stmt, StrLit, Unary, While, per_node)
+                  Index, IntLit, Let, Name, Return, Stmt, StrLit, Unary, While, per_node, walk)
 from .values import INT_MAX, INT_MIN, UNIT, FnRef, contains_array, deep_equal, wrap64
 
 
@@ -64,7 +67,9 @@ class Code:
     `body`, the Python function that runs it as `body(state, *args)`.  A
     test's code also has `stmts`, one function per top-level statement of
     its body, run in turn as `stmt(state, frame)` over a list of the
-    call's slots: each returns None to go on, else the returned value."""
+    call's slots, loading those it uses on entry and storing them back
+    where it falls off: each returns None to go on, else the returned
+    value."""
 
     __slots__ = ("arity", "nslots", "body", "stmts")
 
@@ -141,12 +146,9 @@ _WRAP = f"if not {INT_MIN} <= {{t}} <= {INT_MAX}: {{t}} = wrap64({{t}})"
 
 
 class _Writer:
-    def __init__(self, alternatives: dict, frame: bool):
+    def __init__(self, alternatives: dict):
         self.alternatives = alternatives  # id(node) -> [(index, new node or None)]
         self.switched = True  # alternatives apply here: not inside one
-        self.frame = frame  # slots in the list `fr`, the count in `st.steps`
-        self.s = "st.steps" if frame else "s"
-        self.slot = "fr[{}]".format if frame else "v{}".format  # frame slot k
         self.refs: dict[str, FnRef] = {}
         self.constants: list[str] = []  # lines of `make(m)` that bind a mutant's constants
         self.known: dict[str, list[int]] = {}  # such a constant -> the values it can take
@@ -173,12 +175,10 @@ class _Writer:
         return f"t{self.temps}"
 
     def count(self) -> str:
-        return f"{self.s} + {self.pending}" if self.pending else self.s
+        return f"s + {self.pending}" if self.pending else "s"
 
     def sync(self) -> None:
         """Adds the pending steps to the count and checks it against the limit."""
-        if self.frame:
-            return self.charge()
         if self.pending:
             self.line(f"s += {self.pending}")
             self.pending, self.checked = 0, False
@@ -188,10 +188,11 @@ class _Writer:
             self.checked = True
 
     def charge(self) -> None:
-        """The count, checked, in `st.steps`, before a return."""
+        """The count, checked, in `st.steps`, before a return or where a
+        test's statement falls off."""
         if self.pending or not self.checked:
             self.line(f"_charge(st, {self.count()})")
-        elif not self.frame:
+        else:
             self.line("st.steps = s")
         self.set(0, True, self.types)
 
@@ -205,7 +206,7 @@ class _Writer:
 
     def name(self, code: str, ty: Optional[str]) -> str:
         """`code` as a name, for `is` and subscripts, which take no literal."""
-        return code if code.isidentifier() or code.startswith("fr[") else self.temp(code, ty)
+        return code if code.isidentifier() else self.temp(code, ty)
 
     def values(self, code: str) -> Optional[list[int]]:
         """The ints atom `code` can be, if it is a literal or a mutant's constant."""
@@ -232,7 +233,7 @@ class _Writer:
             self.set(pending, all(end[1] and end[0] == pending for end in live), types)
         for mark, stop, indent, alive, pending, _, _ in reversed(ends):
             if alive and pending > self.pending:
-                self.lines.insert(stop, "    " * indent + f"{self.s} += {pending - self.pending}")
+                self.lines.insert(stop, "    " * indent + f"s += {pending - self.pending}")
             elif mark == stop and stop == len(self.lines) and heads[-1] == "else:":
                 del self.lines[mark - 1]  # an empty `else`
             elif mark == stop:
@@ -279,8 +280,8 @@ class _Writer:
                 if self.live:
                     self.stmt(x)
         elif t is Let:
-            code, self.types[self.slot(s.slot)] = self.expr(s.value)
-            self.line(f"{self.slot(s.slot)} = {code}")
+            code, self.types[f"v{s.slot}"] = self.expr(s.value)
+            self.line(f"v{s.slot} = {code}")
         elif t is Assign:
             self._assign(s)
         elif t is If:
@@ -341,8 +342,8 @@ class _Writer:
             self.uses.add("g")
             self.line(f"g[{target.ident!r}] = {v}")
         else:
-            self.line(f"{self.slot(target.slot)} = {v}")
-            self.types[self.slot(target.slot)] = ty
+            self.line(f"v{target.slot} = {v}")
+            self.types[f"v{target.slot}"] = ty
 
     # -- expressions ------------------------------------------------------
 
@@ -355,7 +356,7 @@ class _Writer:
                 # A negated comparison (UOI_NEG) charges the `!` before the
                 # comparison's own steps, and its value is a bool.
                 for index in negations:
-                    self.line(f"if m == {index}: {self.s} += 1")
+                    self.line(f"if m == {index}: s += 1")
                     self.checked = False
                 code, ty = self._binary(e, swaps)
                 for index in negations:
@@ -383,7 +384,7 @@ class _Writer:
             if e.is_global:
                 self.uses.add("g")
                 return self.temp(f"g[{e.ident!r}]"), None
-            return self.slot(e.slot), None
+            return f"v{e.slot}", None
         if t is Call:
             return self._call(e)
         if t is Unary and e.op == "!":
@@ -483,7 +484,7 @@ class _Writer:
 
     def _equality(self, op: str, a: str, ta, b: str, tb) -> str:
         """The code of `==` or `!=` on the atoms `a` and `b`."""
-        for ty, other in ((ta, b), (tb, a)) if not self.frame else ():  # a test's code: the shortest form
+        for ty, other in (ta, b), (tb, a):
             if ty in _SCALARS:
                 if ta == tb:
                     return f"({a} {op} {b})"
@@ -507,25 +508,29 @@ class _Writer:
             call = f"_call(st, {self.count()}, {e.name!r}, {argv}, {nid})"
         r = self.temp(call, ty)
         self.set(0, True, self.types)
-        if not self.frame:
-            self.line("s = st.steps")
+        self.line("s = st.steps")
         return r, ty
 
 
-def _function(w: _Writer, head: str, node, end: Optional[str], indent: int) -> list[str]:
-    """The source of function `head`, which runs `node` and returns `end`
-    where it falls off, or, with no `end`, leaves the count in `st.steps`."""
+def _function(w: _Writer, head: str, node, indent: int, stmt: bool = False) -> list[str]:
+    """The source of function `head`, which runs `node` and returns U where
+    it falls off; or, for a test's statement `node`, loads the slots it
+    uses from the test's frame, the list `fr`, and stores them back and
+    returns None where it falls off."""
     w.begin(indent + 1)
     w.stmt(node)
-    if w.live and end is None:
-        w.sync()
-    elif w.live:
+    # Every slot a statement reads or binds is loaded: a binding in a loop may not run.
+    used = sorted({n.slot for n in walk(node) if type(n) is Let or type(n) is Name and not n.is_global} if stmt else ())
+    here, there = ", ".join(f"v{k}" for k in used), ", ".join(f"fr[{k}]" for k in used)
+    if w.live:
         w.charge()
-        w.line(f"return {end}")
-    prologue = [] if w.frame else ["s = st.steps"]
+        if not stmt:
+            w.line("return U")
+        elif used:
+            w.line(f"{there} = {here}")
+    prologue = ["s = st.steps", *[f"{here} = {there}"] * bool(used)]
     prologue += [f"{name} = st.{attr}" for name, attr in (("lim", "limit"), ("g", "globals")) if name in w.uses]
-    body = [*("    " * (indent + 1) + p for p in prologue), *w.lines] or ["    " * (indent + 1) + "pass"]
-    return ["    " * indent + head, *body]
+    return ["    " * indent + head, *("    " * (indent + 1) + line for line in prologue), *w.lines]
 
 
 def _exec(fn: FunctionDef, lines: list[str], refs: dict) -> dict:
@@ -539,9 +544,9 @@ def compile_schema(fn: FunctionDef, alternatives: dict) -> Callable[[int], Code]
     place, from one compile.  `alternatives` maps the `id` of each node of
     `fn` that has any to its (index, new node) pairs, None deleting a
     statement."""
-    w = _Writer(alternatives, frame=False)
+    w = _Writer(alternatives)
     head = f"def f({', '.join(['st'] + [f'v{k}' for k in range(len(fn.params))])}):"
-    body = _function(w, head, fn.body, "U", 1)
+    body = _function(w, head, fn.body, 1)
     make = _exec(fn, ["def make(m):", *("    " + c for c in w.constants), *body, "    return f"], w.refs)["make"]
     arity, nslots = len(fn.params), fn.nslots
     return lambda index: Code(arity, nslots, make(index))
@@ -550,9 +555,9 @@ def compile_schema(fn: FunctionDef, alternatives: dict) -> Callable[[int], Code]
 def compile_test(fn: FunctionDef) -> Code:
     """The code of test `fn`: its statements, each compiled on its own,
     run in turn by `body` after the body block's own step."""
-    w, lines = _Writer({}, frame=True), []
+    w, lines = _Writer({}), []
     for i, s in enumerate(fn.body.stmts):
-        lines += _function(w, f"def s{i}(st, fr):", s, None, 0)
+        lines += _function(w, f"def s{i}(st, fr):", s, 0, stmt=True)
     ns = _exec(fn, lines, w.refs)
     stmts, nslots = tuple(ns[f"s{i}"] for i in range(len(fn.body.stmts))), fn.nslots
 

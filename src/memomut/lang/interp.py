@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional
 
 from .ast import Call, Program, per_node, walk
 from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled, compiled_test
-from .values import UNIT, Value, contains_array, copy_shared, deep_copy, format_value, wrap64
+from .values import UNIT, Value, contains_array, copy_shared, format_value, wrap64
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
@@ -113,7 +113,7 @@ class ExecState:
         start: Optional[Prefix] = None,
     ):
         if start is None:
-            self.globals = {name: deep_copy(val) for name, val in program.globals}
+            self.globals = dict(program.globals)
             self.output: list[str] = []
             self.steps = 0
             self.depth = 0

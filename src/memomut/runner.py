@@ -80,10 +80,6 @@ class ScoreMismatch(Exception):
         self.mutant_ids = list(mutant_ids)
 
 
-class EmptyPool(Exception):
-    pass
-
-
 class InvalidPool(Exception):
     pass
 
@@ -138,7 +134,10 @@ class MutationReport(CountTotals):
 
     @property
     def score(self) -> float:
-        return compute_score(self.results) if self.results else 0.0
+        """Killed over all generated mutants (not-covered counts as non-killed)."""
+        if not self.results:
+            return 0.0
+        return sum(r.status == "killed" for r in self.results) / len(self.results)
 
     @property
     def per_method(self) -> dict[str, dict[str, int]]:
@@ -429,14 +428,6 @@ def _run_all(n: int, workers: int) -> list[MutantResult]:
     for (pid, _), blob, status in zip(children, blobs, statuses):
         results += _received(pid, blob, status)
     return results
-
-
-def compute_score(results: list[MutantResult]) -> float:
-    """Killed over all generated mutants (not-covered counts as non-killed)."""
-    if not results:
-        raise EmptyPool("no mutant results")
-    killed = sum(1 for r in results if r.status == "killed")
-    return killed / len(results)
 
 
 def run_mutation_analysis(

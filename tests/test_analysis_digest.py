@@ -46,8 +46,8 @@ EXPECTED = {
     ('strings', True): '8ddbf3b02d89aed2467ee322f3fdbe2b865a920b3fa3548af339c6cd1f907e92',
     ('edges', False): '00f28ec567a55916d08e29bdaf70b65cc74f51d02b7ff956eb94d8b88460355b',
     ('edges', True): 'ceac43a44edf29b2cf6674553d12dbfae533216bf5137466e736b5130d619f2e',
-    ('limits', False): 'd910b3db4ee9a5e94330fdedc5237afe292c3f82df65b64b89eb45dccc8ddd30',
-    ('limits', True): '493a91a0f59cb8ffc7a2bc2ce989277801213baf47c17867c5b8dadcefc0aa24',
+    ('limits', False): '5c534e4f40da1c52233ba76e4dbfc2f8366e7ed541224201f7448591cb4fc69f',
+    ('limits', True): '394a1842c9de0dfc56f03047b78d8c5acae06e5a93ade11a5069a49ed4287ddb',
 }
 
 

@@ -40,7 +40,7 @@ EXPECTED = {
     'sample': '1b5db3b40b45710fccedb285710d4a84dcd13e857d4fb0c4e9f9aba96d48666e',
     'strings': 'cecbc24535a845897cd9d6aa79200e66054ab5572177a44f60a196ba5beb8ec5',
     'edges': '9830a46cd3d0fbfeaccf1bae911f4a4543fc5edb23808502b2d85d758590ebf4',
-    'limits': '81cda06c86dd427ca0730b6c03dc7b6e13e554f20dca644f02d766bdb510bde3',
+    'limits': '7a7784e288a69b04c989c1c541d7fb20424d4d61571467f689ae81a465d250f3',
     'array-state-0': 'a9859286030072bfe90f5adc9bc20b22ec2c52ebc035652c0fe3d002820e7503',
     'array-state-5': 'a9859286030072bfe90f5adc9bc20b22ec2c52ebc035652c0fe3d002820e7503',
     'uncached-0': '2ebbbf4c5e07f0651edafb65cc3b73a2d7298e868c26b3061ab1e144b1d00d26',

@@ -22,14 +22,13 @@ from memomut.memo.encoding import encode_key
 from memomut.mutation import MutantPool, generate_mutants
 from memomut.profiler import ExpensivenessCriterion, profile_suite, select_candidates
 from memomut.runner import (
-    EmptyPool,
     InvalidPool,
     MutantResult,
+    MutationReport,
     RunConfig,
     ScoreMismatch,
     _blocked_functions,
     compare_runs,
-    compute_score,
     report_from_json,
     report_to_json,
     run_mutation_analysis,
@@ -227,9 +226,11 @@ def test_compute_score():
         MutantResult(mutant_id=2, status="not_covered"),
         MutantResult(mutant_id=3, status="killed"),
     ]
-    assert compute_score(rs) == 0.5
-    with pytest.raises(EmptyPool):
-        compute_score([])
+    def report(results):
+        return MutationReport(fingerprint=0, memo_enabled=False, results=results, wall_ns=0, tables=())
+
+    assert report(rs).score == 0.5
+    assert report([]).score == 0.0
 
 
 def test_invalid_pool_rejected():

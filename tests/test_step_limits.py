@@ -42,7 +42,10 @@ SMALL_CORPUS = ("globals", "indirect", "matrix", "nondet", "printcase", "randarg
 # and when its tests of one-operand nodes with a leaf operand were added,
 # with the evaluator that gave such an operand a closure of its own, and
 # when its test of `len` in a test's statements was added, with the
-# compiler that called such a `len` through `call_builtin`.
+# compiler that called such a `len` through `call_builtin`, and when its
+# test of mixed scalar equality, slots and a loop in a test's statements
+# was added, with the compiler that kept a test's slots in a list and its
+# count in the state.
 EXPECTED = {
     'globals': (107, '171d754055946e4cc334becc4d5bd0d48313953fecc5d49a446cb0711d387cf2'),
     'indirect': (473, 'a8d6d3cb46804025dc90e6d1fcd02059db1617e0000e76b01478c01fb1915b95'),
@@ -53,7 +56,7 @@ EXPECTED = {
     'sample': (263, '41c73882b0fa9ea3c14a892de8932bd09de011868d2db8e1f740e105e0a735fb'),
     'strings': (393, 'd139b561060e1a82a17808cb2fdc26272a7ffe81969bf80dcffb6e20a91de2f5'),
     'edges': (3852, '3ee7b867889574340dae64fb7fdb170420d96a5de7c4de0379fa5418debfe45f'),
-    'limits': (2163, '734dd278a84ee58521d9c9a5f984d967395be88faec66e8d0db5af269ed423f3'),
+    'limits': (2295, '4dfb494cba74c5db2e1248892c49ae5fea11ba6bcbaf98d3618aedc178b8ffa9'),
 }
 
 
