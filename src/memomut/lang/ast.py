@@ -160,10 +160,10 @@ def per_node(compute: Callable[[object], _T]) -> Callable[[object], _T]:
     The value is kept beside the AST, in the wrapper's `cache`, keyed by
     `id`, so that copying, printing, fingerprinting and pickling never
     see it.  This is sound because a FunctionDef or Program never changes
-    after parsing or `apply_mutant`.  Each entry costs a
-    `weakref.finalize`, so it is meant for the program a run works on,
-    not for every mutant: the runner builds a mutant's code from the
-    program's cached code and caches nothing for it.
+    after parsing.  Each entry costs a `weakref.finalize`, so it is meant
+    for the program a run works on, not for every mutant:
+    `mutation.apply_mutant` builds a mutant's code from the program's
+    cached code and caches nothing for it.
     """
     cache: dict[int, _T] = {}
 

@@ -25,8 +25,9 @@ A test is one function per top-level statement of its body, so that a
 test resumed part way through its body starts at one of them.  Each is
 written as every other function is, with its count in `s` and slot k in
 `vk`: it loads the slots it uses from the test's frame, a list, when it
-starts, and stores them back where it falls off its end; a return or an
-error ends the test, so that leaves them.
+starts, but for the one a top-level `let` binds before reading it, and
+stores them back where it falls off its end; a return or an error ends
+the test, so that leaves them.
 
 Every function is written by `compile_schema`.  A mutated function is
 written once with all its mutants in it (mutant schemata, Untch, Offutt
@@ -189,10 +190,11 @@ class _Writer:
 
     def charge(self) -> None:
         """The count, checked, in `st.steps`, before a return or where a
-        test's statement falls off."""
+        test's statement falls off.  Right after a call's `s = st.steps`
+        it is there already."""
         if self.pending or not self.checked:
             self.line(f"_charge(st, {self.count()})")
-        else:
+        elif self.lines[-1:] != ["    " * self.indent + "s = st.steps"]:
             self.line("st.steps = s")
         self.set(0, True, self.types)
 
@@ -519,16 +521,25 @@ def _function(w: _Writer, head: str, node, indent: int, stmt: bool = False) -> l
     returns None where it falls off."""
     w.begin(indent + 1)
     w.stmt(node)
-    # Every slot a statement reads or binds is loaded: a binding in a loop may not run.
+    # Every slot a statement reads or binds is stored back, and loaded, as a
+    # binding in a loop may not run; but a top-level `let` binds its slot
+    # first, unless its value reads it.
     used = sorted({n.slot for n in walk(node) if type(n) is Let or type(n) is Name and not n.is_global} if stmt else ())
-    here, there = ", ".join(f"v{k}" for k in used), ", ".join(f"fr[{k}]" for k in used)
+    bound = type(node) is Let and not any(type(n) is Name and n.slot == node.slot for n in walk(node.value))
+    loaded = [k for k in used if not (bound and k == node.slot)]
+
+    def pairs(slots):  # the locals of `slots` and their cells in the frame
+        return ", ".join(f"v{k}" for k in slots), ", ".join(f"fr[{k}]" for k in slots)
+
     if w.live:
         w.charge()
         if not stmt:
             w.line("return U")
         elif used:
+            here, there = pairs(used)
             w.line(f"{there} = {here}")
-    prologue = ["s = st.steps", *[f"{here} = {there}"] * bool(used)]
+    here, there = pairs(loaded)
+    prologue = ["s = st.steps", *[f"{here} = {there}"] * bool(loaded)]
     prologue += [f"{name} = st.{attr}" for name, attr in (("lim", "limit"), ("g", "globals")) if name in w.uses]
     return ["    " * indent + head, *("    " * (indent + 1) + line for line in prologue), *w.lines]
 

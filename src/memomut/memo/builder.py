@@ -80,18 +80,6 @@ class CountTotals:
         rows = self.per_method.values()
         return {kind: sum(counts[kind] for counts in rows) for kind in KINDS}
 
-    @property
-    def hits(self) -> int:
-        return self.count_totals()["hits"]
-
-    @property
-    def misses(self) -> int:
-        return self.count_totals()["misses"]
-
-    @property
-    def gated(self) -> int:
-        return self.count_totals()["gated"]
-
 
 class LookupHooks(Hooks, CountTotals):
     """Bypasses table-holding functions on cache hits.
@@ -258,8 +246,8 @@ def provisional_memoization(
     for test in sorted(covered):
         fns = covered[test]
         shared.tables = {fn: raw.tables[fn] for fn in fns}
-        misses = shared.misses
-        if not check(test, shared) or shared.misses != misses:
+        misses = shared.count_totals()["misses"]
+        if not check(test, shared) or shared.count_totals()["misses"] != misses:
             alone.update(fns)
             continue
         alone.update(fn for fn in fns if any(fn in closure[g] for g in fns if g != fn))

@@ -143,12 +143,6 @@ def _encode_into(v: Value, out: bytearray) -> None:
         raise TypeError(f"not a Mini value: {v!r}")
 
 
-def decode_value(buf: bytes, offset: int = 0) -> tuple[Value, int]:
-    """Decode one value; returns (value, next offset)."""
-    r = Reader(buf, offset)
-    return r.value(), r.offset
-
-
 def encode_key(args: list, global_items: list[tuple[str, Value]]) -> bytes:
     """Canonical memo-key bytes for (arguments, may-read global values).
 

@@ -1,15 +1,13 @@
-"""Mutant generation and on-the-fly application for Mini programs.
+"""Mutant generation, and the code a mutant runs, for Mini programs.
 
 Eight operators over the AST; exactly one mutant per applicable
 (operator, node, variant) opportunity in every non-test function.  Each
 operator is written once, in `_mutations`, as a rewrite: the node it
 replaces and the node that takes its place.  The pool prints both for
-its `before` and `after` text, `apply_mutant` splices the same rewrite
-into the program, and `mutant_schema` compiles all of a function's
-rewrites into one function that runs any of its mutants.  The shared
-Program stays immutable: applying a mutant copies only the nodes on the
-path from its function's body down to the mutated node, and shares every
-other node with the program.
+its `before` and `after` text, and `mutant_schema` compiles all of a
+function's rewrites into one function that runs any of its mutants.  No
+mutated AST is built: a mutant is its index in its function's schema,
+and `apply_mutant` binds that index into the program's code.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from .lang.ast import (
     walk,
 )
 from .lang.compiler import Code, compile_schema
+from .lang.interp import code_map
 from .lang.values import wrap64
 from .memo.encoding import program_fingerprint
 from .project import typed
@@ -169,22 +168,22 @@ def generate_mutants(program: Program) -> MutantPool:
     return MutantPool(mutants=mutants, fingerprint=program_fingerprint(program))
 
 
-def apply_mutant(program: Program, m: Mutant) -> Program:
-    """Program view with the single mutation applied; the input is untouched."""
+def apply_mutant(program: Program, m: Mutant) -> dict[str, Code]:
+    """The code mutant `m` runs: the program's code map with `m.fn` bound,
+    in its schema, to the mutant's index.  The program is untouched.
+
+    Raises StaleMutant where `m` names no function, node or rewrite of
+    `program`; node ids are dense and in preorder (`ast.number_nodes`)."""
     fn = program.functions.get(m.fn)
     if fn is None:
         raise StaleMutant(f"mutant {m.id}: function {m.fn!r} not in program")
-    path = _copy_path(fn, m.node_id)
-    if path is None:
+    if not 0 <= m.node_id <= fn.max_node_id:
         raise StaleMutant(f"mutant {m.id}: node {m.node_id} not in {m.fn!r}")
-    new_fn = _copy_node(fn)
-    new_fn.body = path[0]
-    _transform(new_fn, path, m)
-    return Program(
-        globals=program.globals,
-        functions={**program.functions, m.fn: new_fn},
-        tests=program.tests,
-    )
+    places, schema = mutant_schema(fn)
+    index = places.get((m.node_id, m.op, m.variant))
+    if index is None:
+        raise StaleMutant(f"mutant {m.id}: no {m.op.value} variant {m.variant} at node {m.node_id} of {m.fn!r}")
+    return {**code_map(program), m.fn: schema(index)}
 
 
 @per_node
@@ -192,7 +191,7 @@ def mutant_schema(fn: FunctionDef) -> tuple[dict[tuple, int], Callable[[int], Co
     """Every mutant of `fn`, compiled once: (places, code), where
     `places[(node_id, op, variant)]` is a mutant's index among `fn`'s, in
     pool order, and `code(index)` its function's code.  The alternatives
-    are the rewrites `apply_mutant` splices in."""
+    are the rewrites of `_mutations`, which the pool prints."""
     places: dict[tuple, int] = {}
     alternatives: dict[int, list] = {}
     for node in walk(fn.body):
@@ -200,91 +199,6 @@ def mutant_schema(fn: FunctionDef) -> tuple[dict[tuple, int], Callable[[int], Co
             alternatives.setdefault(id(old), []).append((len(places), new))
             places[node.node_id, op, variant] = len(places)
     return places, compile_schema(fn, alternatives)
-
-
-def _copy_path(fn: FunctionDef, node_id: int) -> Optional[list]:
-    """The nodes from `fn`'s body down to node `node_id`, outermost first,
-    or None if there is no such node.  Each node above the last is a copy,
-    linked into the copy of its parent; the last is the program's own."""
-    route = _routes(fn).get(node_id)
-    if route is None:
-        return None
-    node, path = fn.body, []
-    holder = key = None
-    for name, index in route:
-        new = _copy_node(node)
-        if path:
-            holder[key] = new
-        path.append(new)
-        holder, key = vars(new), name  # where the copy holds the next node down
-        if index is not None:
-            holder, key = holder[name], index
-        node = holder[key]
-    path.append(node)
-    return path
-
-
-@per_node
-def _routes(fn: FunctionDef) -> dict[int, tuple]:
-    """Node id -> the steps from `fn`'s body down to the node, each an
-    attribute name and, for a list of nodes, the index in it."""
-    routes = {}
-
-    def visit(node, route):
-        routes[node.node_id] = route
-        for name, value in vars(node).items():
-            if type(value) is list:  # of nodes: `stmts`, `args` or `items`
-                for i, item in enumerate(value):
-                    visit(item, route + ((name, i),))
-            elif isinstance(value, Node):
-                visit(value, route + ((name, None),))
-
-    visit(fn.body, ())
-    return routes
-
-
-def _copy_node(node):
-    """A shallow copy of `node` with lists of its own (`stmts`, `args`, `items`)."""
-    new = object.__new__(type(node))
-    fields = new.__dict__ = node.__dict__.copy()
-    for name, value in fields.items():
-        if type(value) is list:
-            fields[name] = value[:]
-    return new
-
-
-def _transform(fn: FunctionDef, path: list, m: Mutant) -> None:
-    """Splice mutant `m`'s rewrite into `path`, the nodes from `fn`'s body
-    down to the mutated node, all but the last of them copies."""
-    node = path[-1]
-    for op, variant, old, new in _mutations(node, fn.max_node_id + 1):
-        if op is m.op and variant == m.variant:
-            if old is node:
-                parent = path[-2]
-            else:  # the rewrite lies below the node, so the node is copied too
-                parent = _copy_node(node)
-                _replace(path[-2], node, parent)
-            _replace(parent, old, new)
-            return
-    raise StaleMutant(f"mutant {m.id}: no {m.op.value} variant {m.variant} at node {m.node_id} of {m.fn!r}")
-
-
-def _replace(parent, old, new) -> None:
-    """Put `new` in the place of `old` among `parent`'s children; None
-    deletes `old` from its list."""
-    fields = vars(parent)
-    for name, value in fields.items():
-        if value is old:
-            fields[name] = new
-            return
-        if type(value) is list:
-            for i, item in enumerate(value):
-                if item is old:
-                    if new is None:
-                        del value[i]
-                    else:
-                        value[i] = new
-                    return
 
 
 # -- JSON -------------------------------------------------------------------

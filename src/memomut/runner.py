@@ -8,10 +8,11 @@ mutated function, always executes its body.  Every mutant's run of a
 test, in any process, draws the test's own `rand` stream and clock,
 the ones its profiled run drew.
 
-No mutant is compiled on its own.  Each mutated function's schema
-(`mutation.mutant_schema`) holds all of its mutants behind a switch on
-the mutant's index, and is compiled once per process, before the run
-forks its workers; a mutant's code is the program's code with that
+No mutant is compiled on its own, nor built as an AST.  Each mutated
+function's schema (`mutation.mutant_schema`) holds all of its mutants
+behind a switch on the mutant's index, and is compiled once per process,
+before the run forks its workers; a mutant's code, which
+`mutation.apply_mutant` returns, is the program's code with that
 function bound to the mutant's index.
 
 The memo run also shares work among the mutants that run one test.  A
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import NoReturn, Optional, Sequence
 
 from .lang.ast import Program
-from .lang.interp import Hooks, Prefix, Runtime, code_map, prefixes, run_test
+from .lang.interp import Hooks, Prefix, Runtime, prefixes, run_test
 from .memo.builder import KINDS, CountTotals, LookupHooks
 from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
@@ -255,14 +256,12 @@ def _run_single_mutant(
 
     A test with a prefix in `starts` resumes from it: the prefix's steps
     count as the run's own, and as `resumed_steps` too.  The base run has
-    no prefixes."""
+    no prefixes.  The mutant's code comes from `apply_mutant`, looked up
+    here at call time, so a wrapper installed on this module sees every
+    mutant that runs."""
     if not tests:
         return MutantResult(mutant_id=mutant.id, status="not_covered")
-    mutated = apply_mutant(program, mutant)
-    # The program's code with the one function swapped for the mutant's,
-    # bound from the function's schema.
-    places, schema = mutant_schema(program.functions[mutant.fn])
-    code = {**code_map(program), mutant.fn: schema(places[mutant.node_id, mutant.op, mutant.variant])}
+    code = apply_mutant(program, mutant)
     result = MutantResult(mutant_id=mutant.id, status="survived")
     hooks = None if tables is None else LookupHooks(tables, blocked=blocked)
     t0 = time.perf_counter_ns()
@@ -271,7 +270,7 @@ def _run_single_mutant(
         if start is not None:
             result.resumed_steps += start.steps
         outcome, _ = run_test(
-            mutated,
+            program,
             test,
             hooks,
             step_limit=profile.step_budget(test),

@@ -2,7 +2,9 @@
 
 Deliberately written with different algorithms and data structures than
 the package code: per-node BFS instead of the set-propagation fixpoint,
-a pattern-matching mutant enumerator instead of the generator, an
+a pattern-matching mutant enumerator instead of the generator, each
+mutant built as an AST, its function deep-copied with the rewrite
+spliced in, instead of bound from its function's mutant schema, an
 exhaustive run-everything mutant runner instead of the covering-tests
 engine, a memo run that starts every test of every mutant afresh instead
 of resuming from shared prefixes, a probe per (mutated function, test)
@@ -21,6 +23,7 @@ function alone rather than a test.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 from memomut.lang import ast as A
@@ -31,7 +34,7 @@ from memomut.lang.values import UNIT
 from memomut.memo.builder import KINDS, LookupHooks, RecordHooks
 from memomut.memo.db import Exclusion, MemoDB, MemoTable
 from memomut.memo.encoding import program_fingerprint
-from memomut.mutation import MutantPool, apply_mutant
+from memomut.mutation import MutantPool, _mutations
 from memomut.profiler import Candidate, ExpensivenessCriterion, Profile
 
 
@@ -118,13 +121,44 @@ def enumerate_mutants(program) -> set[tuple[str, int, str, int]]:
     return found
 
 
+def mutated_program(program, m):
+    """The program with mutant `m` built as an AST, the slow way: deep-copy
+    its whole function, find the node by searching every node, and splice
+    in the rewrite `_mutations` gives for `m`'s operator and variant."""
+    fn = copy.deepcopy(program.functions[m.fn])
+    path = []
+
+    def search(node):
+        path.append(node)
+        if node.node_id == m.node_id or any(search(c) for c in A.children(node)):
+            return True
+        path.pop()
+        return False
+
+    assert search(fn.body), m
+    node = path[-1]
+    [(old, new)] = [(old, new) for op, variant, old, new in _mutations(node, fn.max_node_id + 1)
+                    if op is m.op and variant == m.variant]
+    parent = path[-2] if old is node else node  # UOI_NEG rewrites the node's condition
+    fields = vars(parent)
+    for name, value in fields.items():
+        if value is old:
+            fields[name] = new
+        elif type(value) is list:
+            for i, item in enumerate(value):
+                if item is old:
+                    value[i:i + 1] = [] if new is None else [new]  # None deletes a statement
+                    break
+    return A.Program(globals=program.globals, functions={**program.functions, m.fn: fn}, tests=program.tests)
+
+
 def exhaustive_killed(
     program, pool: MutantPool, profile: Profile, runtime: Runtime, factor: int = 10
 ) -> set[int]:
     """Killed-set running every test against every mutant, no shortcuts."""
     killed: set[int] = set()
     for m in pool.mutants:
-        mutated = apply_mutant(program, m)
+        mutated = mutated_program(program, m)
         for test in sorted(program.tests):
             limit = profile.tests[test].steps * factor + 1000
             outcome, _ = run_test(
@@ -155,7 +189,7 @@ def memo_run_unshared(program, pool: MutantPool, profile: Profile, closure, db, 
         if tables is not None:
             blocked = frozenset(fn for fn in tables if fn == m.fn or m.fn in closure.get(fn, ()))
             hooks = LookupHooks(tables, blocked=blocked)
-        mutated = apply_mutant(program, m)
+        mutated = mutated_program(program, m)
         status, killing_test, cause, tests_run, steps = "survived", None, None, 0, 0
         for test in tests:
             outcome, _ = run_test(
@@ -411,10 +445,11 @@ def call(state: ExecState, fn: str, args: list):
         return STEP_LIMIT_VERDICT, UNIT
 
 
-def run_function(program, fn: str, args: list, rng=None, clock=None):
-    """(value, state) of calling `fn` from a fresh state, with no hooks; a
-    call that does not return raises MiniExecutionError."""
-    state = ExecState(program, None, DEFAULT_STEP_LIMIT, rng, clock)
+def run_function(program, fn: str, args: list, rng=None, clock=None, code=None):
+    """(value, state) of calling `fn` from a fresh state, with no hooks, on
+    `code` if given, else the program's code; a call that does not return
+    raises MiniExecutionError."""
+    state = ExecState(program, None, DEFAULT_STEP_LIMIT, rng, clock, code)
     verdict, ret = call(state, fn, args)
     if not verdict.passed:
         raise MiniExecutionError(verdict)

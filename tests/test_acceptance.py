@@ -7,14 +7,13 @@ lines; every criterion also asserts, so the suite fails loudly.
 import copy
 import random
 import statistics
-import struct
 
 from memomut.lang.interp import ExecState, Hooks, Runtime, run_test
 from memomut.lang.parser import parse
 from memomut.lang.values import deep_copy, deep_equal
 from memomut.memo.builder import LookupHooks, provisional_memoization
 from memomut.memo.db import CorruptDB, SchemaVersionMismatch, db_from_bytes, db_to_bytes
-from memomut.memo.encoding import decode_value
+from memomut.memo.encoding import Reader
 from memomut.analysis import CallGraph, dependency_closure
 from memomut.profiler import cost_breakdown, profile_suite
 from memomut.runner import RunConfig, run_mutation_analysis
@@ -154,7 +153,7 @@ def test_criterion_05_cache_miss_exclusion():
                     rng=p.runtime.rng_for(test),
                     clock=p.runtime.clock_for(test),
                 )
-            if hooks.misses:
+            if hooks.count_totals()["misses"]:
                 ok = False
             checked += 1
     _report(5, "cache-miss exclusion", ok, f"{checked} retained tables at 0 misses")
@@ -308,23 +307,12 @@ def test_criterion_08_oracle_equivalences():
 
 
 def _decode_key(key):
-    offset = 0
-    (argc,) = struct.unpack_from(">I", key, offset)
-    offset += 4
-    args = []
-    for _ in range(argc):
-        v, offset = decode_value(key, offset)
-        args.append(v)
-    (gc,) = struct.unpack_from(">I", key, offset)
-    offset += 4
+    r = Reader(key)
+    args = [r.value() for _ in range(r.u32())]
     globals_ = {}
-    for _ in range(gc):
-        (n,) = struct.unpack_from(">I", key, offset)
-        offset += 4
-        name = key[offset : offset + n].decode("utf-8")
-        offset += n
-        v, offset = decode_value(key, offset)
-        globals_[name] = v
+    for _ in range(r.u32()):
+        name = r.string()
+        globals_[name] = r.value()
     return args, globals_
 
 

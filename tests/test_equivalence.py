@@ -1,10 +1,12 @@
 """Step-exact equivalence of the evaluator with recorded reference runs.
 
 Every corpus program, and `edges.mini` beside this file, runs every test
-against the unmutated program and against every mutant, with no hooks.  Each run contributes its verdict
-(kind, node, error), its step count, its printed output and its final
-globals to a per-program digest; a hook that logs every call entry and
-exit with the step count adds the unmutated runs' event order.  The
+against the unmutated program and against every mutant, with no hooks;
+a mutant runs the code `apply_mutant` binds from its function's schema.
+Each run contributes its verdict (kind, node, error), its step count,
+its printed output and its final globals to a per-program digest; a hook
+that logs every call entry and exit with the step count adds the
+unmutated runs' event order.  The
 expected values were recorded with the reference tree-walking evaluator
 that the closure compiler replaced, so any change in step charging, error
 order or hook order shows up here.
@@ -71,11 +73,12 @@ def sweep(program) -> tuple[int, str]:
     pool = generate_mutants(program)
     for mutant in [None] + pool.mutants:
         mid = -1 if mutant is None else mutant.id
-        mutated = program if mutant is None else apply_mutant(program, mutant)
+        code = None if mutant is None else apply_mutant(program, mutant)
         for test in program.tests:
             outcome, state = run_test(
-                mutated, test,
+                program, test,
                 step_limit=limits[test],
+                code=code,
                 rng=runtime.rng_for(f"sweep:{mid}:{test}"),
                 clock=runtime.clock_for(f"sweep:{mid}:{test}"),
             )

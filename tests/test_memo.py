@@ -32,8 +32,8 @@ from memomut.memo.db import (
 )
 from memomut.memo.encoding import (
     DecodeError,
+    Reader,
     checksum64,
-    decode_value,
     encode_key,
     encode_value,
     program_fingerprint,
@@ -66,13 +66,13 @@ def test_checksum64_vectors():
 
 def test_decode_rejects_garbage():
     with pytest.raises(DecodeError):
-        decode_value(b"\x07")
+        Reader(b"\x07").value()
     with pytest.raises(DecodeError):
-        decode_value(b"\x01\x00")  # truncated int
+        Reader(b"\x01\x00").value()  # truncated int
     with pytest.raises(DecodeError):
-        decode_value(b"\x02\x05")  # bool byte out of range
+        Reader(b"\x02\x05").value()  # bool byte out of range
     with pytest.raises(DecodeError):
-        decode_value(b"")
+        Reader(b"").value()
 
 
 _values = st.recursive(
@@ -89,8 +89,9 @@ _values = st.recursive(
 @given(_values)
 def test_encode_decode_round_trip(v):
     data = encode_value(v)
-    back, end = decode_value(data)
-    assert end == len(data)
+    r = Reader(data)
+    back = r.value()
+    assert r.offset == len(data)
     assert deep_equal(back, v) or back is v is UNIT
 
 
@@ -478,7 +479,8 @@ def test_lookup_hit_restores_state():
         clock=rt.clock_for(f"check:{test_name}"),
     )
     assert outcome.verdict.passed
-    assert hooks.hits == 2 and hooks.misses == 0
+    totals = hooks.count_totals()
+    assert totals["hits"] == 2 and totals["misses"] == 0
     assert state.globals["G"] == 5
     # Fewer steps than an unhooked run: both bodies were skipped.
     plain, _ = run_test(program, test_name)
@@ -490,8 +492,9 @@ def test_lookup_gated_runs_normally():
     hooks = LookupHooks(final.tables, blocked=frozenset({"fib"}))
     outcome, _ = run_test(program, "test_fib", hooks)
     assert outcome.verdict.passed
-    assert hooks.hits == 0 and hooks.misses == 0
-    assert hooks.gated > 0
+    totals = hooks.count_totals()
+    assert totals["hits"] == 0 and totals["misses"] == 0
+    assert totals["gated"] > 0
 
 
 # -- persistence ------------------------------------------------------------

@@ -1,24 +1,23 @@
 """Mutant generation and application."""
 
-import copy
 from pathlib import Path
 
 import pytest
 
-from memomut.lang.ast import Program, children, print_program, walk
+from memomut.lang.ast import print_program
+from memomut.lang.interp import code_map
 from memomut.lang.parser import parse
 from memomut.mutation import (
     Mutant,
     Operator,
     StaleMutant,
-    _transform,
     apply_mutant,
     generate_mutants,
     pool_from_json,
     pool_to_json,
 )
 
-from oracles import enumerate_mutants, run_function
+from oracles import enumerate_mutants, mutated_program, run_function
 
 
 def keyset(pool):
@@ -75,40 +74,24 @@ def test_uniqueness_invariant(corpus_pipelines):
         assert len(keys) == len(set(keys))
 
 
-def _reference_apply(program, m):
-    """A mutant built the slow way: deep-copy the whole function, then find
-    the path to the node by searching every node."""
-    fn = copy.deepcopy(program.functions[m.fn])
-    path = []
-
-    def search(node):
-        path.append(node)
-        if node.node_id == m.node_id or any(search(c) for c in children(node)):
-            return True
-        path.pop()
-        return False
-
-    assert search(fn.body)
-    _transform(fn, path, m)
-    return Program(globals=program.globals, functions={**program.functions, m.fn: fn}, tests=program.tests)
-
-
 def test_apply_leaves_original_untouched(corpus_pipelines):
+    # A mutant's code is the program's, bar its own function's; the
+    # program and its code map stay as they were.
     for name, pipe in corpus_pipelines.items():
         p = pipe.program
-        baseline = print_program(p)
+        baseline, clean = print_program(p), dict(code_map(p))
         for m in pipe.pool.mutants:
-            mutated = apply_mutant(p, m)
+            code = apply_mutant(p, m)
             assert print_program(p) == baseline, f"{name}#{m.id}"
-            text = print_program(mutated)
-            assert text != baseline, f"{name}#{m.id}"
-            assert text == print_program(_reference_apply(p, m)), f"{name}#{m.id}"
+            assert code_map(p) == clean, f"{name}#{m.id}"
+            assert {f for f in code if code[f] is not clean[f]} == {m.fn}, f"{name}#{m.id}"
+            assert print_program(mutated_program(p, m)) != baseline, f"{name}#{m.id}"
 
 
 def test_mutants_stay_parseable(corpus_pipelines):
     for name, pipe in corpus_pipelines.items():
         for m in pipe.pool.mutants:
-            text = print_program(apply_mutant(pipe.program, m))
+            text = print_program(mutated_program(pipe.program, m))
             parse(text)  # must not raise
 
 
@@ -133,13 +116,13 @@ def _spliced(line, before, after):
 
 
 def test_single_point_diff(corpus_pipelines):
-    # The pool's before/after text and the applied mutant come from one
-    # rewrite: the printed mutant differs from the printed program only
+    # The pool's before/after text and the mutant built as an AST come from
+    # one rewrite: the printed mutant differs from the printed program only
     # where `before` became `after`, or by the one deleted line for SVR.
     for name, program in _text_programs(corpus_pipelines):
         base_lines = print_program(program).splitlines()
         for m in generate_mutants(program).mutants:
-            mut_lines = print_program(apply_mutant(program, m)).splitlines()
+            mut_lines = print_program(mutated_program(program, m)).splitlines()
             where = f"{name}#{m.id} {m.op.value}"
             if m.op is Operator.SVR:
                 assert m.after == "", where
@@ -160,19 +143,21 @@ def test_ror_variants_semantics():
     assert [m.variant for m in rors] == [0, 1]
     boundary = apply_mutant(p, rors[0])
     negation = apply_mutant(p, rors[1])
-    assert run_function(boundary, "f", [2])[0] is True  # < became <=
-    assert run_function(negation, "f", [2])[0] is True  # < became >=
-    assert run_function(negation, "f", [0])[0] is False
+    assert run_function(p, "f", [2], code=boundary)[0] is True  # < became <=
+    assert run_function(p, "f", [2], code=negation)[0] is True  # < became >=
+    assert run_function(p, "f", [0], code=negation)[0] is False
 
 
 def test_each_mutant_runs_its_own_code():
-    # Code is compiled once per FunctionDef and cached beside the AST: a
-    # mutant's deep copy must not inherit its parent's code, and a dropped
-    # mutant's code must not outlive it.
+    # A mutant's code is bound from its function's schema, and the code of
+    # its AST compiled from scratch agrees; neither leaks into the
+    # program's own code, which is compiled once per FunctionDef.
     p = parse("fn f(x){ return x + 1; } fn test_a(){ f(1); }")
     assert run_function(p, "f", [3])[0] == 4
-    got = {m.op: run_function(apply_mutant(p, m), "f", [3])[0] for m in generate_mutants(p).mutants}
+    mutants = generate_mutants(p).mutants
+    got = {m.op: run_function(p, "f", [3], code=apply_mutant(p, m))[0] for m in mutants}
     assert got == {Operator.AOR: 2, Operator.CRP: 5, Operator.RVM: 0}
+    assert got == {m.op: run_function(mutated_program(p, m), "f", [3])[0] for m in mutants}
     assert run_function(p, "f", [3])[0] == 4
 
 
@@ -180,20 +165,20 @@ def test_crp_wraps_at_int_max():
     big = (1 << 63) - 1
     p = parse(f"fn f(){{ return {big}; }} fn test_a(){{ f(); }}")
     m = next(m for m in generate_mutants(p).mutants if m.op is Operator.CRP)
-    assert run_function(apply_mutant(p, m), "f", [])[0] == -(1 << 63)
+    assert run_function(p, "f", [], code=apply_mutant(p, m))[0] == -(1 << 63)
 
 
 def test_svr_deletes_assignment():
     p = parse("fn f(){ let a = 1; a = 5; return a; } fn test_a(){ f(); }")
     m = next(m for m in generate_mutants(p).mutants if m.op is Operator.SVR)
-    assert run_function(apply_mutant(p, m), "f", [])[0] == 1
+    assert run_function(p, "f", [], code=apply_mutant(p, m))[0] == 1
     assert m.after == ""
 
 
 def test_aod_strips_unary_minus():
     p = parse("fn f(x){ return -x; } fn test_a(){ f(3); }")
     m = next(m for m in generate_mutants(p).mutants if m.op is Operator.AOD)
-    assert run_function(apply_mutant(p, m), "f", [3])[0] == 3
+    assert run_function(p, "f", [3], code=apply_mutant(p, m))[0] == 3
 
 
 def test_rvm_uses_type_default():
@@ -216,13 +201,15 @@ def test_rvm_uses_type_default():
 def test_stale_mutant_detection(sample_pipeline):
     other = parse("fn g(){ return 1; } fn test_a(){ g(); }")
     m = sample_pipeline.pool.mutants[0]
-    with pytest.raises(StaleMutant):
+    with pytest.raises(StaleMutant, match=f"function {m.fn!r} not in program"):
         apply_mutant(other, m)
-    bad_node = Mutant(id=0, op=m.op, fn=m.fn, node_id=99999, variant=0, before="", after="")
-    with pytest.raises(StaleMutant):
-        apply_mutant(sample_pipeline.program, bad_node)
+    top = sample_pipeline.program.functions[m.fn].max_node_id
+    for node_id in (-1, top + 1, 99999):
+        bad_node = Mutant(id=0, op=m.op, fn=m.fn, node_id=node_id, variant=0, before="", after="")
+        with pytest.raises(StaleMutant, match=f"node {node_id} not in"):
+            apply_mutant(sample_pipeline.program, bad_node)
     wrong_op = Mutant(id=0, op=Operator.LCR, fn=m.fn, node_id=m.node_id, variant=0, before="", after="")
-    with pytest.raises(StaleMutant):
+    with pytest.raises(StaleMutant, match="no LCR variant 0 at node"):
         apply_mutant(sample_pipeline.program, wrong_op)
 
 

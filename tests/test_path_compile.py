@@ -1,14 +1,15 @@
 """A mutant's code from its function's schema runs as the mutant's
 function compiled from scratch.
 
-The runner compiles no mutant on its own: it binds the mutant's index in
-the schema of the program's function (`mutation.mutant_schema`), which
-holds every mutant of that function behind a switch.  For every mutant
-of the corpus programs, `edges.mini`, `limits.mini` and the benchmark
-workloads at seeds 0 and 5, each test that covers the mutated function
-runs once with the schema's code and once with the mutant's function
-compiled from scratch (`compile_function(apply_mutant(...).functions[fn])`);
-the verdict, error node, steps, output and final globals must agree.
+No mutant is compiled on its own: `mutation.apply_mutant` binds the
+mutant's index in the schema of the program's function
+(`mutation.mutant_schema`), which holds every mutant of that function
+behind a switch.  For every mutant of the corpus programs, `edges.mini`,
+`limits.mini` and the benchmark workloads at seeds 0 and 5, each test
+that covers the mutated function runs once with that code and once with
+the mutant's function built as an AST and compiled from scratch
+(`compile_function(oracles.mutated_program(...).functions[fn])`); the
+verdict, error node, steps, output and final globals must agree.
 For every mutant of `limits.mini` and `edges.mini`, the two also run at
 every step limit from 1 to the full count + 1, under a hook that logs
 every call entry and exit with the step count, and must agree there too.
@@ -44,6 +45,7 @@ from memomut.profiler import profile_suite
 from memomut.project import load_project
 from memomut.runner import RunConfig, run_mutation_analysis
 
+from oracles import mutated_program
 from test_equivalence import EDGES, _EventLog
 from test_step_limits import LIMITS
 
@@ -73,21 +75,18 @@ PROGRAMS = [
 
 
 def _mutant_runs(program):
-    """(mutated program, test, the schema's code, the scratch code) for
-    each mutant of `program` and each test that covers its function,
-    and the profile."""
+    """(mutant, test, the schema's code, the scratch code) for each mutant
+    of `program` and each test that covers its function, and the profile."""
     runtime = Runtime(seed=0, fake_time=True)
     profile = profile_suite(program, runtime=runtime)
     base = code_map(program)
     runs = []
     for m in generate_mutants(program).mutants:
-        mutated = apply_mutant(program, m)
-        places, schema = mutant_schema(program.functions[m.fn])
-        from_schema = {**base, m.fn: schema(places[m.node_id, m.op, m.variant])}
-        scratch = {**base, m.fn: compile_function(mutated.functions[m.fn])}
+        from_schema = apply_mutant(program, m)
+        scratch = {**base, m.fn: compile_function(mutated_program(program, m).functions[m.fn])}
         for test, record in profile.tests.items():
             if m.fn in record.covered:
-                runs.append((m, mutated, test, from_schema, scratch))
+                runs.append((m, test, from_schema, scratch))
     return runs, profile, runtime
 
 
@@ -104,10 +103,10 @@ def _run(program, test, limit, runtime, code, hooks=None):
 def test_path_compiled_mutants_run_as_compiled_from_scratch(load):
     program = load()
     runs, profile, runtime = _mutant_runs(program)
-    for m, mutated, test, from_schema, scratch in runs:
+    for m, test, from_schema, scratch in runs:
         budget = profile.step_budget(test)
-        got = _run(mutated, test, budget, runtime, from_schema)
-        assert got == _run(mutated, test, budget, runtime, scratch), (m, test)
+        got = _run(program, test, budget, runtime, from_schema)
+        assert got == _run(program, test, budget, runtime, scratch), (m, test)
     assert runs
 
 
@@ -115,12 +114,12 @@ def test_path_compiled_mutants_run_as_compiled_from_scratch(load):
 def test_schema_cuts_every_step_limit_as_compiled_from_scratch(path):
     program = load_project(path)
     runs, profile, runtime = _mutant_runs(program)
-    for m, mutated, test, from_schema, scratch in runs:
-        full = _run(mutated, test, profile.step_budget(test), runtime, scratch)[3]
+    for m, test, from_schema, scratch in runs:
+        full = _run(program, test, profile.step_budget(test), runtime, scratch)[3]
         for limit in range(1, full + 2):
             logs = _EventLog(), _EventLog()
-            got = _run(mutated, test, limit, runtime, from_schema, logs[0]) + (logs[0].events,)
-            want = _run(mutated, test, limit, runtime, scratch, logs[1]) + (logs[1].events,)
+            got = _run(program, test, limit, runtime, from_schema, logs[0]) + (logs[0].events,)
+            want = _run(program, test, limit, runtime, scratch, logs[1]) + (logs[1].events,)
             assert got == want, (m, test, limit)
     assert runs
 

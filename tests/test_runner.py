@@ -212,8 +212,9 @@ def test_gated_not_counted_as_miss():
     ]
     assert fib_results
     for r in fib_results:
-        assert r.gated > 0 or r.status == "not_covered"
-        assert r.misses == 0
+        totals = r.count_totals()
+        assert totals["gated"] > 0 or r.status == "not_covered"
+        assert totals["misses"] == 0
 
 
 # -- scoring and validation -------------------------------------------------
