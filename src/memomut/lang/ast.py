@@ -149,7 +149,8 @@ class Program:
     tests: list[str]
 
 
-BUILTINS = ("len", "print", "push", "rand", "time_now")
+# Each builtin by name, and the type of its result.
+BUILTINS = {"len": "int", "print": "unit", "push": "unit", "rand": "int", "time_now": "int"}
 
 _T = TypeVar("_T")
 

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .ast import (ArrayLit, Assert, Assign, Binary, Block, BoolLit, Call, ExprStmt, FnRefLit, FunctionDef, If,
-                  Index, IntLit, Let, Name, Return, Stmt, StrLit, Unary, While, per_node, walk)
+from .ast import (BUILTINS, ArrayLit, Assert, Assign, Binary, Block, BoolLit, Call, ExprStmt, FnRefLit, FunctionDef,
+                  If, Index, IntLit, Let, Name, Return, Stmt, StrLit, Unary, While, per_node, walk)
 from .values import INT_MAX, INT_MIN, UNIT, FnRef, contains_array, deep_equal, wrap64
 
 
@@ -70,7 +70,8 @@ class Code:
     its body, run in turn as `stmt(state, frame)` over a list of the
     call's slots, loading those it uses on entry and storing them back
     where it falls off: each returns None to go on, else the returned
-    value."""
+    value.  A test run steps through them in `interp`, from any of them;
+    `body` runs them when Mini code calls the test."""
 
     __slots__ = ("arity", "nslots", "body", "stmts")
 
@@ -137,7 +138,6 @@ _NAMESPACE = {"U": UNIT, **{f.__name__: f for f in (wrap64, deep_equal, contains
 _LITERALS = {IntLit: "int", BoolLit: "bool", StrLit: "str"}
 _SCALARS = ("int", "bool", "str")
 _TESTS = ("<", "<=", ">", ">=", "==", "!=")
-_BUILTINS = {"len": "int", "rand": "int", "time_now": "int", "print": "unit", "push": "unit"}
 _WRAP = f"if not {INT_MIN} <= {{t}} <= {INT_MAX}: {{t}} = wrap64({{t}})"
 
 
@@ -497,7 +497,7 @@ class _Writer:
 
     def _call(self, e: Call) -> tuple[str, Optional[str]]:
         args, nid = [self.expr(a)[0] for a in e.args], e.node_id
-        argv, ty = f"[{', '.join(args)}]", _BUILTINS.get(e.name) if e.is_builtin else None
+        argv, ty = f"[{', '.join(args)}]", BUILTINS.get(e.name) if e.is_builtin else None
         if e.is_builtin and e.name == "len" and len(args) == 1:
             # Inline: the count goes on as through any pure operation.
             a = self.name(args[0], None)
@@ -565,7 +565,8 @@ def compile_schema(fn: FunctionDef, alternatives: dict) -> Callable[[int], Code]
 
 def compile_test(fn: FunctionDef) -> Code:
     """The code of test `fn`: its statements, each compiled on its own,
-    run in turn by `body` after the body block's own step."""
+    run in turn by `body`, for Mini code that calls the test, after the
+    body block's own step."""
     w, lines = _Writer({}), []
     for i, s in enumerate(fn.body.stmts):
         lines += _function(w, f"def s{i}(st, fr):", s, 0, stmt=True)

@@ -6,9 +6,10 @@ counter doubles as the deterministic timeout mechanism.  Instrumentation
 hooks observe function entry and exit, and may answer an entry event
 with a Substitute to skip the function body entirely; a run's `rand`
 draws and clock readings go to the sources its caller hands it.  Every
-execution runs on a fresh ExecState, which a test run may start from a
-`Prefix`, a copy of the state part way through the test's body, instead
-of from the start.
+execution runs on a fresh ExecState.  One loop, `_execute`, runs the
+body of every test run, from the start or from a `Prefix`, a copy of the
+state part way through the test's body, and can hand the caller such a
+copy before each statement where it can tell a prefix to end.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .ast import Call, Program, per_node, walk
 from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled, compiled_test
@@ -63,7 +64,8 @@ class TestOutcome:
 class Prefix:
     """A test's state just before the top-level statement `index` of its
     body, inside the test's own call (depth 1): the globals, the test's
-    frame, the output and the steps so far."""
+    frame, the output and the steps so far: what `run_test` hands `keep`
+    and resumes from as `start`."""
 
     index: int
     globals: dict[str, Value]
@@ -96,8 +98,8 @@ class ExecState:
     before any timer in the caller starts.  Compiled code makes every
     call but that of `len` through `invoke` or `call_builtin`, with
     `steps` up to date.
-    A state made with a `start` takes over its globals, output and steps,
-    at depth 1, in place of the program's initial state.
+    A test run resumed from a `Prefix` takes over the prefix's globals,
+    output and steps when its body starts.
     """
 
     __slots__ = ("globals", "output", "steps", "limit", "depth", "code", "hooks", "rng", "clock")
@@ -110,15 +112,10 @@ class ExecState:
         rng: Optional[LazyRandom] = None,
         clock: Optional[Callable[[], int]] = None,
         code: Optional[dict[str, Code]] = None,
-        start: Optional[Prefix] = None,
     ):
-        if start is None:
-            self.globals = dict(program.globals)
-            self.output: list[str] = []
-            self.steps = 0
-            self.depth = 0
-        else:
-            self.globals, self.output, self.steps, self.depth = start.globals, start.output, start.steps, 1
+        self.globals = dict(program.globals)
+        self.output: list[str] = []
+        self.steps = self.depth = 0
         self.limit = limit
         self.code = code_map(program) if code is None else code
         self.hooks = hooks
@@ -267,28 +264,42 @@ class Runtime:
         return FakeClock(f"{self.seed}/clock/{test}")
 
 
-def _resume(state: ExecState, test: str, start: Prefix) -> Value:
-    """The rest of `test`'s body from `start`, ended as `invoke` ends a call."""
-    frame = start.frame
-    for stmt in state.code[test].stmts[start.index:]:
-        ret = stmt(state, frame)
-        if ret is not None:
-            break
-    else:
-        ret = UNIT
-    state.depth -= 1
-    if state.hooks is not None:
-        state.hooks.on_call_exit(test, ret, state)
-    return ret
+@per_node
+def _prefix_ends(fn) -> tuple[bool, ...]:
+    """For each top-level statement of test `fn`'s body, whether a prefix
+    can end before it: it is not the first, and it can call a declared
+    function, directly or through a reference, or `rand` or `time_now`."""
+    return tuple(
+        i > 0 and any(type(n) is Call and (not n.is_builtin or n.name in ("rand", "time_now")) for n in walk(stmt))
+        for i, stmt in enumerate(fn.body.stmts)
+    )
 
 
-def _execute(state: ExecState, test: str, start: Optional[Prefix]) -> Verdict:
-    """Call `test`, or resume it from `start`; failures become the verdict."""
+def _execute(state: ExecState, test: str, start: Optional[Prefix], keep, ends) -> Verdict:
+    """Run `test`'s body as `invoke` runs a call, from its start or from
+    `start`, handing `keep` the prefix before each statement `ends` marks;
+    failures become the verdict.  A run from the start is one from the
+    prefix before its first statement."""
+    code, hooks = state.code[test], state.hooks
     try:
         if start is None:
-            state.invoke(test, [], -1)
+            if hooks is not None:
+                hooks.on_call_enter(test, [], state)  # never answered: no test holds a table
+            start = Prefix(0, state.globals, [None] * code.nslots, state.output, 1)  # 1: the body block's step
+        state.globals, state.output, state.steps, state.depth = start.globals, start.output, start.steps, 1
+        if state.steps >= state.limit:  # only from the start, at a limit of 1
+            raise StepLimit()
+        for i, stmt in enumerate(code.stmts[start.index:], start.index):
+            if keep is not None and ends[i]:
+                keep(Prefix(i, state.globals, start.frame, state.output, state.steps).copy())
+            ret = stmt(state, start.frame)
+            if ret is not None:
+                break
         else:
-            _resume(state, test, start)
+            ret = UNIT
+        state.depth -= 1
+        if hooks is not None:
+            hooks.on_call_exit(test, ret, state)
         return PASS
     except AssertFail as a:
         return Verdict("assert_fail", node_id=a.node_id)
@@ -307,6 +318,7 @@ def run_test(
     clock: Optional[Callable[[], int]] = None,
     code: Optional[dict[str, Code]] = None,
     start: Optional[Prefix] = None,
+    keep: Optional[Callable[[Prefix], None]] = None,
 ) -> tuple[TestOutcome, ExecState]:
     """Run one test on a fresh state; failures become the verdict.
     `code` stands in for `code_map(program)` where given.
@@ -314,64 +326,23 @@ def run_test(
     With a `start`, a prefix of this test that the caller knows this run
     would reach, the run skips the prefix: it begins from a copy of the
     prefix's state, at its statement, its steps count on from the
-    prefix's, and the hooks see only what follows.  The globals are not
-    copied from the program first, and `start` is left unchanged, so one
-    prefix can start any number of runs."""
+    prefix's, and the hooks see only what follows.  `start` is left
+    unchanged, so one prefix can start any number of runs.
+
+    With a `keep`, the run hands it a copy of its state before each
+    statement where the hooks can first see an entry, or `rng` or `clock`
+    a draw (`_prefix_ends`).  An exception that a hook, a source or
+    `keep` raises passes to the caller."""
     if test not in program.tests:
         raise ValueError(f"not a test: {test!r}")
     if step_limit <= 0:
         raise ValueError("step_limit must be positive")
     if start is not None:
         start = start.copy()
-    state = ExecState(program, hooks, step_limit, rng, clock, code, start)
+    ends = _prefix_ends(program.functions[test]) if keep is not None else None
+    state = ExecState(program, hooks, step_limit, rng, clock, code)
     t0 = time.perf_counter_ns()
-    verdict = _execute(state, test, start)
+    verdict = _execute(state, test, start, keep, ends)
     wall = time.perf_counter_ns() - t0
     outcome = TestOutcome(test=test, verdict=verdict, steps=state.steps, wall_ns=wall)
     return outcome, state
-
-
-def _may_end_prefix(stmt) -> bool:
-    """Whether `stmt` can call a declared function, directly or through a
-    reference, or call `rand` or `time_now`."""
-    return any(type(n) is Call and (not n.is_builtin or n.name in ("rand", "time_now")) for n in walk(stmt))
-
-
-def prefixes(
-    program: Program,
-    test: str,
-    hooks: Optional[Hooks],
-    step_limit: int,
-    rng: Optional[LazyRandom] = None,
-    clock: Optional[Callable[[], int]] = None,
-) -> Iterator[Prefix]:
-    """Run `test` one top-level statement of its body at a time, yielding
-    a copy of the state so far before each statement that can call a
-    declared function, directly or through a reference, or call `rand`
-    or `time_now`: the statements in which the hooks can first see an
-    entry, or `rng` or `clock` a draw.  There is no copy before the first
-    statement, whose state is the test's initial one.
-
-    The iteration ends where the test returns, fails or hits a limit; an
-    exception a hook or a source raises passes to the caller.
-    """
-    state = ExecState(program, hooks, step_limit, rng, clock)
-    code = state.code[test]
-    frame = [None] * code.nslots
-    ends = [_may_end_prefix(stmt) for stmt in program.functions[test].body.stmts]
-    try:
-        # The test's own entry, as `invoke` shows it to the hooks.
-        if hooks is not None and hooks.on_call_enter(test, [], state) is not None:
-            return
-        state.depth = 1
-        state.steps = 1  # the body block's own step
-        if step_limit <= 1:
-            return  # that step hits the limit
-        for index, stmt in enumerate(code.stmts):
-            if index and ends[index]:
-                yield Prefix(index, state.globals, frame, state.output, state.steps).copy()
-            if stmt(state, frame) is not None:
-                return
-    except (AssertFail, RuntimeErr, StepLimit):
-        return
-

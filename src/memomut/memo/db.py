@@ -230,7 +230,7 @@ def db_from_bytes(data: bytes, expected_fingerprint: Optional[int] = None) -> Me
     tau = r.u64()
     unit_offset = r.offset
     tau_unit_tag = r.u8()
-    limit_is_pct = r.u8() == 1
+    limit_tag = r.u8()
     limit_value = r.f64()
     table_count = r.u32()
     header_end = r.offset
@@ -242,12 +242,14 @@ def db_from_bytes(data: bytes, expected_fingerprint: Optional[int] = None) -> Me
         )
     if tau_unit_tag not in _TAG_TAU_UNITS:
         raise CorruptDB(unit_offset, "bad tau unit")
+    if limit_tag > 1:
+        raise CorruptDB(unit_offset + 1, "bad limit mode")
     db = MemoDB(
         fingerprint=fingerprint,
         tau=tau,
         tau_unit=_TAG_TAU_UNITS[tau_unit_tag],
         limit_value=limit_value,
-        limit_is_pct=limit_is_pct,
+        limit_is_pct=limit_tag == 1,
     )
     for _ in range(table_count):
         table = _read_table(_sealed(r, "table"))

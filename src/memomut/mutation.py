@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .lang.ast import (
+    BUILTINS,
     ArrayLit,
     Assign,
     Binary,
@@ -67,7 +68,6 @@ _SWAPS = {
     **{o: [(Operator.ROR, r) for r in (ROR_BOUNDARY.get(o), ROR_NEGATION[o]) if r] for o in ROR_NEGATION},
     **{o: [(Operator.LCR, r)] for o, r in LOGICAL.items()},
 }
-_INT_BUILTINS = ("len", "rand", "time_now")
 _ZERO = {IntLit: 0, BoolLit: False, StrLit: ""}
 
 
@@ -102,7 +102,7 @@ def _default_for(e) -> Optional[Node]:
         lit = t
     elif t is Unary or t is Binary:
         lit = IntLit if e.op in AOR_MAP else BoolLit
-    elif t is Call and e.callee is None and e.name in _INT_BUILTINS:
+    elif t is Call and e.is_builtin and BUILTINS.get(e.name) == "int":
         lit = IntLit
     else:
         return None

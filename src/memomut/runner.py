@@ -24,8 +24,9 @@ workers, the memo run probes each test once: it runs the test on the
 unmutated program without look-ups, and keeps, for each function whose
 mutants run the test, the state before the top-level statement of the
 test's body in which that function's run could first differ.  The
-probe sees entries through its hooks, and draws through the `rand`
-stream and clock it hands the run, which end the run at the first draw.
+probe is an ordinary test run that hands its hooks the prefixes where
+one can end, and sees entries and, as the run's `rand` stream and
+clock, draws, which end the run at the first draw.
 Every mutant of the function, in any process, then resumes the test
 from a copy of that state (split-stream execution, as in King and
 Offutt's Mothra).  A resumed run reports the steps, counts and verdict
@@ -47,7 +48,8 @@ from dataclasses import dataclass, field
 from typing import NoReturn, Optional, Sequence
 
 from .lang.ast import Program
-from .lang.interp import Hooks, Prefix, Runtime, prefixes, run_test
+from .lang import interp
+from .lang.interp import Hooks, Prefix, Runtime, run_test
 from .memo.builder import KINDS, CountTotals, LookupHooks
 from .memo.db import FingerprintMismatch, MemoDB
 from .memo.encoding import program_fingerprint
@@ -180,25 +182,27 @@ class _PrefixEnd(Exception):
 
 class _ProbeHooks(Hooks):
     """The probe of a test for the functions of `targets`.  A function's
-    prefix ends at the top-level statement `index` of the test's body
-    that first enters the function or any of `tables`, directly or
-    through a reference, or draws from `rand` or reads the clock; `shared`
-    then keeps for it the prefix `before` that statement, unless that is
-    the first.  The run ends once every function's prefix has ended.  The
-    object is also the run's `rand` stream and clock, so that it sees
-    every draw."""
+    prefix ends at the top-level statement of the test's body that first
+    enters the function or any of `tables`, directly or through a
+    reference, or draws from `rand` or reads the clock; `shared` then
+    keeps for it the last prefix the run handed `keep`, the one before
+    that statement, unless that is the first.  The run ends once every
+    function's prefix has ended.  The object is also the run's `rand`
+    stream and clock, so that it sees every draw."""
 
     def __init__(self, tables: frozenset[str], targets: list[str]):
         self.tables = tables
         self.open = set(targets)
         self.shared: dict[str, Prefix] = {}
-        self.index = 0
         self.before: Optional[Prefix] = None
+
+    def keep(self, prefix: Prefix) -> None:
+        self.before = prefix
 
     def _end(self, fns) -> None:
         for fn in fns:
             self.open.remove(fn)
-            if self.index > 0:
+            if self.before is not None:
                 self.shared[fn] = self.before
         if not self.open:
             raise _PrefixEnd()
@@ -231,11 +235,11 @@ def _probe(
     same code on the same state, draws nothing and looks nothing up; so
     it can start there.  There is no prefix if that is the first
     statement, or if the test returns, fails or hits a limit before it.
+    It calls `interp.run_test`: this module's is the mutants' runs alone.
     """
     hooks = _ProbeHooks(tables, targets)
     try:
-        for prefix in prefixes(program, test, hooks, limit, rng=hooks, clock=hooks):
-            hooks.index, hooks.before = prefix.index, prefix
+        interp.run_test(program, test, hooks, limit, rng=hooks, clock=hooks, keep=hooks.keep)
     except _PrefixEnd:
         pass
     return hooks.shared

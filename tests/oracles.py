@@ -29,7 +29,7 @@ from collections import deque
 from memomut.lang import ast as A
 from memomut.lang.compiler import AssertFail, RuntimeErr, StepLimit
 from memomut.lang.interp import (DEFAULT_STEP_LIMIT, PASS, STEP_LIMIT_VERDICT, ExecState, Hooks, Runtime, Verdict,
-                                 prefixes, run_test)
+                                 run_test)
 from memomut.lang.values import UNIT
 from memomut.memo.builder import KINDS, LookupHooks, RecordHooks
 from memomut.memo.db import Exclusion, MemoDB, MemoTable
@@ -83,7 +83,7 @@ def _static_type(e):
         return "int" if e.op == "-" else "bool"
     if type(e) is A.Binary:
         return "int" if e.op in _ARITH else "bool"
-    if type(e) is A.Call and e.callee is None and e.name in ("len", "rand", "time_now"):
+    if type(e) is A.Call and e.is_builtin and e.name in ("len", "rand", "time_now"):
         return "int"
     return None
 
@@ -245,14 +245,13 @@ def probe_per_function(program, fn: str, test: str, tables, limit: int):
     start there.  There is no prefix if that is the first statement, or
     if the test returns, fails or hits a limit before it.
     """
-    last = None
+    kept = []
     try:
         probe = _ProbeHooks(fn, set(tables or ()))
-        for last in prefixes(program, test, probe, limit, rng=probe, clock=probe):
-            pass
+        run_test(program, test, probe, limit, rng=probe, clock=probe, keep=kept.append)
     except _PrefixEnd:
-        if last is not None and last.index > 0:
-            return last
+        if kept and kept[-1].index > 0:
+            return kept[-1]
     return None
 
 

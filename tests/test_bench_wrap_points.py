@@ -10,7 +10,7 @@ through that module attribute, and what the wrapper sets on a result must
 come back with it.  The benchmark's interpreter throughput is a run's
 steps over its time inside `runner.run_test`, so every test a mutant
 runs, resumed from a shared prefix or not, must be one call of that
-module attribute.
+module attribute, and the memo run's probes must be none.
 """
 
 import importlib
@@ -84,11 +84,12 @@ def test_every_mutant_test_run_calls_run_test(monkeypatch, workers):
     interpreter's share of the run, in every process."""
     pipe = cached_pipeline("matrix", tau=1000, tau_unit="steps")
     assert pipe.db.tables
-    calls = [0]
+    calls = [0, 0]  # since the current mutant began, and in the whole run
     run_test, worker_run = runner.run_test, runner._worker_run
 
     def counted(*args, **kwargs):
         calls[0] += 1
+        calls[1] += 1
         return run_test(*args, **kwargs)
 
     def traced(index):
@@ -111,3 +112,6 @@ def test_every_mutant_test_run_calls_run_test(monkeypatch, workers):
     assert report.totals["resumed_steps"]
     assert sum(r.run_test_calls for r in report.results) == report.totals["tests_run"]
     assert all(r.run_test_calls == r.tests_run for r in report.results)
+    if workers == 1:
+        # The probes, made before any mutant runs, are not calls of it either.
+        assert calls[1] == report.totals["tests_run"]

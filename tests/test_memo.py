@@ -660,6 +660,22 @@ def test_tau_unit_round_trip_and_bad_unit_rejected():
         db_from_bytes(bytes(blob))
 
 
+def test_limit_mode_round_trip_and_bad_mode_rejected():
+    for is_pct in (False, True):
+        db = MemoDB(fingerprint=3, tau=1000, tau_unit="steps", limit_value=20, limit_is_pct=is_pct)
+        assert db_from_bytes(db_to_bytes(db)).limit_is_pct is is_pct
+    blob = bytearray(db_to_bytes(db))
+    # The limit-mode byte follows the unit byte; re-seal the header checksum
+    # so only the unknown mode is wrong.
+    mode_at, header_end = 4 + 2 + 8 + 8 + 1, 4 + 2 + 8 + 8 + 1 + 1 + 8 + 4
+    for mode in (2, 255):
+        blob[mode_at] = mode
+        blob[header_end : header_end + 8] = checksum64(bytes(blob[:header_end])).to_bytes(8, "big")
+        with pytest.raises(CorruptDB, match="bad limit mode") as err:
+            db_from_bytes(bytes(blob))
+        assert err.value.offset == mode_at
+
+
 def test_db_to_json_shape(sample_pipeline):
     doc = db_to_json(sample_pipeline.db)
     assert doc["schema_version"] == SCHEMA_VERSION

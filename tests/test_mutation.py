@@ -198,6 +198,15 @@ def test_rvm_uses_type_default():
         assert not any(m.op is Operator.RVM for m in generate_mutants(p).mutants)
 
 
+def test_declared_function_hides_builtin_type():
+    """A declared `len` is not the builtin: its call's type is not evident,
+    so `f`'s return has no RVM mutant, while `len`'s own return has one."""
+    p = parse("fn len(a) { return [a]; } fn f(x) { return len(x); } fn test_a(){ f(1); }")
+    rvm = {(m.fn, m.after) for m in generate_mutants(p).mutants if m.op is Operator.RVM}
+    assert rvm == {("len", "return [];")}
+    assert {(fn, op, variant) for fn, _, op, variant in enumerate_mutants(p) if op == "RVM"} == {("len", "RVM", 0)}
+
+
 def test_stale_mutant_detection(sample_pipeline):
     other = parse("fn g(){ return 1; } fn test_a(){ g(); }")
     m = sample_pipeline.pool.mutants[0]

@@ -11,6 +11,11 @@ time, ending at the first entry into that function or any memoized one,
 or at the first draw.  Every prefix of the memo run's one probe per test
 must equal it.
 
+A run handed `keep` hands it a prefix before each top-level statement of
+the test's body, but the first, that can call a declared function or
+draw, up to where the test stops; and each prefix resumes to the run
+from the start, also under a step limit the test reaches.
+
 The run probes each test its mutants run once, in the process that forks
 the workers, inside the time the memo report gives as its `wall_ns`.
 
@@ -32,7 +37,9 @@ import pytest
 
 from memomut import corpus_names, corpus_path, runner
 from memomut.analysis import analyze_program
-from memomut.lang.interp import Hooks, Runtime
+from memomut.lang import ast as A
+from memomut.lang.compiler import Code
+from memomut.lang.interp import Hooks, Runtime, code_map, run_test
 from memomut.lang.parser import parse
 from memomut.memo.builder import provisional_memoization, record_tables
 from memomut.mutation import generate_mutants
@@ -195,6 +202,76 @@ def test_probe_matches_per_function_probes():
                     assert got.get(fn) == want, (name, tau, fn, test)
 
 
+class _Draws:
+    """A `rand` stream and clock that count the run's draws."""
+
+    def __init__(self):
+        self.n = 0
+
+    def randrange(self, n):
+        self.n += 1
+        return 0
+
+    def __call__(self):
+        self.n += 1
+        return 0
+
+
+def _may_end(program, stmt):
+    """Whether `stmt` calls through a reference, calls a declared function,
+    or calls `rand` or `time_now`."""
+    return any(
+        type(n) is A.Call and (n.callee is not None or n.name in program.functions or n.name in ("rand", "time_now"))
+        for n in A.walk(stmt)
+    )
+
+
+def _started(program, test):
+    """`code_map(program)`, but that `test` logs in the list returned with
+    it the index of each top-level statement of its body that starts."""
+    started, codes = [], code_map(program)
+    code = codes[test]
+
+    def logged(i, stmt):
+        def run(st, fr):
+            started.append(i)
+            return stmt(st, fr)
+
+        return run
+
+    stmts = tuple(logged(i, stmt) for i, stmt in enumerate(code.stmts))
+    return started, {**codes, test: Code(code.arity, code.nslots, code.body, stmts)}
+
+
+def test_keep_hands_prefixes_that_resume_to_the_same_run():
+    programs = [(name, load_project(corpus_path(name))) for name in corpus_names()]
+    programs += [(name, _mini(name)) for name in ("prefix", "limits")]
+    resumed, limited = 0, 0
+    for name, program in programs:
+        profile = profile_suite(program, runtime=Runtime(seed=0, fake_time=True))
+        for test in program.tests:
+            draws = _Draws()
+            full, _ = run_test(program, test, step_limit=profile.step_budget(test), rng=draws, clock=draws)
+            if draws.n:
+                continue
+            stmts = program.functions[test].body.stmts
+            ends = [i for i, stmt in enumerate(stmts) if i and _may_end(program, stmt)]
+            for limit in {profile.step_budget(test), max(1, full.steps - 1)}:
+                started, code = _started(program, test)
+                kept = []
+                want, want_state = run_test(program, test, step_limit=limit, code=code, keep=kept.append)
+                last = started[-1] if started else -1
+                assert [p.index for p in kept] == [i for i in ends if i <= last], (name, test, limit)
+                for p in kept:
+                    got, state = run_test(program, test, step_limit=limit, start=p)
+                    assert (got.verdict, got.steps, state.output, state.globals) == (
+                        want.verdict, want.steps, want_state.output, want_state.globals
+                    ), (name, test, limit, p.index)
+                    resumed += 1
+                    limited += got.verdict.kind == "step_limit"
+    assert resumed and limited
+
+
 class _Seen(Hooks):
     """`hooks`, and the state of the run they last saw."""
 
@@ -214,14 +291,14 @@ def _probed_memo_run(run, workers=1):
     """`run`'s memo run, and the (process id, test, steps, CPU ns) of each
     probe it made.  A probe made while a mutant ran, in any process, comes
     back on that mutant's result."""
-    prefixes, worker_run = runner.prefixes, runner._worker_run
+    run_test, worker_run = runner.interp.run_test, runner._worker_run
     probes = []
 
-    def counted(program, test, hooks, limit, rng=None, clock=None):
+    def counted(program, test, hooks, limit, **kwargs):
         seen = _Seen(hooks)
         t0 = time.process_time_ns()
         try:
-            yield from prefixes(program, test, seen, limit, rng, clock)
+            return run_test(program, test, seen, limit, **kwargs)
         finally:
             probes.append((os.getpid(), test, seen.state.steps, time.process_time_ns() - t0))
 
@@ -232,11 +309,11 @@ def _probed_memo_run(run, workers=1):
         del probes[start:]
         return result
 
-    runner.prefixes, runner._worker_run = counted, traced
+    runner.interp.run_test, runner._worker_run = counted, traced
     try:
         report = run.memo(workers)
     finally:
-        runner.prefixes, runner._worker_run = prefixes, worker_run
+        runner.interp.run_test, runner._worker_run = run_test, worker_run
     return report, probes + [p for r in report.results for p in r.probes]
 
 
