@@ -6,8 +6,9 @@ compiled with `compile` and `exec`, one function at a time, as
 gave every parameter and `let` its slot) is the local `vk`, literals are
 constants, and every node is inline code: the operators, with `/` and `%`
 truncating toward zero and the 64-bit wrap, index loads and stores, and
-`len` of one argument.  Other calls go through the ExecState's `invoke`,
-which runs the hooks (see `interp`), or `call_builtin`.
+`len` of one argument.  A direct call is bound where it is written, to
+`_call` for a declared function, which runs the hooks (see `interp`), or
+to `_builtin`; only `_call_ref` tells the two apart at run time.
 
 Every evaluated AST node costs one step, charged in the order a tree walk
 would charge it, so step counts, error nodes and the step limit do not
@@ -44,7 +45,7 @@ from typing import Callable, Optional
 
 from .ast import (BUILTINS, ArrayLit, Assert, Assign, Binary, Block, BoolLit, Call, ExprStmt, FnRefLit, FunctionDef,
                   If, Index, IntLit, Let, Name, Return, Stmt, StrLit, Unary, While, per_node, walk)
-from .values import INT_MAX, INT_MIN, UNIT, FnRef, contains_array, deep_equal, wrap64
+from .values import INT_MAX, INT_MIN, UNIT, FnRef, contains_array, deep_equal, format_value, wrap64
 
 
 # Control-flow signals, caught where an execution ends.
@@ -97,21 +98,77 @@ def _charge(st, n: int) -> None:
     st.steps = n
 
 
+# Deterministic recursion bound: exceeding it is a runtime error (kind
+# "stack_overflow"), so runaway-recursion mutants die identically on
+# every run instead of exhausting the host stack.
+MAX_CALL_DEPTH = 200
+
+
 def _call(st, n: int, name: str, args: list, nid: int):
-    """A call of function or builtin `name` from node `nid` (a declared
-    function hides a builtin of its name)."""
+    """A call of declared function `name` from node `nid`.  The hooks see
+    its entry, and may answer it with its value in place of the body (see
+    `interp.Hooks`), and the exit of a call whose body ran."""
     if n >= st.limit:
         raise _limit(st)
     st.steps = n
-    if name in st.code:
-        return st.invoke(name, args, nid)
-    return st.call_builtin(name, args, nid)
+    code = st.code[name]
+    if len(args) != code.arity:
+        raise RuntimeErr("type_mismatch", nid)
+    if st.depth >= MAX_CALL_DEPTH:
+        raise RuntimeErr("stack_overflow", nid)
+    hooks = st.hooks
+    if hooks is not None:
+        ret = hooks.on_call_enter(name, args, st)
+        if ret is not None:
+            return ret
+    st.depth += 1
+    ret = code.body(st, *args)
+    st.depth -= 1
+    if hooks is not None:
+        hooks.on_call_exit(name, ret, st)
+    return ret
+
+
+def _builtin(st, n: int, name: str, args: list, nid: int):
+    """A call of builtin `name` from node `nid`, where its errors are reported."""
+    if n >= st.limit:
+        raise _limit(st)
+    st.steps = n
+    if name == "len":
+        if len(args) != 1 or not isinstance(args[0], (list, str)):
+            raise RuntimeErr("type_mismatch", nid)
+        return len(args[0])
+    if name == "push":
+        if len(args) != 2 or not isinstance(args[0], list):
+            raise RuntimeErr("type_mismatch", nid)
+        arr, v = args
+        if contains_array(v, arr):
+            raise RuntimeErr("array_cycle", nid)
+        arr.append(v)
+        return UNIT
+    if name == "print":
+        if len(args) != 1:
+            raise RuntimeErr("type_mismatch", nid)
+        st.output.append(format_value(args[0]))
+        return UNIT
+    if name == "time_now":
+        if args:
+            raise RuntimeErr("type_mismatch", nid)
+        return wrap64(st.clock())
+    if name == "rand":
+        if len(args) != 1 or type(args[0]) is not int or args[0] <= 0:
+            raise RuntimeErr("type_mismatch", nid)
+        return st.rng.randrange(args[0])
+    raise RuntimeErr("type_mismatch", nid)
 
 
 def _call_ref(st, n: int, target, args: list, nid: int):
+    """A call through function reference `target`; a declared function hides a builtin."""
     if type(target) is not FnRef:
         raise _err(st, n, "type_mismatch", nid)
-    return _call(st, n, target.name, args, nid)
+    if target.name in st.code:
+        return _call(st, n, target.name, args, nid)
+    return _builtin(st, n, target.name, args, nid)
 
 
 def _err(st, n: int, kind: str, nid: int) -> Exception:
@@ -132,7 +189,7 @@ def _assert(st, n: int, c, nid: int) -> Exception:
 
 
 _NAMESPACE = {"U": UNIT, **{f.__name__: f for f in (wrap64, deep_equal, contains_array, _limit, _charge, _call,
-                                                    _call_ref, _err, _index_err, _assert)}}
+                                                    _builtin, _call_ref, _err, _index_err, _assert)}}
 
 # The static type of a value: a literal's, or an operation's result.
 _LITERALS = {IntLit: "int", BoolLit: "bool", StrLit: "str"}
@@ -507,7 +564,7 @@ class _Writer:
             target = self.value(e.callee)[0]  # after the arguments
             call = f"_call_ref(st, {self.count()}, {target}, {argv}, {nid})"
         else:
-            call = f"_call(st, {self.count()}, {e.name!r}, {argv}, {nid})"
+            call = f"{'_builtin' if e.is_builtin else '_call'}(st, {self.count()}, {e.name!r}, {argv}, {nid})"
         r = self.temp(call, ty)
         self.set(0, True, self.types)
         self.line("s = st.steps")

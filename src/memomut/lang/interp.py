@@ -3,8 +3,8 @@
 Code runs as Python functions generated once per Mini function (see
 `compiler`); every evaluated AST node costs one step, and the step
 counter doubles as the deterministic timeout mechanism.  Instrumentation
-hooks observe function entry and exit, and may answer an entry event
-with a Substitute to skip the function body entirely; a run's `rand`
+hooks observe function entry and exit, and may answer an entry with the
+call's value, in place of running the function's body; a run's `rand`
 draws and clock readings go to the sources its caller hands it.  Every
 execution runs on a fresh ExecState.  One loop, `_execute`, runs the
 body of every test run, from the start or from a `Prefix`, a copy of the
@@ -21,17 +21,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ast import Call, Program, per_node, walk
-from .compiler import AssertFail, Code, RuntimeErr, StepLimit, compiled, compiled_test
-from .values import UNIT, Value, contains_array, copy_shared, format_value, wrap64
+from .compiler import MAX_CALL_DEPTH, AssertFail, Code, RuntimeErr, StepLimit, compiled, compiled_test
+from .values import UNIT, Value, copy_shared
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
-# Deterministic recursion bound: exceeding it is a runtime error (kind
-# "stack_overflow"), so runaway-recursion mutants die identically on
-# every run instead of exhausting the host stack.
-MAX_CALL_DEPTH = 200
-
-# Each Mini call nests 3 host frames (4 through a function reference), and
+# Each Mini call nests 2 host frames (3 through a function reference), and
 # values are formatted and copied recursively; keep room above both.
 if sys.getrecursionlimit() < 10_000:
     sys.setrecursionlimit(10_000)
@@ -96,8 +91,7 @@ class ExecState:
     `clock()` for `time_now`.
     The code is `code`, or else the program's `code_map`, compiled here
     before any timer in the caller starts.  Compiled code makes every
-    call but that of `len` through `invoke` or `call_builtin`, with
-    `steps` up to date.
+    call but that of `len` with `steps` up to date (see `compiler`).
     A test run resumed from a `Prefix` takes over the prefix's globals,
     output and steps when its body starts.
     """
@@ -122,57 +116,6 @@ class ExecState:
         self.rng = rng if rng is not None else LazyRandom()
         self.clock = clock or _real_clock_ms
 
-    def invoke(self, name: str, args: list, site: int) -> Value:
-        """Call function `name` from the call node `site` (-1 for the entry call)."""
-        code = self.code[name]
-        if len(args) != code.arity:
-            raise RuntimeErr("type_mismatch", site)
-        if self.depth >= MAX_CALL_DEPTH:
-            raise RuntimeErr("stack_overflow", site)
-        hooks = self.hooks
-        if hooks is not None:
-            sub = hooks.on_call_enter(name, args, self)
-            if sub is not None:
-                self.steps = n = self.steps + 1
-                if n >= self.limit:
-                    raise StepLimit()
-                return sub.value
-        self.depth += 1
-        ret = code.body(self, *args)
-        self.depth -= 1
-        if hooks is not None:
-            hooks.on_call_exit(name, ret, self)
-        return ret
-
-    def call_builtin(self, name: str, args: list, site: int) -> Value:
-        """Call builtin `name`; errors are reported at the call node `site`."""
-        if name == "len":
-            if len(args) != 1 or not isinstance(args[0], (list, str)):
-                raise RuntimeErr("type_mismatch", site)
-            return len(args[0])
-        if name == "push":
-            if len(args) != 2 or not isinstance(args[0], list):
-                raise RuntimeErr("type_mismatch", site)
-            arr, v = args
-            if contains_array(v, arr):
-                raise RuntimeErr("array_cycle", site)
-            arr.append(v)
-            return UNIT
-        if name == "print":
-            if len(args) != 1:
-                raise RuntimeErr("type_mismatch", site)
-            self.output.append(format_value(args[0]))
-            return UNIT
-        if name == "time_now":
-            if args:
-                raise RuntimeErr("type_mismatch", site)
-            return wrap64(self.clock())
-        if name == "rand":
-            if len(args) != 1 or type(args[0]) is not int or args[0] <= 0:
-                raise RuntimeErr("type_mismatch", site)
-            return self.rng.randrange(args[0])
-        raise RuntimeErr("type_mismatch", site)
-
 
 @per_node
 def code_map(program: Program) -> dict[str, Code]:
@@ -182,22 +125,14 @@ def code_map(program: Program) -> dict[str, Code]:
     return {name: (compiled_test if name in tests else compiled)(fn) for name, fn in program.functions.items()}
 
 
-@dataclass
-class Substitute:
-    """Hook answer that skips a function body.
-
-    The hook has already made the body's effects on the state and the
-    arguments itself; the bypassed call is charged a single step and
-    returns `value`.
-    """
-
-    value: Value
-
-
 class Hooks:
     """No-op instrumentation hooks; subclasses override what they need."""
 
-    def on_call_enter(self, fn: str, args: list, state: ExecState) -> Optional[Substitute]:
+    def on_call_enter(self, fn: str, args: list, state: ExecState) -> Optional[Value]:
+        """None to run `fn`'s body, or else the call's value: then the hook
+        has made the body's effects on the state and the arguments and
+        charged the call's steps itself, and sees no exit.  No Mini value
+        is None."""
         return None
 
     def on_call_exit(self, fn: str, ret: Value, state: ExecState) -> None:
@@ -276,10 +211,10 @@ def _prefix_ends(fn) -> tuple[bool, ...]:
 
 
 def _execute(state: ExecState, test: str, start: Optional[Prefix], keep, ends) -> Verdict:
-    """Run `test`'s body as `invoke` runs a call, from its start or from
-    `start`, handing `keep` the prefix before each statement `ends` marks;
-    failures become the verdict.  A run from the start is one from the
-    prefix before its first statement."""
+    """Run `test`'s body as `compiler._call` runs a call, from its start
+    or from `start`, handing `keep` the prefix before each statement
+    `ends` marks; failures become the verdict.  A run from the start is
+    one from the prefix before its first statement."""
     code, hooks = state.code[test], state.hooks
     try:
         if start is None:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from ..analysis import AnalysisBundle
 from ..lang.ast import Program
-from ..lang.interp import ExecState, Hooks, Runtime, Substitute, run_test
+from ..lang.compiler import _charge
+from ..lang.interp import ExecState, Hooks, Runtime, run_test
 from ..lang.values import deep_copy
 from ..profiler import Candidate, ExpensivenessCriterion, Profile
 from .db import Exclusion, FingerprintMismatch, MemoDB, MemoTable, OutputRecord, encode_record
@@ -57,9 +58,7 @@ class RecordHooks(Hooks):
         rec = OutputRecord(
             ret=deep_copy(ret),
             written_globals={g: deep_copy(state.globals[g]) for g in table.may_write},
-            post_args={
-                p: deep_copy(args[p]) for p in table.mut_args if p < len(args)
-            },
+            post_args={p: deep_copy(args[p]) for p in table.mut_args},
             output_steps=state.steps - steps0,
         )
         existing = table.entries.get(key)
@@ -84,9 +83,10 @@ class CountTotals:
 class LookupHooks(Hooks, CountTotals):
     """Bypasses table-holding functions on cache hits.
 
-    A hit is decided and applied here: the recorded globals and mutated
-    array arguments are written back into the state and the arguments
-    before the recorded return value is handed back.
+    A hit is decided and made here alone: the recorded globals and
+    mutated array arguments are written back into the state and the
+    arguments, the bypassed call is charged one step, a StepLimit at the
+    limit, and the recorded return value is the call's value.
 
     `blocked` names functions whose bypass is gated off for the current
     execution (mutated or depending on the mutated function); gated
@@ -121,7 +121,8 @@ class LookupHooks(Hooks, CountTotals):
             target = args[p]
             if isinstance(target, list):
                 target[:] = deep_copy(v)
-        return Substitute(value=deep_copy(rec.ret))
+        _charge(state, state.steps + 1)  # the bypassed call's one step
+        return deep_copy(rec.ret)
 
 
 def record_tables(

@@ -518,7 +518,8 @@ def compare_runs(base: MutationReport, memo: MutationReport) -> dict:
     score = base.score
     if score != memo.score or differing:
         raise ScoreMismatch(score, memo.score, differing)
-    speedup = (base.wall_ns - memo.wall_ns) / base.wall_ns if base.wall_ns else 0.0
+    # With no test run, both wall times are overhead alone.
+    speedup = (base.wall_ns - memo.wall_ns) / base.wall_ns if base.wall_ns and base.totals["tests_run"] else 0.0
     base_steps, memo_steps = base.totals["steps"], memo.totals["steps"]
     step_saving = (base_steps - memo_steps) / base_steps if base_steps else 0.0
     return {

@@ -24,7 +24,7 @@ from memomut.project import load_project
 
 TestRecord.__test__ = False  # keep pytest from collecting the dataclass
 
-# Small enough that every corpus program's helpers clear the threshold.
+# A wall-clock tau for tests whose outcome does not depend on what it selects.
 SMALL_TAU_NS = 1_000
 
 
@@ -44,12 +44,15 @@ class Pipeline:
 
 def build_pipeline(
     name: str,
-    tau: int = SMALL_TAU_NS,
-    tau_unit: str = "ns",
+    tau: int = 10,
+    tau_unit: str = "steps",
     limit_value: float = 20.0,
     time_rand_only: bool = False,
     seed: int = 0,
 ) -> Pipeline:
+    """One corpus program's pipeline artifacts.  The default tau, 10 steps,
+    is small enough that the corpus programs' helpers clear it, and a step
+    tau selects the same candidates on every host."""
     program = load_project(corpus_path(name))
     runtime = Runtime(seed=seed, fake_time=True)
     profile = profile_suite(program, runtime=runtime)

@@ -27,7 +27,7 @@ import copy
 from collections import deque
 
 from memomut.lang import ast as A
-from memomut.lang.compiler import AssertFail, RuntimeErr, StepLimit
+from memomut.lang.compiler import AssertFail, RuntimeErr, StepLimit, _call
 from memomut.lang.interp import (DEFAULT_STEP_LIMIT, PASS, STEP_LIMIT_VERDICT, ExecState, Hooks, Runtime, Verdict,
                                  run_test)
 from memomut.lang.values import UNIT
@@ -435,7 +435,7 @@ def call(state: ExecState, fn: str, args: list):
     """(verdict, value) of calling `fn` on `state`; the value is unit
     unless the call returns."""
     try:
-        return PASS, state.invoke(fn, args, -1)
+        return PASS, _call(state, state.steps, fn, args, -1)
     except AssertFail as a:
         return Verdict("assert_fail", node_id=a.node_id), UNIT
     except RuntimeErr as r:

@@ -220,6 +220,16 @@ def test_cli_pipeline_on_a_single_file(tmp_path, capsys):
         assert (art / name).exists(), name
 
 
+def test_cli_pipeline_with_no_test_run_reports_no_speedup(tmp_path, capsys):
+    # No mutant, so neither run runs a test: their wall times are overhead.
+    src = tmp_path / "p.mini"
+    src.write_text("fn test_a() { assert(true); }\n")
+    assert main(["pipeline", str(src), "--fake-time"]) == 0
+    comparison = json.loads((tmp_path / ".memomut" / "comparison.json").read_text())
+    assert comparison["speedup_pct"] == 0.0 and comparison["base_steps"] == 0
+    assert "speed-up          0.00%" in capsys.readouterr().out
+
+
 def test_cli_pipeline_step_tau_and_per_method_counts(tmp_path, capsys):
     proj = tmp_path / "proj"
     shutil.copytree(corpus_path("bench_expensive"), proj)

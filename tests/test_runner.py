@@ -13,8 +13,8 @@ import pytest
 from memomut import runner
 from memomut.analysis import analyze_program
 from memomut.lang import ast
-from memomut.lang.compiler import compiled
-from memomut.lang.interp import Runtime, Substitute, code_map
+from memomut.lang.compiler import StepLimit, compiled
+from memomut.lang.interp import Runtime, code_map
 from memomut.lang.parser import parse
 from memomut.memo.builder import LookupHooks, provisional_memoization, record_tables
 from memomut.memo.db import FingerprintMismatch, MemoDB, MemoTable, OutputRecord
@@ -112,8 +112,9 @@ def _tiny_db():
 
 
 def _state(globals_):
-    # on_call_enter only touches state.globals; a bare namespace suffices.
-    return SimpleNamespace(globals=globals_)
+    # on_call_enter only touches state.globals and, on a hit, the step
+    # count; a bare namespace suffices.
+    return SimpleNamespace(globals=globals_, steps=0, limit=100)
 
 
 CLOSURE = {"f": {"f", "helper"}, "g": {"g"}}
@@ -146,13 +147,23 @@ def test_intercept_hit_bypasses():
     hooks = _hooks("unrelated")
     arr = [0, 0]
     args, state = [1, arr], _state({"G": 0, "H": 0})
-    sub = hooks.on_call_enter("f", args, state)
-    assert isinstance(sub, Substitute) and sub.value == 2
+    assert hooks.on_call_enter("f", args, state) == 2
     # The hook made the body's effects itself: the recorded global and
-    # the argument array, overwritten in place.
-    assert state.globals == {"G": 0, "H": 3}
+    # the argument array, overwritten in place, and the bypassed call's step.
+    assert state.globals == {"G": 0, "H": 3} and state.steps == 1
     assert args == [1, [7, 8]] and args[1] is arr
     assert hooks.per_method == {"f": {"hits": 1, "misses": 0, "gated": 0}}
+
+
+def test_intercept_hit_at_the_limit_stops_the_run():
+    # The bypassed call's step is the last the limit allows; no corpus
+    # test ends with a hit, so the step-limit sweep cannot see this.
+    hooks = _hooks("unrelated")
+    state = _state({"G": 0, "H": 0})
+    state.steps = state.limit - 1
+    with pytest.raises(StepLimit):
+        hooks.on_call_enter("f", [1, [0, 0]], state)
+    assert state.steps == state.limit and state.globals == {"G": 0, "H": 3}
 
 
 def test_intercept_miss_counts():

@@ -12,6 +12,13 @@ returns and one that raises beside literal and local-name operands in
 every operand position, and in argument lists and array literals of
 every length the compiler builds differently.
 
+Each test of the small corpus programs also runs under every step limit
+with look-ups in its program's tables, recorded at `1steps` and 100%,
+so that a cache hit lands at every step of every run: its bypassed
+call's step may be the one that reaches the limit.  Each run contributes
+its verdict, its step count, its output, its final globals and its
+per-function hit, miss and gate counts to a per-program digest.
+
 To re-record against another checkout:
     PYTHONPATH=<checkout>/src:tests python tests/test_step_limits.py
 """
@@ -24,8 +31,10 @@ from pathlib import Path
 from memomut import corpus_path
 from memomut.lang.interp import Runtime, run_test
 from memomut.lang.values import literal_str
+from memomut.memo.builder import LookupHooks
 from memomut.project import load_project
 
+from conftest import cached_pipeline
 from test_equivalence import EDGES, _EventLog
 
 LIMITS = Path(__file__).with_name("limits.mini")
@@ -60,6 +69,26 @@ EXPECTED = {
 }
 
 
+# name -> (runs, hits, sha256 of the runs) with look-ups; recorded with
+# the interpreter whose `ExecState.invoke` charged a hit's step.
+EXPECTED_LOOKUPS = {
+    'globals': (39, 69, '22dbf2d299a57bf035a3550ab448ade3feb195402630dacb0770eade6a11106d'),
+    'indirect': (54, 63, 'acc54a1c9e0fa7d0d9f305aceaecbd761535094a00cfcd344b31a3203958b658'),
+    'matrix': (83, 62, '71faf6dbb2e4dd9fa6753e5c99bbb7fe611fbce0a9e5e063f1740afbbf782889'),
+    'nondet': (53, 6, '9aed376c74d1bc3d143860eb77fb4fdc3b8deb6af4604e54ef93ddb972841c0b'),
+    'printcase': (407, 6, 'bacd61ede7e7f234108c1d52810c58774b526511b3cfb6ee5e6a42b12a65a422'),
+    'randarg': (106, 387, '432a8d0c675dfa98a44b209601a99b1326d69cd5fb40bba8738e9bc1d5036baf'),
+    'sample': (29, 31, 'bfd68ff2c2ad5cbebfad1e4b691b65114f41b829025f93bbb2b9037368fc484d'),
+    'strings': (48, 40, 'f5233c1b738ace401a7fe0d61662bdf437f5a39344a79a4c9055cbc070d9ed35'),
+}
+
+
+def _row(test, limit, outcome, state, *extra) -> bytes:
+    v = outcome.verdict
+    final = sorted((g, literal_str(val)) for g, val in state.globals.items())
+    return repr((test, limit, v.kind, v.node_id, v.error, outcome.steps, state.output, final, *extra)).encode()
+
+
 def sweep(program) -> tuple[int, str]:
     """(runs, digest) over every test of one program at every step limit."""
     runtime = Runtime(seed=0, fake_time=True)
@@ -79,12 +108,38 @@ def sweep(program) -> tuple[int, str]:
         for limit in range(1, full.steps + 2):
             log = _EventLog()
             outcome, state = run(test, limit, log)
-            v = outcome.verdict
-            final = sorted((g, literal_str(val)) for g, val in state.globals.items())
-            row = (test, limit, v.kind, v.node_id, v.error, outcome.steps, state.output, final, log.events)
-            digest.update(repr(row).encode())
+            digest.update(_row(test, limit, outcome, state, log.events))
             runs += 1
     return runs, digest.hexdigest()
+
+
+def lookup_sweep(name: str) -> tuple[int, int, str]:
+    """(runs, hits, digest) over every test of corpus program `name` at
+    every step limit, looking up calls in its tables."""
+    pipe = cached_pipeline(name, tau=1, tau_unit="steps", limit_value=100.0)
+    runtime = Runtime(seed=0, fake_time=True)
+    digest = hashlib.sha256()
+    runs = hits = 0
+
+    def run(test, limit):
+        hooks = LookupHooks(pipe.db.tables)
+        outcome, state = run_test(
+            pipe.program, test, hooks,
+            step_limit=limit,
+            rng=runtime.rng_for(test),
+            clock=runtime.clock_for(test),
+        )
+        return outcome, state, hooks
+
+    for test in pipe.program.tests:
+        full, _, _ = run(test, 10_000_000)
+        for limit in range(1, full.steps + 2):
+            outcome, state, hooks = run(test, limit)
+            counts = sorted((fn, sorted(c.items())) for fn, c in hooks.per_method.items())
+            digest.update(_row(test, limit, outcome, state, counts))
+            runs += 1
+            hits += hooks.count_totals()["hits"]
+    return runs, hits, digest.hexdigest()
 
 
 def _programs() -> dict[str, Path]:
@@ -96,6 +151,15 @@ def test_every_step_limit_cuts_at_the_same_point():
     assert got == EXPECTED
 
 
+def test_every_step_limit_cuts_a_hit_at_the_same_point():
+    got = {name: lookup_sweep(name) for name in SMALL_CORPUS}
+    assert got == EXPECTED_LOOKUPS
+
+
 if __name__ == "__main__":
+    print("EXPECTED")
     for name, path in _programs().items():
         print(f"    {name!r}: {sweep(load_project(path))!r},")
+    print("EXPECTED_LOOKUPS")
+    for name in SMALL_CORPUS:
+        print(f"    {name!r}: {lookup_sweep(name)!r},")
