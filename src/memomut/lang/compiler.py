@@ -5,10 +5,15 @@ compiled with `compile` and `exec`, one function at a time, as
 `dataclasses` and `collections.namedtuple` do.  Frame slot k (the parser
 gave every parameter and `let` its slot) is the local `vk`, literals are
 constants, and every node is inline code: the operators, with `/` and `%`
-truncating toward zero and the 64-bit wrap, index loads and stores, and
-`len` of one argument.  A direct call is bound where it is written, to
-`_call` for a declared function, which runs the hooks (see `interp`), or
-to `_builtin`; only `_call_ref` tells the two apart at run time.
+truncating toward zero and the 64-bit wrap, index loads and stores,
+`len` of one argument, and `push` of two, as a store to the array.  A
+direct call is bound where it is written, to `_call` for a declared
+function, which runs the hooks (see `interp`), or to `_builtin`; only
+`_call_ref` tells the two apart at run time.  A direct call from a
+function's body calls the callee's code itself when the run has no hooks,
+the depth has room and the callee takes as many arguments as it is
+given, and leaves every other case to `_call`; a test's statements, which
+a run enters once, go through `_call` every time.
 
 Every evaluated AST node costs one step, charged in the order a tree walk
 would charge it, so step counts, error nodes and the step limit do not
@@ -107,7 +112,10 @@ MAX_CALL_DEPTH = 200
 def _call(st, n: int, name: str, args: list, nid: int):
     """A call of declared function `name` from node `nid`.  The hooks see
     its entry, and may answer it with its value in place of the body (see
-    `interp.Hooks`), and the exit of a call whose body ran."""
+    `interp.Hooks`), and the exit of a call whose body ran.  The only code
+    that runs the hooks and raises a call's arity and depth errors: a direct
+    call written in a function's body calls the body itself only where
+    none of them applies."""
     if n >= st.limit:
         raise _limit(st)
     st.steps = n
@@ -130,7 +138,10 @@ def _call(st, n: int, name: str, args: list, nid: int):
 
 
 def _builtin(st, n: int, name: str, args: list, nid: int):
-    """A call of builtin `name` from node `nid`, where its errors are reported."""
+    """A call of builtin `name` from node `nid`, where its errors are
+    reported.  A direct `len` of one argument and `push` of two are written
+    inline; here they run only through a function reference or with
+    another number of arguments."""
     if n >= st.limit:
         raise _limit(st)
     st.steps = n
@@ -212,8 +223,11 @@ class _Writer:
         self.known: dict[str, list[int]] = {}  # such a constant -> the values it can take
         self.temps = 0
 
-    def begin(self, indent: int) -> None:
+    def begin(self, indent: int, direct: bool) -> None:
+        """Starts a function; `direct`: its direct calls of declared
+        functions call their bodies when no hooks run."""
         self.lines, self.indent, self.uses, self.live = [], indent, set(), True  # live: control gets here
+        self.direct = direct
         self.set(0, True, {})
 
     def set(self, pending: int, checked: bool, types: dict) -> None:
@@ -257,6 +271,15 @@ class _Writer:
 
     def fail(self, cond: str, kind: str, nid: int) -> None:
         self.line(f"if {cond}: raise _err(st, {self.count()}, {kind!r}, {nid})")
+
+    def acyclic(self, v: str, tv: Optional[str], a: str, nid: int) -> str:
+        """`v`, of type `tv`, as an atom checked not to reach array `a`,
+        which it is stored into, unless no value of its type holds an array."""
+        if tv in (*_SCALARS, "unit", "ref"):
+            return v
+        v = self.name(v, tv)
+        self.fail(f"type({v}) is list and contains_array({v}, {a})", "array_cycle", nid)
+        return v
 
     def value(self, e) -> tuple[str, Optional[str]]:
         """`e`'s value as an atom, which can be read more than once."""
@@ -389,8 +412,7 @@ class _Writer:
             v, tv = self.value(s.value)
             self.pending += 1
             a, i = self._index(target)
-            if tv not in (*_SCALARS, "unit", "ref"):
-                self.fail(f"type({v}) is list and contains_array({v}, {a})", "array_cycle", target.node_id)
+            v = self.acyclic(v, tv, a, target.node_id)
             self.sync()
             self.line(f"{a}[{i}] = {v}")
             return
@@ -553,19 +575,45 @@ class _Writer:
         return f"({'' if op == '==' else 'not '}deep_equal({a}, {b}))"
 
     def _call(self, e: Call) -> tuple[str, Optional[str]]:
-        args, nid = [self.expr(a)[0] for a in e.args], e.node_id
+        typed, nid = [self.expr(a) for a in e.args], e.node_id
+        args = [code for code, _ in typed]
         argv, ty = f"[{', '.join(args)}]", BUILTINS.get(e.name) if e.is_builtin else None
         if e.is_builtin and e.name == "len" and len(args) == 1:
             # Inline: the count goes on as through any pure operation.
             a = self.name(args[0], None)
             self.fail(f"type({a}) is not list and type({a}) is not str", "type_mismatch", nid)
             return self.temp(f"len({a})", ty), ty
-        if e.callee is not None:
-            target = self.value(e.callee)[0]  # after the arguments
-            call = f"_call_ref(st, {self.count()}, {target}, {argv}, {nid})"
+        if e.is_builtin and e.name == "push" and len(args) == 2:
+            # Inline: a store to the array, checked as `_builtin` checks it.
+            (a, ta), (v, tv) = ((code, t or self.types.get(code)) for code, t in typed)
+            a = self.name(a, ta)
+            if ta != "list":
+                self.fail(f"type({a}) is not list", "type_mismatch", nid)
+                self.types[a] = "list"
+            v = self.acyclic(v, tv, a, nid)
+            self.sync()
+            self.line(f"{a}.append({v})")
+            return "U", ty
+        if e.callee is None and not e.is_builtin and self.direct:
+            # The body is called here when `_call` would only call it: no
+            # hooks, room for one more frame and the arity it was written with.
+            self.sync()
+            r = self.temp()
+            self.line(f"c = st.code[{e.name!r}]")
+            self.line(f"if st.hooks is None and st.depth < {MAX_CALL_DEPTH} and c.arity == {len(args)}:")
+            self.line("    st.steps = s")
+            self.line("    st.depth += 1")
+            self.line(f"    {r} = c.body({', '.join(['st', *args])})")
+            self.line("    st.depth -= 1")
+            self.line("else:")
+            self.line(f"    {r} = _call(st, s, {e.name!r}, {argv}, {nid})")
         else:
-            call = f"{'_builtin' if e.is_builtin else '_call'}(st, {self.count()}, {e.name!r}, {argv}, {nid})"
-        r = self.temp(call, ty)
+            if e.callee is not None:
+                target = self.value(e.callee)[0]  # after the arguments
+                call = f"_call_ref(st, {self.count()}, {target}, {argv}, {nid})"
+            else:
+                call = f"{'_builtin' if e.is_builtin else '_call'}(st, {self.count()}, {e.name!r}, {argv}, {nid})"
+            r = self.temp(call, ty)
         self.set(0, True, self.types)
         self.line("s = st.steps")
         return r, ty
@@ -576,7 +624,7 @@ def _function(w: _Writer, head: str, node, indent: int, stmt: bool = False) -> l
     it falls off; or, for a test's statement `node`, loads the slots it
     uses from the test's frame, the list `fr`, and stores them back and
     returns None where it falls off."""
-    w.begin(indent + 1)
+    w.begin(indent + 1, direct=not stmt)
     w.stmt(node)
     # Every slot a statement reads or binds is stored back, and loaded, as a
     # binding in a loop may not run; but a top-level `let` binds its slot

@@ -26,8 +26,10 @@ from .values import UNIT, Value, copy_shared
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
-# Each Mini call nests 2 host frames (3 through a function reference), and
-# values are formatted and copied recursively; keep room above both.
+# Each Mini call nests 1 host frame without hooks, 2 with hooks (through
+# `compiler._call`, as every call from a test's statement goes), and 3
+# through a function reference; and values are formatted and copied
+# recursively.  Keep room above both.
 if sys.getrecursionlimit() < 10_000:
     sys.setrecursionlimit(10_000)
 
@@ -91,7 +93,8 @@ class ExecState:
     `clock()` for `time_now`.
     The code is `code`, or else the program's `code_map`, compiled here
     before any timer in the caller starts.  Compiled code makes every
-    call but that of `len` with `steps` up to date (see `compiler`).
+    call but those of `len` and `push`, which it writes inline, with
+    `steps` up to date (see `compiler`).
     A test run resumed from a `Prefix` takes over the prefix's globals,
     output and steps when its body starts.
     """
@@ -147,16 +150,23 @@ class LazyRandom:
     """`random.Random(seed)`, made on the first draw, so that a run that
     never calls `rand` seeds nothing."""
 
-    __slots__ = ("seed", "rng")
+    __slots__ = ("seed", "bits")
 
     def __init__(self, seed: Optional[str] = None):
         self.seed = seed
-        self.rng: Optional[random.Random] = None
+        self.bits: Optional[Callable[[int], int]] = None  # the generator's `getrandbits`
 
     def randrange(self, n: int) -> int:
-        if self.rng is None:
-            self.rng = random.Random(self.seed)
-        return self.rng.randrange(n)
+        """`random.Random.randrange(n)` for an int `n > 0`: the same stream,
+        drawn as its `_randbelow_with_getrandbits` draws it."""
+        bits = self.bits
+        if bits is None:
+            bits = self.bits = random.Random(self.seed).getrandbits
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
 
 
 class FakeClock:

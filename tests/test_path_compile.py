@@ -12,21 +12,24 @@ the mutant's function built as an AST and compiled from scratch
 verdict, error node, steps, output and final globals must agree.
 For every mutant of `limits.mini` and `edges.mini`, the two also run at
 every step limit from 1 to the full count + 1, under a hook that logs
-every call entry and exit with the step count, and must agree there too.
+every call entry and exit with the step count, and must agree there too;
+the schema's code run with no hooks must give the same there as well.
 
 (The file and its first test keep the names they had when a mutant's
 function was compiled along its copied path.)
 
 Run this file to print, per workload and seed, the time to compile the
-program's code and its mutated functions' schemas, the memo run's fixed
-cost per mutant (what it spends outside the tests), and the steps per
-second the base and memo runs execute:
+program's code and its mutated functions' schemas, the AST nodes of the
+Python source each of the two compiles, the memo run's fixed cost per
+mutant (what it spends outside the tests), and the steps per second the
+base and memo runs execute:
 
     PYTHONPATH=src:tests python tests/test_path_compile.py
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import sys
 import time
@@ -36,7 +39,7 @@ import pytest
 
 from memomut import corpus_names, corpus_path, runner
 from memomut.lang.compiler import compile_function, compile_test
-from memomut.lang import interp
+from memomut.lang import compiler, interp
 from memomut.lang.interp import PASS, Runtime, code_map, run_test
 from memomut.lang.parser import parse
 from memomut.lang.values import literal_str
@@ -121,6 +124,7 @@ def test_schema_cuts_every_step_limit_as_compiled_from_scratch(path):
             got = _run(program, test, limit, runtime, from_schema, logs[0]) + (logs[0].events,)
             want = _run(program, test, limit, runtime, scratch, logs[1]) + (logs[1].events,)
             assert got == want, (m, test, limit)
+            assert _run(program, test, limit, runtime, from_schema) == got[:-1], (m, test, limit)
     assert runs
 
 
@@ -134,6 +138,22 @@ def _best_ms(f, rounds: int = 5) -> float:
         f()
         best = min(best, time.perf_counter_ns() - t0)
     return best / 1e6
+
+
+def _generated_nodes(compile_all) -> int:
+    """The AST nodes of the Python source that `compile_all` has compiled."""
+    sources, real = [], compiler._exec
+
+    def spy(fn, lines, refs):
+        sources.append("\n".join(lines))
+        return real(fn, lines, refs)
+
+    compiler._exec = spy
+    try:
+        compile_all()
+    finally:
+        compiler._exec = real
+    return sum(sum(1 for _ in ast.walk(ast.parse(source))) for source in sources)
 
 
 def _fixed_cost_us(run) -> float:
@@ -158,17 +178,25 @@ def _fixed_cost_us(run) -> float:
 if __name__ == "__main__":
     from test_prefix import _workload_run
 
-    print("workload:seed      clean ms  schema ms  fixed us/mutant  base steps/s  memo steps/s")
+    print(
+        "workload:seed      clean ms  schema ms  clean nodes  schema nodes  fixed us/mutant"
+        "  base steps/s  memo steps/s"
+    )
     for workload in workloads.WORKLOADS:
         for seed in (0, 5):
             run = _workload_run(workload, seed)
             program = run.program
             tests = set(program.tests)
-            clean = _best_ms(
-                lambda: [(compile_test if n in tests else compile_function)(f) for n, f in program.functions.items()]
-            )
             mutated = {m.fn for m in run.pool.mutants if run.profile.covering_passing_tests(m.fn)}
-            schemas = _best_ms(lambda: [mutant_schema.__wrapped__(program.functions[fn]) for fn in mutated])
+
+            def compile_clean():
+                return [(compile_test if n in tests else compile_function)(f) for n, f in program.functions.items()]
+
+            def compile_schemas():
+                return [mutant_schema.__wrapped__(program.functions[fn]) for fn in mutated]
+
+            clean, schemas = _best_ms(compile_clean), _best_ms(compile_schemas)
+            nodes = _generated_nodes(compile_clean), _generated_nodes(compile_schemas)
             rates = []
             for memo in (False, True):
                 cfg = RunConfig(memo=memo)
@@ -184,6 +212,7 @@ if __name__ == "__main__":
                 executed = report.totals["steps"] - report.totals["resumed_steps"]
                 rates.append(executed / report.wall_ns * 1e9)
             print(
-                f"{workload + ':' + str(seed):18} {clean:8.1f} {schemas:10.1f} {_fixed_cost_us(run):16.1f}"
+                f"{workload + ':' + str(seed):18} {clean:8.1f} {schemas:10.1f} {nodes[0]:12,} {nodes[1]:13,}"
+                f" {_fixed_cost_us(run):16.1f}"
                 f" {rates[0]:13,.0f} {rates[1]:13,.0f}"
             )

@@ -5,6 +5,9 @@ runs once under every step limit from 1 to its full step count + 1, under
 a hook that logs every call entry and exit with the step count.  Each run
 contributes its verdict (kind, node, error), its step count, its printed
 output, its final globals and its hook events to a per-program digest.
+Each also runs again with no hooks, where the compiled code takes another
+path through a call, and must give the same verdict, steps, output and
+globals.
 A limit of L ends the run at the L-th charged step, so any change in
 where or in what order steps are charged, relative to calls, builtins,
 errors and stores, shows up here.  `limits.mini` puts a call that
@@ -29,7 +32,8 @@ import hashlib
 from pathlib import Path
 
 from memomut import corpus_path
-from memomut.lang.interp import Runtime, run_test
+from memomut.lang.interp import Hooks, Runtime, run_test
+from memomut.lang.parser import parse
 from memomut.lang.values import literal_str
 from memomut.memo.builder import LookupHooks
 from memomut.project import load_project
@@ -108,6 +112,9 @@ def sweep(program) -> tuple[int, str]:
         for limit in range(1, full.steps + 2):
             log = _EventLog()
             outcome, state = run(test, limit, log)
+            row = _row(test, limit, outcome, state)
+            # Without hooks a direct call runs its body where it is written.
+            assert _row(test, limit, *run(test, limit)) == row, (test, limit)
             digest.update(_row(test, limit, outcome, state, log.events))
             runs += 1
     return runs, digest.hexdigest()
@@ -154,6 +161,20 @@ def test_every_step_limit_cuts_at_the_same_point():
 def test_every_step_limit_cuts_a_hit_at_the_same_point():
     got = {name: lookup_sweep(name) for name in SMALL_CORPUS}
     assert got == EXPECTED_LOOKUPS
+
+
+def test_a_push_the_limit_cuts_is_not_made():
+    """`push` is a store: a run cut at its step leaves the array as it
+    was, from a function's body and from a test's statement, with hooks
+    and without.  The count is 4 at the store to `g`, and 12 and 16 at
+    the pushes: each is made only under a higher limit."""
+    program = parse("global g = 0; fn add(v) { push(g, v); } fn test_a() { g = []; add(1); push(g, 2); }")
+    want = [("step_limit", k, "0" if k <= 4 else "[]" if k <= 12 else "[1]") for k in range(1, 17)]
+    want.append(("pass", 16, "[1, 2]"))
+    for hooks in (None, Hooks()):
+        runs = (run_test(program, "test_a", hooks, step_limit=k) for k in range(1, 18))
+        got = [(outcome.verdict.kind, outcome.steps, literal_str(state.globals["g"])) for outcome, state in runs]
+        assert got == want, hooks
 
 
 if __name__ == "__main__":
