@@ -6,7 +6,8 @@ compiled with `compile` and `exec`, one function at a time, as
 gave every parameter and `let` its slot) is the local `vk`, literals are
 constants, and every node is inline code: the operators, with `/` and `%`
 truncating toward zero and the 64-bit wrap, index loads and stores,
-`len` of one argument, and `push` of two, as a store to the array.  A
+`len` and `rand` of one argument, and `push` of two, as a store to the
+array.  A
 direct call is bound where it is written, to `_call` for a declared
 function, which runs the hooks (see `interp`), or to `_builtin`; only
 `_call_ref` tells the two apart at run time.  A direct call from a
@@ -27,13 +28,29 @@ at the limit; an error raised in between is charged the steps counted up
 to it, or is a StepLimit if they reach the limit.  `st.steps` is stored
 before, and read back after, every call and error.
 
+A tree of `+`, `-`, `*` and unary `-` is computed on Python ints and
+wrapped to 64 bits once, at its root: these are ring operations mod
+2**64, so the wrap of the tree is the tree of the wraps.  The writer
+bounds the bits such a value can take (64 for any other value, one more
+for `+`, `-` and unary `-`, the sum of the operands' for `*`) and wraps
+an operand where its operation would pass 256.  Every other reader takes
+the value wrapped, and so does an operator that a mutant can swap for
+`/` or `%`.  A type known where the code is written, a literal's, an
+operator's or one a check has made, drops the checks it makes.  A loop
+head keeps the type of each local that the back edge gives the type it
+has on entry: the body is written from the types known on entry, and
+again from those its back edge kept, until it keeps them all.  A call's
+value has no type known, as a mutant can change it.
+
 A test is one function per top-level statement of its body, so that a
 test resumed part way through its body starts at one of them.  Each is
 written as every other function is, with its count in `s` and slot k in
 `vk`: it loads the slots it uses from the test's frame, a list, when it
 starts, but for the one a top-level `let` binds before reading it, and
 stores them back where it falls off its end; a return or an error ends
-the test, so that leaves them.
+the test, so that leaves them.  The statements run in order, and a test
+resumed at one of them starts from the frame the ones before it left, so
+each starts with the types its locals had where the one before fell off.
 
 Every function is written by `compile_schema`.  A mutated function is
 written once with all its mutants in it (mutant schemata, Untch, Offutt
@@ -139,9 +156,9 @@ def _call(st, n: int, name: str, args: list, nid: int):
 
 def _builtin(st, n: int, name: str, args: list, nid: int):
     """A call of builtin `name` from node `nid`, where its errors are
-    reported.  A direct `len` of one argument and `push` of two are written
-    inline; here they run only through a function reference or with
-    another number of arguments."""
+    reported.  A direct `len` and `rand` of one argument and `push` of two
+    are written inline; here they run only through a function reference or
+    with another number of arguments."""
     if n >= st.limit:
         raise _limit(st)
     st.steps = n
@@ -207,6 +224,15 @@ _LITERALS = {IntLit: "int", BoolLit: "bool", StrLit: "str"}
 _SCALARS = ("int", "bool", "str")
 _TESTS = ("<", "<=", ">", ">=", "==", "!=")
 _WRAP = f"if not {INT_MIN} <= {{t}} <= {INT_MAX}: {{t}} = wrap64({{t}})"
+# The ring operations mod 2**64, whose trees are wrapped once, at their
+# root, while their values stay within this many bits.
+_RING = ("+", "-", "*")
+_WIDEST = 256
+
+
+def _width(ops, a: int, b: int) -> int:
+    """The bits that the result of any of `ops` on values of `a` and `b` bits takes."""
+    return max(a + b if op == "*" else max(a, b) + 1 for op in ops)
 
 
 # -- the writer: an expression is written as the code of its value, an atom
@@ -223,12 +249,14 @@ class _Writer:
         self.known: dict[str, list[int]] = {}  # such a constant -> the values it can take
         self.temps = 0
 
-    def begin(self, indent: int, direct: bool) -> None:
-        """Starts a function; `direct`: its direct calls of declared
-        functions call their bodies when no hooks run."""
+    def begin(self, indent: int, direct: bool, types: dict) -> None:
+        """Starts a function whose locals have `types` on entry; `direct`:
+        its direct calls of declared functions call their bodies when no
+        hooks run."""
         self.lines, self.indent, self.uses, self.live = [], indent, set(), True  # live: control gets here
         self.direct = direct
-        self.set(0, True, {})
+        self.wide: dict[str, int] = {}  # an unwrapped value's code -> the bits its magnitude takes at most
+        self.set(0, True, types)
 
     def set(self, pending: int, checked: bool, types: dict) -> None:
         """The steps passed but not in the count yet, whether the count is
@@ -237,6 +265,15 @@ class _Writer:
 
     def line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
+
+    def save(self) -> tuple:
+        """What writing on changes, for `restore` to throw away."""
+        state = self.temps, len(self.constants), dict(self.known), dict(self.refs), set(self.uses), dict(self.wide)
+        return len(self.lines), *state
+
+    def restore(self, saved: tuple) -> None:
+        lines, self.temps, constants, self.known, self.refs, self.uses, self.wide = saved
+        del self.lines[lines:], self.constants[constants:]
 
     def temp(self, code: Optional[str] = None, ty: Optional[str] = None) -> str:
         """A new temporary, assigned `code` of type `ty` if given."""
@@ -286,6 +323,33 @@ class _Writer:
         code, ty = self.expr(e)
         return (self.temp(code, ty), ty) if code[0] == "(" else (code, ty or self.types.get(code))
 
+    def operand(self, e, shared: bool) -> tuple[str, Optional[str]]:
+        """`e`'s value as an operand of `+`, `-`, `*` or unary `-`, maybe
+        unwrapped, and an atom where it is read more than once: by a type
+        check or, if `shared`, by more than one alternative."""
+        code, ty = self.ring(e)
+        ty = ty or self.types.get(code)
+        if code[0] == "(" and (shared or ty != "int"):
+            wide, code = self.wide.get(code), self.temp(code, ty)
+            if wide:
+                self.wide[code] = wide
+        return code, ty
+
+    def wrap(self, code: str, ty: Optional[str]) -> tuple[str, Optional[str]]:
+        """`code`, of type `ty`, in the 64-bit range: if it is unwrapped, as
+        an atom that has been wrapped."""
+        if code in self.wide:
+            code = self.name(code, ty)
+            self.line(_WRAP.format(t=code))
+        return code, ty
+
+    def local(self, slot: int, code: str, ty: Optional[str]) -> None:
+        """Binds slot `slot` to `code`, of type `ty`, and wraps it there."""
+        self.line(f"v{slot} = {code}")
+        if code in self.wide:
+            self.line(_WRAP.format(t=f"v{slot}"))
+        self.types[f"v{slot}"] = ty
+
     def name(self, code: str, ty: Optional[str]) -> str:
         """`code` as a name, for `is` and subscripts, which take no literal."""
         return code if code.isidentifier() else self.temp(code, ty)
@@ -334,8 +398,9 @@ class _Writer:
                 if new is not None:
                     got = write(new)
                     if result is not None:
-                        self.line(f"{result} = {got[0]}")
-                        types.add(got[1])
+                        code, ty = self.wrap(*got)
+                        self.line(f"{result} = {code}")
+                        types.add(ty)
                 self.switched = saved
 
             return body
@@ -362,24 +427,36 @@ class _Writer:
                 if self.live:
                     self.stmt(x)
         elif t is Let:
-            code, self.types[f"v{s.slot}"] = self.expr(s.value)
-            self.line(f"v{s.slot} = {code}")
+            self.local(s.slot, *self.ring(s.value))
         elif t is Assign:
             self._assign(s)
         elif t is If:
             c = self._cond(s.cond, s.node_id)
             self.branches([f"if {c}:", "else:"], [lambda: self.stmt(s.then), lambda: s.orelse and self.stmt(s.orelse)])
         elif t is While:
-            # The head, where entry and back edge meet: count checked, no type known.
+            # The head, where entry and back edge meet, with the count
+            # checked and the types both agree on: the body is written from
+            # the types known on entry, and again, from fewer, until its back
+            # edge keeps every one it was written from.
             self.sync()
-            self.line("while True:")
-            self.indent, self.types = self.indent + 1, {}
-            self.line(f"if not {self._cond(s.cond, s.node_id)}: break")
-            after = self.pending, self.checked, dict(self.types)
-            self.stmt(s.body)
-            if self.live:
-                self.sync()
-            self.indent, self.live = self.indent - 1, True
+            head, saved = {k: v for k, v in self.types.items() if v}, self.save()
+            while True:
+                self.line("while True:")
+                self.indent += 1
+                self.set(0, True, dict(head))
+                self.line(f"if not {self._cond(s.cond, s.node_id)}: break")
+                after = self.pending, self.checked, dict(self.types)
+                self.stmt(s.body)
+                if self.live:
+                    self.sync()
+                    kept = {k: v for k, v in head.items() if self.types.get(k) == v}
+                else:
+                    kept = head
+                self.indent, self.live = self.indent - 1, True
+                if kept == head:
+                    break
+                self.restore(saved)
+                head = kept
             self.set(*after)
         elif t is Return:
             code = "U" if s.value is None else self.expr(s.value)[0]
@@ -387,7 +464,7 @@ class _Writer:
             self.line(f"return {code}")
             self.live = False
         elif t is ExprStmt:
-            self.expr(s.expr)
+            self.ring(s.expr)
         elif t is Assert:
             c, ty = self.expr(s.cond)
             c = c if ty == "bool" else self.name(c, ty)
@@ -416,19 +493,26 @@ class _Writer:
             self.sync()
             self.line(f"{a}[{i}] = {v}")
             return
-        v, ty = self.expr(s.value)
+        v, ty = self.ring(s.value)
         self.pending += 1
         if target.is_global:
+            v = self.wrap(v, ty)[0]
             self.sync()
             self.uses.add("g")
             self.line(f"g[{target.ident!r}] = {v}")
         else:
-            self.line(f"v{target.slot} = {v}")
-            self.types[f"v{target.slot}"] = ty
+            self.local(target.slot, v, ty)
 
     # -- expressions ------------------------------------------------------
 
     def expr(self, e) -> tuple[str, Optional[str]]:
+        """`e`'s value in the 64-bit range."""
+        return self.wrap(*self.ring(e))
+
+    def ring(self, e) -> tuple[str, Optional[str]]:
+        """`e`'s value, which a tree of `+`, `-`, `*` and unary `-` leaves
+        unwrapped: a pure expression in `wide`, equal to its value mod
+        2**64.  These wrap once, at the root, as they are ring operations."""
         alternatives = self.switched and self.alternatives.get(id(e))
         if alternatives and type(e) is Binary and e.op != "&&" and e.op != "||":
             swaps = [(i, n) for i, n in alternatives if type(n) is Binary and n.left is e.left and n.right is e.right]
@@ -471,11 +555,18 @@ class _Writer:
         if t is Unary and e.op == "!":
             return f"(not {self._cond(e.operand, e.node_id)})", "bool"
         if t is Unary:
-            a, ta = self.value(e.operand)
+            a, ta = self.operand(e.operand, False)
+            if a.lstrip("-").isdigit():  # a literal
+                return repr(wrap64(-int(a))), "int"
             if ta != "int":
                 self.fail(f"type({a}) is not int", "type_mismatch", e.node_id)
                 self.types[a] = "int"
-            return self.temp(f"{a} if {a} == {INT_MIN} else -{a}", "int"), "int"
+            wide = self.wide.get(a, 64) + 1
+            if wide > _WIDEST:
+                a, wide = self.wrap(a, "int")[0], 65
+            code = f"(-{a})"
+            self.wide[code] = wide
+            return code, "int"
         if t is Index:
             return self.temp("{}[{}]".format(*self._index(e))), None
         if t is ArrayLit:
@@ -510,15 +601,24 @@ class _Writer:
                 [lambda: self.line(f"{r} = {decisive}"), lambda: self.line(f"{r} = {self._cond(e.right, nid)}")],
             )
             return r, "bool"
-        (a, ta), (b, tb) = self.value(e.left), self.value(e.right)
         ops = [n.op for _, n in swaps] + [op]
+        ring = all(o in _RING for o in ops)  # else the operands are wrapped
+        if ring:
+            (a, ta), (b, tb) = self.operand(e.left, bool(swaps)), self.operand(e.right, bool(swaps))
+        else:
+            (a, ta), (b, tb) = self.value(e.left), self.value(e.right)
         if op == "==" or op == "!=":
             codes, ty = [self._equality(o, a, ta, b, tb) for o in ops], "bool"
         else:
-            checks = [f"type({x}) is not int" for x, t in ((a, ta), (b, tb)) if t != "int"]
+            checks = [x for x, t in ((a, ta), (b, tb)) if t != "int"]
             if checks:
-                self.fail(" or ".join(checks), "type_mismatch", nid)
-                self.types[a] = self.types[b] = "int"
+                self.fail(" or ".join(f"type({x}) is not int" for x in checks), "type_mismatch", nid)
+                self.types.update(dict.fromkeys(checks, "int"))
+            if ring:
+                wide = _width(ops, self.wide.get(a, 64), self.wide.get(b, 64))
+                if wide > _WIDEST:
+                    (a, _), (b, _) = self.wrap(a, "int"), self.wrap(b, "int")
+                    wide = _width(ops, 64, 64)
             codes, ty = [self._operate(o, a, b) for o in ops], "bool" if op in _TESTS else "int"
         values = self.values(b)
         nonzero = values is not None and 0 not in values
@@ -543,6 +643,9 @@ class _Writer:
                 return body
 
             self.branches(heads, [apply(k) for k in range(len(ops))])
+        if ring:
+            self.wide[code] = wide
+            return code, ty
         if "deep_equal" in code:  # it reads arrays, so it is evaluated here
             return self.temp(code, ty), ty
         # `%` never leaves the 64-bit range, nor `/` by a literal other than -1.
@@ -594,6 +697,18 @@ class _Writer:
             self.sync()
             self.line(f"{a}.append({v})")
             return "U", ty
+        if e.is_builtin and e.name == "rand" and len(args) == 1:
+            # Inline: checked as `_builtin` checks it, where it can fail,
+            # then drawn with the count in `st.steps`.
+            n, tn = typed[0]
+            values = self.values(n)
+            if values is None:
+                n, tn = self.name(n, tn), tn or self.types.get(n)
+            if values is None or min(values) <= 0:
+                self.fail(f"{n} <= 0" if tn == "int" else f"type({n}) is not int or {n} <= 0", "type_mismatch", nid)
+            self.sync()
+            self.line("st.steps = s")
+            return self.temp(f"st.rng.randrange({n})", ty), ty
         if e.callee is None and not e.is_builtin and self.direct:
             # The body is called here when `_call` would only call it: no
             # hooks, room for one more frame and the arity it was written with.
@@ -619,12 +734,13 @@ class _Writer:
         return r, ty
 
 
-def _function(w: _Writer, head: str, node, indent: int, stmt: bool = False) -> list[str]:
+def _function(w: _Writer, head: str, node, indent: int, types: Optional[dict] = None) -> list[str]:
     """The source of function `head`, which runs `node` and returns U where
-    it falls off; or, for a test's statement `node`, loads the slots it
-    uses from the test's frame, the list `fr`, and stores them back and
-    returns None where it falls off."""
-    w.begin(indent + 1, direct=not stmt)
+    it falls off; or, for a test's statement `node`, whose locals have
+    `types` on entry, loads the slots it uses from the test's frame, the
+    list `fr`, and stores them back and returns None where it falls off."""
+    stmt = types is not None
+    w.begin(indent + 1, not stmt, dict(types or {}))
     w.stmt(node)
     # Every slot a statement reads or binds is stored back, and loaded, as a
     # binding in a loop may not run; but a top-level `let` binds its slot
@@ -672,9 +788,13 @@ def compile_test(fn: FunctionDef) -> Code:
     """The code of test `fn`: its statements, each compiled on its own,
     run in turn by `body`, for Mini code that calls the test, after the
     body block's own step."""
-    w, lines = _Writer({}), []
+    w, lines, types = _Writer({}), [], {}
     for i, s in enumerate(fn.body.stmts):
-        lines += _function(w, f"def s{i}(st, fr):", s, 0, stmt=True)
+        lines += _function(w, f"def s{i}(st, fr):", s, 0, types)
+        # The statements run in order, and a resumed test starts at one of
+        # them with the frame the ones before it left: the next starts with
+        # the types its locals have where this one falls off.
+        types = {k: v for k, v in w.types.items() if v and k[0] == "v"} if w.live else {}
     ns = _exec(fn, lines, w.refs)
     stmts, nslots = tuple(ns[f"s{i}"] for i in range(len(fn.body.stmts))), fn.nslots
 

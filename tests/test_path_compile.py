@@ -20,9 +20,10 @@ function was compiled along its copied path.)
 
 Run this file to print, per workload and seed, the time to compile the
 program's code and its mutated functions' schemas, the AST nodes of the
-Python source each of the two compiles, the memo run's fixed cost per
-mutant (what it spends outside the tests), and the steps per second the
-base and memo runs execute:
+Python source each of the two compiles, the 64-bit wrap lines and the
+lines that raise a type mismatch in the program's code, the memo run's
+fixed cost per mutant (what it spends outside the tests), and the steps
+per second the base and memo runs execute:
 
     PYTHONPATH=src:tests python tests/test_path_compile.py
 """
@@ -140,8 +141,9 @@ def _best_ms(f, rounds: int = 5) -> float:
     return best / 1e6
 
 
-def _generated_nodes(compile_all) -> int:
-    """The AST nodes of the Python source that `compile_all` has compiled."""
+def _generated(compile_all) -> tuple[int, int, int]:
+    """The AST nodes, the 64-bit wrap lines and the lines that raise a
+    type mismatch of the Python source that `compile_all` has compiled."""
     sources, real = [], compiler._exec
 
     def spy(fn, lines, refs):
@@ -153,7 +155,12 @@ def _generated_nodes(compile_all) -> int:
         compile_all()
     finally:
         compiler._exec = real
-    return sum(sum(1 for _ in ast.walk(ast.parse(source))) for source in sources)
+    lines = [line for source in sources for line in source.splitlines()]
+    return (
+        sum(sum(1 for _ in ast.walk(ast.parse(source))) for source in sources),
+        sum("wrap64(" in line for line in lines),
+        sum("'type_mismatch'" in line for line in lines),
+    )
 
 
 def _fixed_cost_us(run) -> float:
@@ -179,8 +186,8 @@ if __name__ == "__main__":
     from test_prefix import _workload_run
 
     print(
-        "workload:seed      clean ms  schema ms  clean nodes  schema nodes  fixed us/mutant"
-        "  base steps/s  memo steps/s"
+        "workload:seed      clean ms  schema ms  clean nodes  schema nodes  wraps  type checks"
+        "  fixed us/mutant  base steps/s  memo steps/s"
     )
     for workload in workloads.WORKLOADS:
         for seed in (0, 5):
@@ -196,7 +203,7 @@ if __name__ == "__main__":
                 return [mutant_schema.__wrapped__(program.functions[fn]) for fn in mutated]
 
             clean, schemas = _best_ms(compile_clean), _best_ms(compile_schemas)
-            nodes = _generated_nodes(compile_clean), _generated_nodes(compile_schemas)
+            (nodes, wraps, checks), schema_nodes = _generated(compile_clean), _generated(compile_schemas)[0]
             rates = []
             for memo in (False, True):
                 cfg = RunConfig(memo=memo)
@@ -212,7 +219,7 @@ if __name__ == "__main__":
                 executed = report.totals["steps"] - report.totals["resumed_steps"]
                 rates.append(executed / report.wall_ns * 1e9)
             print(
-                f"{workload + ':' + str(seed):18} {clean:8.1f} {schemas:10.1f} {nodes[0]:12,} {nodes[1]:13,}"
-                f" {_fixed_cost_us(run):16.1f}"
+                f"{workload + ':' + str(seed):18} {clean:8.1f} {schemas:10.1f} {nodes:12,} {schema_nodes:13,}"
+                f" {wraps:6,} {checks:12,} {_fixed_cost_us(run):16.1f}"
                 f" {rates[0]:13,.0f} {rates[1]:13,.0f}"
             )
